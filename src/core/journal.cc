@@ -29,20 +29,20 @@ uint64_t FnvBits(uint64_t h, double v) {
 /// (and therefore the overhead benchmarks); recovery never parses it.
 int64_t EstimateSnapshotBytes(const ServiceSnapshot& s) {
   int64_t b = 256;  // fixed scalar block (clocks, targets, breaker, rng)
-  b += 64 * static_cast<int64_t>(s.history.size());
-  for (const auto& [id, at] : s.last_useful) {
+  b += 64 * static_cast<int64_t>(s.control.history.size());
+  for (const auto& [id, at] : s.control.last_useful) {
     b += 16 + static_cast<int64_t>(id.size());
   }
   b += 160 * static_cast<int64_t>(s.fleet.containers.size());
   b += 64 * static_cast<int64_t>(s.catalog.tables.size());
   b += 96 * static_cast<int64_t>(s.catalog.states.size());
   b += 24 * static_cast<int64_t>(s.catalog.quarantined.size());
-  b += 48 * static_cast<int64_t>(s.build_progress.size());
-  b += 24 * static_cast<int64_t>(s.repair_queue.size());
-  b += 40 * static_cast<int64_t>(s.staged_deletes.size());
+  b += 48 * static_cast<int64_t>(s.control.build_progress.size());
+  b += 24 * static_cast<int64_t>(s.control.repair_queue.size());
+  b += 40 * static_cast<int64_t>(s.control.staged_deletes.size());
   b += 120 * static_cast<int64_t>(s.loop.queue.size());
   b += 120 * static_cast<int64_t>(s.loop.batch.size());
-  b += static_cast<int64_t>(s.scrub_cursor.size());
+  b += static_cast<int64_t>(s.control.scrub_cursor.size());
   if (s.in_flight.has_value()) {
     b += 96 + 48 * static_cast<int64_t>(s.in_flight->decision.combined.num_ops());
   }
@@ -60,14 +60,14 @@ uint64_t SnapshotDigest(const ServiceSnapshot& s) {
   h = FnvBits(h, s.loop.start);
   h = FnvMix(h, s.loop.queue.size());
   h = FnvMix(h, s.loop.batch.size());
-  h = FnvMix(h, s.history.size());
+  h = FnvMix(h, s.control.history.size());
   h = FnvMix(h, s.fleet.containers.size());
   h = FnvMix(h, static_cast<uint64_t>(s.fleet.next_id));
   h = FnvMix(h, s.catalog.states.size());
   h = FnvMix(h, s.catalog.quarantined.size());
   h = FnvMix(h, static_cast<uint64_t>(s.detection_watermark));
-  h = FnvBits(h, s.storage_clock_mirror);
-  h = FnvBits(h, s.next_update);
+  h = FnvBits(h, s.control.storage_clock_mirror);
+  h = FnvBits(h, s.control.next_update);
   h = FnvMix(h, static_cast<uint64_t>(s.metrics.dataflows_arrived));
   h = FnvMix(h, static_cast<uint64_t>(s.metrics.dataflows_finished));
   h = FnvMix(h, s.in_flight.has_value() ? 1ULL : 0ULL);
@@ -132,7 +132,7 @@ void Journal::CommitSnapshot(ServiceSnapshot snap) {
   ledger_.truncated_by_snapshot +=
       open_records_ + (snapshot_ != nullptr ? 1 : 0);
   open_records_ = 0;
-  if (opts_.compact) records_.clear();
+  records_.clear();
   const int64_t bytes = EstimateSnapshotBytes(snap);
   snapshot_record_ = MakeRecord(JournalRecordType::kSnapshot,
                                 StageBoundary::kDecide, bytes,
@@ -147,9 +147,7 @@ std::shared_ptr<const ServiceSnapshot> Journal::Recover() {
   // The open segment died with the crash.
   ledger_.tail_discarded += open_records_;
   open_records_ = 0;
-  if (opts_.compact) {
-    records_.clear();
-  }
+  records_.clear();
   // Verify before trusting: a checksum mismatch means the snapshot record
   // itself is torn and there is nothing safe to restore.
   JournalRecord check = snapshot_record_;

@@ -6,9 +6,7 @@
 #include <map>
 #include <memory>
 #include <optional>
-#include <set>
 #include <string>
-#include <utility>
 #include <vector>
 
 #include "cloud/cluster.h"
@@ -33,10 +31,6 @@ namespace dfim {
 /// — a crash without a journal would simply lose the run.
 struct JournalOptions {
   bool enabled = false;
-  /// Physically erase records superseded by a snapshot. Compaction is a
-  /// pure space optimization: recovery, the ledger identity and every
-  /// metric are equivalent with it on or off.
-  bool compact = true;
   /// Consecutive recoveries allowed without completing an iteration before
   /// further crash injection is suppressed (fail open: the run terminates
   /// instead of crash-looping forever under ctl_crash_rate = 1).
@@ -127,6 +121,75 @@ struct StagedDelete {
   int64_t generation = 0;
 };
 
+/// \brief Storage persist circuit breaker state.
+enum class BreakerState { kClosed, kOpen, kHalfOpen };
+
+/// \brief A quarantined partition awaiting a repair build.
+struct RepairEntry {
+  std::string index_id;
+  int partition = -1;
+};
+
+/// \brief The service's own journaled control state: the single list of
+/// QaasService fields a control-plane crash rolls back (DESIGN.md §15).
+///
+/// The service holds it by value and a snapshot copies it as one unit, so
+/// a field added here is journaled by construction. Deliberately *not*
+/// journaled (they live on QaasService): the stage-boundary counter (a
+/// directed crash must fire exactly once), the consecutive-resume count
+/// (the fail-open bound spans recoveries), the `recovering_` flag, and the
+/// cross-shard gate pointer/shard (wiring, not state).
+struct ControlState {
+  ControlState() = default;
+  explicit ControlState(uint64_t seed) : rng(seed) {}
+
+  Rng rng;
+  std::deque<DataflowRecord> history;
+  /// Last time each index earned a positive per-dataflow gain (or was
+  /// built); drives the deletion grace period.
+  std::map<std::string, Seconds> last_useful;
+  /// Partial build progress (resumable_builds extension).
+  BuildProgress build_progress;
+  /// Next scheduled update batch (update_interval_quanta > 0 only).
+  Seconds next_update = 0;
+
+  // --- elastic fleet (DESIGN.md §13) ---
+  /// Autoscaler fleet-size target (containers).
+  int fleet_target = 1;
+  /// Acquire backoff: no fresh provider requests until this instant, and
+  /// the current ladder rung in quanta (0 = ladder reset).
+  Seconds acquire_backoff_until = 0;
+  double acquire_backoff_quanta = 0;
+  /// Queue pressure of the most recent dequeue (the autoscaler signal when
+  /// the smoothed EWMA is off).
+  double last_pressure = 0;
+
+  // --- overload ---
+  /// Remaining fleet-wide recovery attempts (admission.retry_budget >= 0).
+  int retry_budget_left = -1;
+  BreakerState breaker_state = BreakerState::kClosed;
+  int breaker_faults = 0;
+  Seconds breaker_open_until = 0;
+
+  // --- integrity (DESIGN.md §12) ---
+  /// Quarantined partitions awaiting a repair build (FIFO; entries whose
+  /// quarantine was evicted meanwhile are skipped when popped).
+  std::deque<RepairEntry> repair_queue;
+  /// Scrub budget accrued (objects) and the instant it was last topped up.
+  double scrub_credit = 0;
+  Seconds last_scrub = 0;
+  /// Last object path the scrub verified (walk resumes after it, wrapping).
+  std::string scrub_cursor;
+
+  // --- storage shadows (the data plane itself survives the crash) ---
+  /// Control-plane mirror of the storage billing clock (== last_billed()
+  /// in an uncrashed run): replay must not see the inflated post-crash
+  /// `last_billed()`.
+  Seconds storage_clock_mirror = 0;
+  /// Deletes staged for the next group commit (journal on only).
+  std::vector<StagedDelete> staged_deletes;
+};
+
 /// \brief One full control-plane snapshot: the minimal by-value clone of
 /// every piece of QaasService state a crash would lose (DESIGN.md §15).
 ///
@@ -152,47 +215,18 @@ struct ServiceSnapshot {
   };
 
   Kind kind = Kind::kIterStart;
-
-  // --- catalog / tuner / admission / fleet ---
   Catalog::RuntimeState catalog;
-  Rng rng;
-  std::deque<DataflowRecord> history;
   Cluster::State fleet;
   /// Optional only because AdmissionController has no default constructor;
   /// always engaged in a committed snapshot.
   std::optional<AdmissionController> admission;
-  std::map<std::string, Seconds> last_useful;
-  BuildProgress build_progress;
-  Seconds next_update = 0;
-
-  // --- elastic fleet / overload / integrity scalars ---
-  int fleet_target = 1;
-  Seconds acquire_backoff_until = 0;
-  double acquire_backoff_quanta = 0;
-  double last_pressure = 0;
-  int retry_budget_left = -1;
-  int breaker_state = 0;
-  int breaker_faults = 0;
-  Seconds breaker_open_until = 0;
-  std::deque<std::pair<std::string, int>> repair_queue;
-  double scrub_credit = 0;
-  Seconds last_scrub = 0;
-  std::string scrub_cursor;
-
-  // --- storage shadows (the data plane itself survives the crash) ---
-  /// Control-plane mirror of the storage billing clock: replay must not
-  /// see the inflated post-crash `last_billed()`.
-  Seconds storage_clock_mirror = 0;
-  std::vector<StagedDelete> staged_deletes;
+  ControlState control;
   /// Detection-log watermark; recovery rewinds storage detections past it
   /// so replayed verifies return kCorrupt again identically.
   int64_t detection_watermark = 0;
-
-  // --- driver loop & metrics ---
   LoopState loop;
   ServiceMetrics metrics;
-
-  // --- in-flight decision (kPreExecute only) ---
+  /// The in-flight decision (kPreExecute only).
   std::optional<InFlightDecision> in_flight;
 };
 
@@ -289,8 +323,8 @@ class Journal {
   /// Journal generation (recoveries survived).
   int64_t generation() const { return generation_; }
 
-  /// Retained record headers (all of them with compact off; only the live
-  /// segment with compact on). Inspection/testing.
+  /// Retained record headers: the live segment only (records superseded
+  /// by a snapshot are compacted away). Inspection/testing.
   const std::vector<JournalRecord>& records() const { return records_; }
 
  private:

@@ -1,6 +1,5 @@
 #include "core/service.h"
 
-#include <cstdio>
 #include <cstdlib>
 #include <algorithm>
 #include <limits>
@@ -84,19 +83,19 @@ QaasService::QaasService(Catalog* catalog, ServiceOptions options)
         return t;
       }()),
       storage_(options.tuner.pricing),
-      rng_(options.seed),
       provider_faults_(options.faults),
       fleet_(options.container, options.tuner.pricing,
              options.autoscaler.enabled ? options.autoscaler.max_containers
                                         : std::numeric_limits<int>::max()),
       admission_(options.admission, options.brownout),
+      state_(options.seed),
       journal_(options.journal) {
   // Plumb/normalize the scheduler knobs once: every SkylineScheduler the
   // service constructs (directly or via the tuner's interleaver) sees the
   // same options, and a zero/negative thread count means "serial".
   opts_.tuner.sched.num_threads = std::max(1, opts_.tuner.sched.num_threads);
   opts_.tuner.sched.skyline_cap = std::max(1, opts_.tuner.sched.skyline_cap);
-  retry_budget_left_ = opts_.admission.retry_budget;
+  state_.retry_budget_left = opts_.admission.retry_budget;
   if (opts_.faults.provider_enabled()) {
     // Reclaim hazards walk at most the experiment horizon (plus slack for
     // lease tails past it).
@@ -106,20 +105,9 @@ QaasService::QaasService(Catalog* catalog, ServiceOptions options)
         8;
     fleet_.SetFaultModel(&provider_faults_, max_q);
   }
-  fleet_target_ = opts_.autoscaler.initial_containers > 0
-                      ? opts_.autoscaler.initial_containers
-                      : opts_.autoscaler.min_containers;
-}
-
-std::vector<Container*> QaasService::AcquireContainers(int n, Seconds start) {
-  // The strict fixed-fleet path: the cluster reaps expired containers
-  // (their pre-paid quantum is over and their local disks/caches are gone,
-  // paper §3), reuses alive ones in stable order, and allocates the rest
-  // fresh. With the elastic machinery off the capacity cap is unbounded, so
-  // this never fails.
-  auto got = fleet_.Acquire(n, start);
-  if (!got.ok()) return {};
-  return *std::move(got);
+  state_.fleet_target = opts_.autoscaler.initial_containers > 0
+                            ? opts_.autoscaler.initial_containers
+                            : opts_.autoscaler.min_containers;
 }
 
 QaasService::FleetPlan QaasService::PrepareFleet(Seconds now,
@@ -140,22 +128,23 @@ QaasService::FleetPlan QaasService::PrepareFleet(Seconds now,
     // the per-dequeue delay otherwise).
     const double signal = opts_.brownout.queue_ewma_alpha > 0
                               ? admission_.queue_ewma()
-                              : last_pressure_;
-    const int prev = fleet_target_;
+                              : state_.last_pressure;
+    const int prev = state_.fleet_target;
     if (signal >= opts_.autoscaler.grow_pressure) {
-      fleet_target_ = std::min(opts_.autoscaler.max_containers,
-                               fleet_target_ + opts_.autoscaler.grow_step);
-      if (fleet_target_ > prev) ++metrics->fleet_grow_events;
+      state_.fleet_target =
+          std::min(opts_.autoscaler.max_containers,
+                   state_.fleet_target + opts_.autoscaler.grow_step);
+      if (state_.fleet_target > prev) ++metrics->fleet_grow_events;
     } else if (signal <= opts_.autoscaler.shrink_pressure) {
-      fleet_target_ =
-          std::max(opts_.autoscaler.min_containers, fleet_target_ - 1);
-      if (fleet_target_ < prev) ++metrics->fleet_shrink_events;
+      state_.fleet_target =
+          std::max(opts_.autoscaler.min_containers, state_.fleet_target - 1);
+      if (state_.fleet_target < prev) ++metrics->fleet_shrink_events;
     }
     // Graceful drain: release idle containers above the target before they
     // renew another idle quantum. The fleet is quiescent here — the service
     // executes one dataflow at a time.
-    fleet_.DrainIdleAbove(fleet_target_, now);
-    want = std::min(want, fleet_target_);
+    fleet_.DrainIdleAbove(state_.fleet_target, now);
+    want = std::min(want, state_.fleet_target);
   }
   want = std::max(1, want);
 
@@ -166,7 +155,7 @@ QaasService::FleetPlan QaasService::PrepareFleet(Seconds now,
   Seconds t = now;
   int usable = 0;
   for (int round = 0; round < 64; ++round) {
-    if (t < acquire_backoff_until_ - 1e-9) {
+    if (t < state_.acquire_backoff_until - 1e-9) {
       // Backing off from a denial: no fresh requests yet. Run with what is
       // usable — unless nothing is, in which case the backoff must not
       // wedge the service and we fall through to request anyway.
@@ -178,14 +167,15 @@ QaasService::FleetPlan QaasService::PrepareFleet(Seconds now,
     if (got.denied_quota > 0) {
       // Capped exponential backoff on provider quota denials.
       ++metrics->acquire_backoffs;
-      acquire_backoff_quanta_ =
-          acquire_backoff_quanta_ <= 0
+      state_.acquire_backoff_quanta =
+          state_.acquire_backoff_quanta <= 0
               ? opts_.autoscaler.backoff_initial_quanta
-              : std::min(acquire_backoff_quanta_ * 2.0,
+              : std::min(state_.acquire_backoff_quanta * 2.0,
                          opts_.autoscaler.backoff_cap_quanta);
-      acquire_backoff_until_ = t + acquire_backoff_quanta_ * quantum;
+      state_.acquire_backoff_until =
+          t + state_.acquire_backoff_quanta * quantum;
     } else if (usable > 0 || got.booting > 0) {
-      acquire_backoff_quanta_ = 0;  // a clean grant resets the ladder
+      state_.acquire_backoff_quanta = 0;  // a clean grant resets the ladder
     }
     if (usable > 0) break;
     Seconds next = fleet_.NextUsableAt(t);
@@ -197,7 +187,7 @@ QaasService::FleetPlan QaasService::PrepareFleet(Seconds now,
     // Nothing usable and nothing booting: wait out the backoff (or one
     // quantum) and re-request — quota draws are keyed by the monotone
     // request index, so retries genuinely re-draw.
-    t = std::max(t + quantum, acquire_backoff_until_);
+    t = std::max(t + quantum, state_.acquire_backoff_until);
   }
   if (t > now) {
     plan.wait = t - now;
@@ -229,7 +219,7 @@ Result<TunerDecision> QaasService::BaselineDecision(const Dataflow& df,
     // catalog, not just the current dataflow's candidates — "and randomly
     // assigns them to containers to be built".
     std::vector<std::string> cands = catalog_->IndexIds();
-    rng_.Shuffle(&cands);
+    state_.rng.Shuffle(&cands);
     int take = std::min<int>(opts_.random_indexes_per_dataflow,
                              static_cast<int>(cands.size()));
     int next_id = static_cast<int>(d.combined.num_ops());
@@ -266,7 +256,7 @@ Result<TunerDecision> QaasService::BaselineDecision(const Dataflow& df,
     }
     for (const auto& op : d.combined.ops()) {
       if (!op.optional) continue;
-      auto c = static_cast<size_t>(rng_.UniformInt(0, nc - 1));
+      auto c = static_cast<size_t>(state_.rng.UniformInt(0, nc - 1));
       Assignment a;
       a.op_id = op.id;
       a.container = static_cast<int>(c);
@@ -283,14 +273,20 @@ Result<TunerDecision> QaasService::BaselineDecision(const Dataflow& df,
 
 namespace {
 
-/// Deterministic per-persist-attempt key (FNV-1a over the partition path
-/// plus the retry number) for the storage-fault draws.
-uint64_t PersistKey(const std::string& index_id, int partition, int retry) {
+/// FNV-1a over an object path (the object key of the bit-rot draw).
+uint64_t PathHash(const std::string& s) {
   uint64_t h = 0xcbf29ce484222325ULL;
-  for (char ch : index_id) {
+  for (char ch : s) {
     h ^= static_cast<unsigned char>(ch);
     h *= 0x100000001b3ULL;
   }
+  return h;
+}
+
+/// Deterministic per-persist-attempt key (FNV-1a over the index id, then
+/// the partition and the retry number) for the storage-fault draws.
+uint64_t PersistKey(const std::string& index_id, int partition, int retry) {
+  uint64_t h = PathHash(index_id);
   h ^= static_cast<uint64_t>(partition) * 0x9e3779b97f4a7c15ULL;
   h *= 0x100000001b3ULL;
   h ^= static_cast<uint64_t>(retry);
@@ -302,14 +298,74 @@ uint64_t PersistKey(const std::string& index_id, int partition, int retry) {
 /// simulator's read-hedge (bit 62) and clone (bit 61) salts.
 constexpr uint64_t kPersistHedgeBit = 1ULL << 60;
 
-/// FNV-1a over an object path (the object key of the bit-rot draw).
-uint64_t PathHash(const std::string& s) {
-  uint64_t h = 0xcbf29ce484222325ULL;
-  for (char ch : s) {
-    h ^= static_cast<unsigned char>(ch);
-    h *= 0x100000001b3ULL;
+/// Batched admission (DESIGN.md §14): merges the members' decisions into
+/// one, schedules the union through a single skyline pass within `sched`
+/// and re-packs the union of build ops into the merged schedule's idle
+/// slots. Members share the realized finish; per-member accounting (queue
+/// delay, deadlines, history) stays distinct in FinishRun.
+Result<TunerDecision> MergeDecisions(
+    const std::vector<TunerDecision>& decisions,
+    const SchedulerOptions& sched, double build_fraction) {
+  // Merge into one decision. Duplicate build ops (two members wanting the
+  // same index partition) keep only the first copy; flows touching a
+  // dropped duplicate are dropped with it (build ops are sources/sinks of
+  // their private staging flows, never of dataflow edges).
+  TunerDecision merged;
+  std::set<std::pair<std::string, int>> build_seen;
+  std::vector<int> build_ids;
+  for (const auto& d : decisions) {
+    std::vector<int> remap(d.combined.num_ops(), -1);
+    for (const auto& op : d.combined.ops()) {
+      if (op.optional && op.kind == OpKind::kBuildIndex) {
+        if (!build_seen.emplace(op.index_id, op.index_partition).second) {
+          continue;  // another member already builds this partition
+        }
+      }
+      Operator copy = op;
+      int nid = merged.combined.AddOperator(std::move(copy));
+      remap[static_cast<size_t>(op.id)] = nid;
+      merged.durations.push_back(d.durations[static_cast<size_t>(op.id)]);
+      merged.costs.push_back(d.costs[static_cast<size_t>(op.id)]);
+      const Operator& placed = merged.combined.op(nid);
+      if (placed.optional && placed.kind == OpKind::kBuildIndex) {
+        build_ids.push_back(nid);
+      }
+    }
+    for (const auto& f : d.combined.flows()) {
+      int from = remap[static_cast<size_t>(f.from)];
+      int to = remap[static_cast<size_t>(f.to)];
+      if (from < 0 || to < 0) continue;
+      DFIM_RETURN_NOT_OK(merged.combined.AddFlow(from, to, f.size));
+    }
+    for (const auto& idx : d.to_delete) {
+      if (std::find(merged.to_delete.begin(), merged.to_delete.end(), idx) ==
+          merged.to_delete.end()) {
+        merged.to_delete.push_back(idx);
+      }
+    }
   }
-  return h;
+
+  // One shared skyline pass over the merged mandatory DAG, then the union
+  // of build ops re-packed into the merged schedule's idle slots (LP mode
+  // regardless of the tuner's interleave mode — the members' own packings
+  // were discarded with their schedules; a deliberate simplification).
+  SkylineScheduler scheduler(sched);
+  DFIM_ASSIGN_OR_RETURN(merged.skyline,
+                        scheduler.ScheduleDag(merged.combined,
+                                              merged.durations,
+                                              /*place_optional=*/false));
+  if (merged.skyline.empty()) return Status::Internal("empty batch skyline");
+  merged.chosen = merged.skyline.front();
+  if (!build_ids.empty() && build_fraction > 0) {
+    Interleaver interleaver(sched, InterleaveMode::kLp);
+    merged.chosen = interleaver.PackIntoIdleSlots(
+        merged.chosen, merged.combined, merged.durations, build_ids);
+    for (const auto& a : merged.chosen.assignments()) {
+      if (a.optional) ++merged.build_ops_scheduled;
+    }
+  }
+
+  return merged;
 }
 
 }  // namespace
@@ -325,7 +381,7 @@ void QaasService::QuarantineAndScheduleRepair(const std::string& index_id,
   auto def = catalog_->GetIndexDef(index_id);
   if (def.ok()) StorageDelete((*def)->PartitionPath(partition), now);
   if (opts_.integrity.repair) {
-    repair_queue_.push_back(RepairEntry{index_id, partition});
+    state_.repair_queue.push_back(RepairEntry{index_id, partition});
   }
 }
 
@@ -403,21 +459,22 @@ void QaasService::RunScrub(Seconds now, ServiceMetrics* metrics) {
   now = std::max(now, BillingClock());
   BumpClockMirror(now);
   const Seconds quantum = opts_.tuner.sched.quantum;
-  if (now > last_scrub_) {
-    scrub_credit_ += (now - last_scrub_) / quantum * per_quantum;
-    last_scrub_ = now;
+  if (now > state_.last_scrub) {
+    state_.scrub_credit += (now - state_.last_scrub) / quantum * per_quantum;
+    state_.last_scrub = now;
   }
   const auto& objects = storage_.objects();
   if (objects.empty()) return;
   // One full pass per call at most: extra credit would only re-verify
   // objects this call already proved clean at `now`.
-  scrub_credit_ = std::min(scrub_credit_, static_cast<double>(objects.size()));
-  while (scrub_credit_ >= 1.0 && !objects.empty()) {
-    auto it = objects.upper_bound(scrub_cursor_);
+  state_.scrub_credit =
+      std::min(state_.scrub_credit, static_cast<double>(objects.size()));
+  while (state_.scrub_credit >= 1.0 && !objects.empty()) {
+    auto it = objects.upper_bound(state_.scrub_cursor);
     if (it == objects.end()) it = objects.begin();
     const std::string path = it->first;
-    scrub_cursor_ = path;
-    scrub_credit_ -= 1.0;
+    state_.scrub_cursor = path;
+    state_.scrub_credit -= 1.0;
     ++metrics->scrub_reads;
     if (storage_.VerifyRead(path, now) != VerifyResult::kCorrupt) continue;
     ++metrics->corruptions_detected_by_scrub;
@@ -441,14 +498,14 @@ void QaasService::RunScrub(Seconds now, ServiceMetrics* metrics) {
 
 void QaasService::ScheduleRepairs(TunerDecision* decision,
                                   ServiceMetrics* metrics) {
-  if (repair_queue_.empty()) return;
+  if (state_.repair_queue.empty()) return;
   const double net = opts_.tuner.sched.net_mb_per_sec;
   std::vector<int> repair_ids;
   int budget = opts_.integrity.max_repairs_per_dataflow;
-  size_t scan = repair_queue_.size();
-  while (budget > 0 && scan-- > 0 && !repair_queue_.empty()) {
-    RepairEntry e = std::move(repair_queue_.front());
-    repair_queue_.pop_front();
+  size_t scan = state_.repair_queue.size();
+  while (budget > 0 && scan-- > 0 && !state_.repair_queue.empty()) {
+    RepairEntry e = std::move(state_.repair_queue.front());
+    state_.repair_queue.pop_front();
     // Evicted meanwhile (index drop / batch update): the repair is moot.
     if (!catalog_->IsQuarantined(e.index_id, e.partition)) continue;
     auto def = catalog_->GetIndexDef(e.index_id);
@@ -487,18 +544,11 @@ void QaasService::ScheduleRepairs(TunerDecision* decision,
     } else {
       // No idle slot this time: back to the queue for a later dataflow.
       const Operator& op = decision->combined.op(id);
-      repair_queue_.push_back(RepairEntry{op.index_id, op.index_partition});
+      state_.repair_queue.push_back(
+          RepairEntry{op.index_id, op.index_partition});
     }
   }
   decision->chosen = std::move(packed);
-}
-
-void QaasService::HarvestIntegrity(Seconds now, ServiceMetrics* metrics) {
-  metrics->corruptions_injected = storage_.corruptions_injected();
-  metrics->corruptions_dead = storage_.corruptions_dead();
-  metrics->corruptions_latent = storage_.LatentCorrupt(now);
-  metrics->quarantine_evicted =
-      static_cast<int>(catalog_->quarantine_evictions());
 }
 
 Result<TunerDecision> QaasService::Decide(const Dataflow& df, Seconds start,
@@ -521,9 +571,10 @@ Result<TunerDecision> QaasService::Decide(const Dataflow& df, Seconds start,
   } else if (tuned) {
     DFIM_ASSIGN_OR_RETURN(
         decision,
-        tuner_.OnDataflow(df, history_, start,
-                          opts_.resumable_builds ? &build_progress_ : nullptr,
-                          build_fraction, fleet_bound));
+        tuner_.OnDataflow(
+            df, state_.history, start,
+            opts_.resumable_builds ? &state_.build_progress : nullptr,
+            build_fraction, fleet_bound));
   } else {
     DFIM_ASSIGN_OR_RETURN(decision, BaselineDecision(df, fleet_bound));
   }
@@ -531,13 +582,12 @@ Result<TunerDecision> QaasService::Decide(const Dataflow& df, Seconds start,
   return decision;
 }
 
-Result<QaasService::RunOutcome> QaasService::RunOne(const Dataflow& df,
-                                                    Seconds start,
-                                                    ServiceMetrics* metrics,
-                                                    double build_fraction) {
-  RunOutcome crashed_out;
-  crashed_out.crashed = true;
-  if (MaybeCtlCrash()) return crashed_out;  // b0: pre-Decide
+Result<QaasService::RunOutcome> QaasService::StartRun(
+    ServiceMetrics* metrics) {
+  const std::vector<PendingDataflow>& batch = loop_->batch;
+  const Seconds start = loop_->start;
+  const double build_fraction = loop_->build_fraction;
+  if (MaybeCtlCrash()) return RunOutcome{.crashed = true};  // b0: pre-Decide
   // Background scrub first (DESIGN.md §12): latent rot caught here is
   // quarantined before the tuner consults the catalog, so this very
   // decision already plans around (and can repair) the loss.
@@ -549,9 +599,28 @@ Result<QaasService::RunOutcome> QaasService::RunOne(const Dataflow& df,
   // the real, smaller fleet. Inert (configured cap, zero wait) when the
   // elastic machinery is off.
   const FleetPlan fleet_plan = PrepareFleet(start, metrics);
-  DFIM_ASSIGN_OR_RETURN(
-      TunerDecision decision,
-      Decide(df, start, metrics, build_fraction, fleet_plan.bound));
+  // Every member is tuned against the same catalog/history state. A batch
+  // of one executes its member's decision as is; a larger batch executes
+  // the merge.
+  std::vector<TunerDecision> decisions;
+  decisions.reserve(batch.size());
+  for (const auto& p : batch) {
+    DFIM_ASSIGN_OR_RETURN(
+        TunerDecision d,
+        Decide(p.df, start, metrics, build_fraction, fleet_plan.bound));
+    decisions.push_back(std::move(d));
+  }
+  TunerDecision decision;
+  if (decisions.size() == 1) {
+    decision = std::move(decisions.front());
+  } else {
+    SchedulerOptions sched = opts_.tuner.sched;
+    if (fleet_plan.bound > 0 && fleet_plan.bound < sched.max_containers) {
+      sched.max_containers = fleet_plan.bound;
+    }
+    DFIM_ASSIGN_OR_RETURN(decision,
+                          MergeDecisions(decisions, sched, build_fraction));
+  }
 
   // Bind-time verification and repair packing (DESIGN.md §12; both no-ops
   // with the integrity knobs at their defaults). Verification runs before
@@ -566,7 +635,9 @@ Result<QaasService::RunOutcome> QaasService::RunOne(const Dataflow& df,
 
   // The decision is final: commit it as the in-flight B-phase state. A
   // crash past this point resumes from here — the A-phase (whose scrub
-  // verifies and quarantine deletes already happened) never re-runs.
+  // verifies and quarantine deletes already happened) never re-runs. One
+  // execution covers the whole batch (the head member keys the fault draws
+  // and the adaptive speculation watermark in FinishRun).
   in_flight_ = InFlightDecision{std::move(decision), fleet_plan.wait};
   if (JournalOn()) {
     journal_.AppendStage(
@@ -574,7 +645,7 @@ Result<QaasService::RunOutcome> QaasService::RunOne(const Dataflow& df,
         static_cast<int64_t>(in_flight_->decision.combined.num_ops()));
     CommitJournal(ServiceSnapshot::Kind::kPreExecute, *metrics);
   }
-  if (MaybeCtlCrash()) return crashed_out;  // b1: pre-Execute
+  if (MaybeCtlCrash()) return RunOutcome{.crashed = true};  // b1: pre-Execute
   return FinishRun(metrics);
 }
 
@@ -582,10 +653,7 @@ Result<QaasService::RunOutcome> QaasService::FinishRun(
     ServiceMetrics* metrics) {
   const std::vector<PendingDataflow>& batch = loop_->batch;
   const Seconds start = loop_->start;
-  const bool is_batch = batch.size() > 1;
   InFlightDecision& fl = *in_flight_;
-  RunOutcome crashed_out;
-  crashed_out.crashed = true;
 
   DFIM_ASSIGN_OR_RETURN(
       ExecOutcome exec,
@@ -599,35 +667,31 @@ Result<QaasService::RunOutcome> QaasService::FinishRun(
     journal_.AppendStage(StageBoundary::kExecute, start + exec.elapsed,
                          static_cast<int64_t>(exec.total_leased));
   }
-  if (MaybeCtlCrash()) return crashed_out;  // b2: pre-RecordHistory
+  // b2: pre-RecordHistory
+  if (MaybeCtlCrash()) return RunOutcome{.crashed = true};
 
   // ExecuteDecision counted one failure; a failed batch loses every member.
-  if (is_batch && exec.failed) {
+  if (exec.failed) {
     metrics->dataflows_failed += static_cast<int>(batch.size()) - 1;
   }
   const Seconds quantum = opts_.tuner.sched.quantum;
   const Seconds finish = start + exec.elapsed;
   if (!exec.failed) {
-    if (is_batch) {
-      // Per-member history: members share the realized makespan (they ran
-      // as one merged schedule) and split the VM bill into equal shares, so
-      // the batch's total money matches the one-at-a-time accounting
-      // identity.
-      const double share =
-          static_cast<double>(exec.total_leased) / batch.size();
-      for (const auto& p : batch) {
-        RecordHistory(p.df, finish, exec.elapsed / quantum, share);
-      }
-    } else {
-      RecordHistory(batch.front().df, finish, exec.elapsed / quantum,
-                    static_cast<double>(exec.total_leased));
+    // Per-member history: members share the realized makespan (they ran as
+    // one merged schedule) and split the VM bill into equal shares, so the
+    // batch's total money matches the one-at-a-time accounting identity
+    // (a batch of one keeps the whole bill: x / 1.0 == x).
+    const double share = static_cast<double>(exec.total_leased) / batch.size();
+    for (const auto& p : batch) {
+      RecordHistory(p.df, finish, exec.elapsed / quantum, share);
     }
   }
   if (JournalOn()) {
     journal_.AppendStage(StageBoundary::kRecordHistory, finish,
                          static_cast<int64_t>(batch.size()));
   }
-  if (MaybeCtlCrash()) return crashed_out;  // b3: pre-ApplyDeletions
+  // b3: pre-ApplyDeletions
+  if (MaybeCtlCrash()) return RunOutcome{.crashed = true};
 
   if (!exec.failed) {
     ApplyDeletions(fl.decision.to_delete, finish, metrics);
@@ -636,7 +700,7 @@ Result<QaasService::RunOutcome> QaasService::FinishRun(
   SettleStorage(settled);
   // Server occupancy: the iteration held the service for one makespan.
   metrics->total_time_quanta += exec.elapsed / quantum;
-  if (is_batch) {
+  if (batch.size() > 1) {
     ++metrics->dataflow_batches;
     metrics->batched_dataflows += static_cast<int>(batch.size());
   }
@@ -645,11 +709,12 @@ Result<QaasService::RunOutcome> QaasService::FinishRun(
     journal_.AppendStage(StageBoundary::kApplyDeletions, finish,
                          static_cast<int64_t>(fl.decision.to_delete.size()));
   }
-  if (MaybeCtlCrash()) return crashed_out;  // b4: pre-StampTimeline
+  // b4: pre-StampTimeline
+  if (MaybeCtlCrash()) return RunOutcome{.crashed = true};
 
   if (JournalOn()) HarvestJournal(metrics);
   // One timeline point per member (the open loop re-stamps queue state).
-  const int stamps = is_batch ? static_cast<int>(batch.size()) : 1;
+  const int stamps = static_cast<int>(batch.size());
   for (int i = 0; i < stamps; ++i) {
     StampTimeline(finish, exec.elapsed / quantum, metrics);
   }
@@ -711,8 +776,13 @@ Result<QaasService::ExecOutcome> QaasService::ExecuteDecision(
     }
     if (static_cast<int>(containers.size()) < nc) {
       // Fixed-fleet path — or the elastic fleet shrank between planning and
-      // acquisition; the strict path guarantees the plan its containers.
-      containers = AcquireContainers(nc, start + elapsed);
+      // acquisition; the strict path guarantees the plan its containers. The
+      // cluster reaps expired containers (their pre-paid quantum is over and
+      // their local disks/caches are gone, paper §3), reuses alive ones in
+      // stable order, and allocates the rest fresh. With the elastic
+      // machinery off the capacity cap is unbounded, so this never fails.
+      auto got = fleet_.Acquire(nc, start + elapsed);
+      containers = got.ok() ? *std::move(got) : std::vector<Container*>{};
     }
     sim.seed = opts_.seed ^ (static_cast<uint64_t>(df.id) * 0x9e3779b9ULL);
     if (attempt > 0) {
@@ -760,8 +830,8 @@ Result<QaasService::ExecOutcome> QaasService::ExecuteDecision(
       // piling duplicates onto a store that already tripped the breaker
       // would double-trip it — suppress hedging while the breaker is open.
       if (fi.spec.hedge_reads && opts_.breaker.open_after > 0 &&
-          breaker_state_ == BreakerState::kOpen &&
-          start + elapsed < breaker_open_until_) {
+          state_.breaker_state == BreakerState::kOpen &&
+          start + elapsed < state_.breaker_open_until) {
         fi.spec.suppress_hedges = true;
       }
       fip = &fi;
@@ -827,9 +897,9 @@ Result<QaasService::ExecOutcome> QaasService::ExecuteDecision(
       if (inject) {
         const bool breaker_on = opts_.breaker.open_after > 0;
         Seconds persist_at = start + elapsed + b.finish;
-        if (breaker_on && breaker_state_ == BreakerState::kOpen) {
-          if (persist_at >= breaker_open_until_) {
-            breaker_state_ = BreakerState::kHalfOpen;
+        if (breaker_on && state_.breaker_state == BreakerState::kOpen) {
+          if (persist_at >= state_.breaker_open_until) {
+            state_.breaker_state = BreakerState::kHalfOpen;
           } else {
             // Breaker open: the persist path is known-bad; skip the Put
             // outright instead of burning retries and backoff delay.
@@ -839,7 +909,7 @@ Result<QaasService::ExecOutcome> QaasService::ExecuteDecision(
         }
         int retries = container_died ? 0 : opts_.storage_put_max_retries;
         // A half-open breaker allows exactly one probe attempt.
-        if (breaker_on && breaker_state_ == BreakerState::kHalfOpen) {
+        if (breaker_on && state_.breaker_state == BreakerState::kHalfOpen) {
           retries = 0;
         }
         // Hedged persists (DESIGN.md §12): each round issues one duplicate
@@ -848,7 +918,7 @@ Result<QaasService::ExecOutcome> QaasService::ExecuteDecision(
         // and a half-open probe must stay a single request.
         const bool hedge_persist =
             fi.spec.hedge_persists &&
-            (!breaker_on || breaker_state_ == BreakerState::kClosed);
+            (!breaker_on || state_.breaker_state == BreakerState::kClosed);
         bool persisted = false;
         bool primary_ok = false;
         Seconds backoff = opts_.storage_backoff_initial;
@@ -882,13 +952,14 @@ Result<QaasService::ExecOutcome> QaasService::ExecuteDecision(
           }
           ++metrics->storage_retries;
           if (breaker_on) {
-            ++breaker_faults_;
-            if (breaker_state_ == BreakerState::kHalfOpen ||
-                breaker_faults_ >= opts_.breaker.open_after) {
+            ++state_.breaker_faults;
+            if (state_.breaker_state == BreakerState::kHalfOpen ||
+                state_.breaker_faults >= opts_.breaker.open_after) {
               // Trip (or re-trip after a failed half-open probe).
-              breaker_state_ = BreakerState::kOpen;
-              breaker_open_until_ = persist_at + opts_.breaker.open_duration;
-              breaker_faults_ = 0;
+              state_.breaker_state = BreakerState::kOpen;
+              state_.breaker_open_until =
+                  persist_at + opts_.breaker.open_duration;
+              state_.breaker_faults = 0;
               ++metrics->breaker_opens;
               break;
             }
@@ -903,8 +974,8 @@ Result<QaasService::ExecOutcome> QaasService::ExecuteDecision(
           // A primary success closes the breaker (half-open probe) and
           // resets the consecutive-fault count. A hedge win does not: it
           // masked a primary fault, it did not disprove it.
-          breaker_faults_ = 0;
-          breaker_state_ = BreakerState::kClosed;
+          state_.breaker_faults = 0;
+          state_.breaker_state = BreakerState::kClosed;
         }
         if (!persisted) {
           ++metrics->builds_discarded;
@@ -1001,10 +1072,11 @@ Result<QaasService::ExecOutcome> QaasService::ExecuteDecision(
         ++metrics->index_partitions_built;
         if (was_quarantined) ++metrics->repairs_completed;
         // A fresh build counts as a reference: the grace clock starts now.
-        auto [it, inserted] = last_useful_.try_emplace(b.index_id, built_at);
+        auto [it, inserted] =
+            state_.last_useful.try_emplace(b.index_id, built_at);
         if (!inserted) it->second = std::max(it->second, built_at);
         if (opts_.resumable_builds) {
-          build_progress_.erase({b.index_id, b.partition});
+          state_.build_progress.erase({b.index_id, b.partition});
         }
       }
     }
@@ -1015,7 +1087,7 @@ Result<QaasService::ExecOutcome> QaasService::ExecuteDecision(
       for (const auto& k : exec.kills) {
         // A build preempted before it got any CPU leaves no useful progress.
         if (k.ran_for > 0) {
-          build_progress_[{k.index_id, k.partition}] += k.ran_for;
+          state_.build_progress[{k.index_id, k.partition}] += k.ran_for;
         }
       }
     }
@@ -1049,13 +1121,13 @@ Result<QaasService::ExecOutcome> QaasService::ExecuteDecision(
     // capacity from the queue, so once the budget is spent crash-lost
     // dataflows fail fast instead.
     if (opts_.admission.retry_budget >= 0) {
-      if (retry_budget_left_ <= 0) {
+      if (state_.retry_budget_left <= 0) {
         ++metrics->retries_denied;
         failed = true;
         ++metrics->dataflows_failed;
         break;
       }
-      --retry_budget_left_;
+      --state_.retry_budget_left;
     }
     auto to_orig = [&](int local) {
       return attempt == 0 ? local : orig_ids[static_cast<size_t>(local)];
@@ -1162,7 +1234,7 @@ void QaasService::RecordHistory(const Dataflow& df, Seconds finish,
   // Record history: what-if gains of every candidate index (the paper's
   // Hd stores each dataflow with its specified indexes and their gains).
   // Failed dataflows record nothing — they produced no result. The gains
-  // loop refreshes last_useful_, so this must run before ApplyDeletions.
+  // loop refreshes state_.last_useful, so this must run before ApplyDeletions.
   DataflowRecord rec;
   rec.dataflow_id = df.id;
   rec.app = df.app;
@@ -1174,11 +1246,11 @@ void QaasService::RecordHistory(const Dataflow& df, Seconds finish,
     if (g > 0) {
       rec.time_gain[idx] = g;
       rec.money_gain[idx] = g;
-      last_useful_[idx] = finish;
+      state_.last_useful[idx] = finish;
     }
   }
-  history_.push_back(std::move(rec));
-  while (history_.size() > opts_.max_history) history_.pop_front();
+  state_.history.push_back(std::move(rec));
+  while (state_.history.size() > opts_.max_history) state_.history.pop_front();
 }
 
 void QaasService::ApplyDeletions(const std::vector<std::string>& to_delete,
@@ -1188,15 +1260,10 @@ void QaasService::ApplyDeletions(const std::vector<std::string>& to_delete,
   // so a single low-speedup draw does not evict an otherwise hot index.
   Seconds grace = opts_.deletion_grace_quanta * opts_.tuner.sched.quantum;
   for (const auto& idx : to_delete) {
-    auto it = last_useful_.find(idx);
+    auto it = state_.last_useful.find(idx);
     // Unknown reference times count as fresh (conservative: never delete
     // an index whose usage we have not observed yet).
-    if (it == last_useful_.end() || finish - it->second < grace) continue;
-    if (std::getenv("DFIM_DEBUG_DELETE") != nullptr) {
-      std::fprintf(stderr, "[delete] t=%.1fq idx=%s age=%.1fq\n",
-                   finish / opts_.tuner.sched.quantum, idx.c_str(),
-                   (finish - it->second) / opts_.tuner.sched.quantum);
-    }
+    if (it == state_.last_useful.end() || finish - it->second < grace) continue;
     auto dropped = catalog_->DropIndex(idx);
     if (dropped.ok() && !dropped->empty()) {
       for (const auto& path : *dropped) StorageDelete(path, finish);
@@ -1228,124 +1295,16 @@ void QaasService::StampTimeline(Seconds finish, double makespan_quanta,
   metrics->timeline.push_back(pt);
 }
 
-Result<QaasService::RunOutcome> QaasService::RunBatch(
-    const std::vector<PendingDataflow>& batch, Seconds start,
-    ServiceMetrics* metrics, double build_fraction) {
-  // Batched admission (DESIGN.md §14): every member is tuned against the
-  // same catalog/history snapshot, the combined DAGs are merged (build ops
-  // for the same partition deduped), and a single skyline pass schedules
-  // the union — one member's builds pack into another's idle slots.
-  RunOutcome crashed_out;
-  crashed_out.crashed = true;
-  if (MaybeCtlCrash()) return crashed_out;  // b0: pre-Decide
-  if (opts_.integrity.scrub_objects_per_quantum > 0) {
-    RunScrub(start, metrics);
-  }
-  const FleetPlan fleet_plan = PrepareFleet(start, metrics);
-
-  std::vector<TunerDecision> decisions;
-  decisions.reserve(batch.size());
-  for (const auto& p : batch) {
-    DFIM_ASSIGN_OR_RETURN(
-        TunerDecision d,
-        Decide(p.df, start, metrics, build_fraction, fleet_plan.bound));
-    decisions.push_back(std::move(d));
-  }
-
-  // Merge into one decision. Duplicate build ops (two members wanting the
-  // same index partition) keep only the first copy; flows touching a
-  // dropped duplicate are dropped with it (build ops are sources/sinks of
-  // their private staging flows, never of dataflow edges).
-  TunerDecision merged;
-  std::set<std::pair<std::string, int>> build_seen;
-  std::vector<int> build_ids;
-  for (const auto& d : decisions) {
-    std::vector<int> remap(d.combined.num_ops(), -1);
-    for (const auto& op : d.combined.ops()) {
-      if (op.optional && op.kind == OpKind::kBuildIndex) {
-        if (!build_seen.emplace(op.index_id, op.index_partition).second) {
-          continue;  // another member already builds this partition
-        }
-      }
-      Operator copy = op;
-      int nid = merged.combined.AddOperator(std::move(copy));
-      remap[static_cast<size_t>(op.id)] = nid;
-      merged.durations.push_back(d.durations[static_cast<size_t>(op.id)]);
-      merged.costs.push_back(d.costs[static_cast<size_t>(op.id)]);
-      const Operator& placed = merged.combined.op(nid);
-      if (placed.optional && placed.kind == OpKind::kBuildIndex) {
-        build_ids.push_back(nid);
-      }
-    }
-    for (const auto& f : d.combined.flows()) {
-      int from = remap[static_cast<size_t>(f.from)];
-      int to = remap[static_cast<size_t>(f.to)];
-      if (from < 0 || to < 0) continue;
-      DFIM_RETURN_NOT_OK(merged.combined.AddFlow(from, to, f.size));
-    }
-    for (const auto& idx : d.to_delete) {
-      if (std::find(merged.to_delete.begin(), merged.to_delete.end(), idx) ==
-          merged.to_delete.end()) {
-        merged.to_delete.push_back(idx);
-      }
-    }
-  }
-
-  // One shared skyline pass over the merged mandatory DAG, then the union
-  // of build ops re-packed into the merged schedule's idle slots (LP mode
-  // regardless of the tuner's interleave mode — the members' own packings
-  // were discarded with their schedules; a deliberate simplification).
-  SchedulerOptions sched = opts_.tuner.sched;
-  if (fleet_plan.bound > 0 && fleet_plan.bound < sched.max_containers) {
-    sched.max_containers = fleet_plan.bound;
-  }
-  SkylineScheduler scheduler(sched);
-  DFIM_ASSIGN_OR_RETURN(merged.skyline,
-                        scheduler.ScheduleDag(merged.combined,
-                                              merged.durations,
-                                              /*place_optional=*/false));
-  if (merged.skyline.empty()) return Status::Internal("empty batch skyline");
-  merged.chosen = merged.skyline.front();
-  if (!build_ids.empty() && build_fraction > 0) {
-    Interleaver interleaver(sched, InterleaveMode::kLp);
-    merged.chosen = interleaver.PackIntoIdleSlots(
-        merged.chosen, merged.combined, merged.durations, build_ids);
-    for (const auto& a : merged.chosen.assignments()) {
-      if (a.optional) ++merged.build_ops_scheduled;
-    }
-  }
-
-  if (opts_.integrity.verify_reads) {
-    VerifyIndexBindings(&merged, start, metrics);
-  }
-  if (opts_.integrity.repair && build_fraction > 0) {
-    ScheduleRepairs(&merged, metrics);
-  }
-
-  // The merged decision is final: commit it as the in-flight B-phase
-  // state; one execution covers the whole batch (the head member keys the
-  // fault draws and the adaptive speculation watermark in FinishRun).
-  in_flight_ = InFlightDecision{std::move(merged), fleet_plan.wait};
-  if (JournalOn()) {
-    journal_.AppendStage(
-        StageBoundary::kDecide, start,
-        static_cast<int64_t>(in_flight_->decision.combined.num_ops()));
-    CommitJournal(ServiceSnapshot::Kind::kPreExecute, *metrics);
-  }
-  if (MaybeCtlCrash()) return crashed_out;  // b1: pre-Execute
-  return FinishRun(metrics);
-}
-
 void QaasService::ApplyDueUpdates(Seconds now, ServiceMetrics* metrics) {
   if (opts_.update_interval_quanta <= 0) return;
   Seconds interval = opts_.update_interval_quanta * opts_.tuner.sched.quantum;
-  if (next_update_ <= 0) next_update_ = interval;
+  if (state_.next_update <= 0) state_.next_update = interval;
   auto tables = catalog_->TableNames();
   if (tables.empty()) return;
-  while (next_update_ <= now) {
+  while (state_.next_update <= now) {
     for (int t = 0; t < opts_.update_tables_per_batch; ++t) {
       const std::string& name = tables[static_cast<size_t>(
-          rng_.UniformInt(0, static_cast<int64_t>(tables.size()) - 1))];
+          state_.rng.UniformInt(0, static_cast<int64_t>(tables.size()) - 1))];
       auto table = catalog_->GetTable(name);
       if (!table.ok()) continue;
       int nparts = static_cast<int>((*table)->num_partitions());
@@ -1353,19 +1312,19 @@ void QaasService::ApplyDueUpdates(Seconds now, ServiceMetrics* metrics) {
           1, static_cast<int>(opts_.update_fraction * nparts + 0.5));
       std::vector<int> ids;
       for (int i = 0; i < touch; ++i) {
-        ids.push_back(static_cast<int>(rng_.UniformInt(0, nparts - 1)));
+        ids.push_back(static_cast<int>(state_.rng.UniformInt(0, nparts - 1)));
       }
       auto invalidated = catalog_->ApplyBatchUpdate(name, ids);
       if (invalidated.ok()) {
         for (const auto& path : *invalidated) {
-          StorageDelete(path, next_update_);
+          StorageDelete(path, state_.next_update);
         }
         metrics->index_partitions_invalidated +=
             static_cast<int>(invalidated->size());
       }
     }
     ++metrics->update_batches;
-    next_update_ += interval;
+    state_.next_update += interval;
   }
 }
 
@@ -1396,16 +1355,17 @@ void QaasService::StorageDelete(const std::string& path, Seconds at) {
   // Deferred: a crash between this delete and the next commit must not
   // have destroyed an object the replay still reads. The generation guard
   // skips the delete if the object was overwritten since staging.
-  staged_deletes_.push_back(StagedDelete{path, at, storage_.Generation(path)});
+  state_.staged_deletes.push_back(
+      StagedDelete{path, at, storage_.Generation(path)});
 }
 
 void QaasService::FlushStagedDeletes() {
-  for (const auto& d : staged_deletes_) {
+  for (const auto& d : state_.staged_deletes) {
     if (storage_.Generation(d.path) == d.generation) {
       storage_.Delete(d.path, d.at);
     }
   }
-  staged_deletes_.clear();
+  state_.staged_deletes.clear();
 }
 
 void QaasService::SettleStorage(Seconds t) {
@@ -1420,29 +1380,9 @@ ServiceSnapshot QaasService::MakeSnapshot(ServiceSnapshot::Kind kind,
   ServiceSnapshot s;
   s.kind = kind;
   s.catalog = catalog_->SaveState();
-  s.rng = rng_;
-  s.history = history_;
   s.fleet = fleet_.SaveState();
   s.admission = admission_;
-  s.last_useful = last_useful_;
-  s.build_progress = build_progress_;
-  s.next_update = next_update_;
-  s.fleet_target = fleet_target_;
-  s.acquire_backoff_until = acquire_backoff_until_;
-  s.acquire_backoff_quanta = acquire_backoff_quanta_;
-  s.last_pressure = last_pressure_;
-  s.retry_budget_left = retry_budget_left_;
-  s.breaker_state = static_cast<int>(breaker_state_);
-  s.breaker_faults = breaker_faults_;
-  s.breaker_open_until = breaker_open_until_;
-  for (const auto& e : repair_queue_) {
-    s.repair_queue.emplace_back(e.index_id, e.partition);
-  }
-  s.scrub_credit = scrub_credit_;
-  s.last_scrub = last_scrub_;
-  s.scrub_cursor = scrub_cursor_;
-  s.storage_clock_mirror = storage_clock_mirror_;
-  s.staged_deletes = staged_deletes_;
+  s.control = state_;
   s.detection_watermark = storage_.detection_seq();
   s.loop = *loop_;
   s.metrics = metrics;
@@ -1453,30 +1393,9 @@ ServiceSnapshot QaasService::MakeSnapshot(ServiceSnapshot::Kind kind,
 void QaasService::RestoreSnapshot(const ServiceSnapshot& s,
                                   ServiceMetrics* metrics) {
   catalog_->RestoreState(s.catalog);
-  rng_ = s.rng;
-  history_ = s.history;
   fleet_.RestoreState(s.fleet);
   admission_ = *s.admission;
-  last_useful_ = s.last_useful;
-  build_progress_ = s.build_progress;
-  next_update_ = s.next_update;
-  fleet_target_ = s.fleet_target;
-  acquire_backoff_until_ = s.acquire_backoff_until;
-  acquire_backoff_quanta_ = s.acquire_backoff_quanta;
-  last_pressure_ = s.last_pressure;
-  retry_budget_left_ = s.retry_budget_left;
-  breaker_state_ = static_cast<BreakerState>(s.breaker_state);
-  breaker_faults_ = s.breaker_faults;
-  breaker_open_until_ = s.breaker_open_until;
-  repair_queue_.clear();
-  for (const auto& [id, pid] : s.repair_queue) {
-    repair_queue_.push_back(RepairEntry{id, pid});
-  }
-  scrub_credit_ = s.scrub_credit;
-  last_scrub_ = s.last_scrub;
-  scrub_cursor_ = s.scrub_cursor;
-  storage_clock_mirror_ = s.storage_clock_mirror;
-  staged_deletes_ = s.staged_deletes;
+  state_ = s.control;
   // Un-detect every storage detection logged after the snapshot, so the
   // replayed verifies return kCorrupt again identically.
   storage_.RewindDetectionsTo(s.detection_watermark);
@@ -1498,16 +1417,12 @@ Status QaasService::RunIteration(RunOutcome* out, ServiceMetrics* metrics) {
   bool resume_b_phase = false;
   while (true) {
     Result<RunOutcome> r =
-        resume_b_phase
-            ? FinishRun(metrics)
-            : (loop_->batch.size() == 1
-                   ? RunOne(loop_->batch.front().df, loop_->start, metrics,
-                            loop_->build_fraction)
-                   : RunBatch(loop_->batch, loop_->start, metrics,
-                              loop_->build_fraction));
+        resume_b_phase ? FinishRun(metrics) : StartRun(metrics);
     if (!r.ok()) return r.status();
     if (!r->crashed) {
       *out = *r;
+      loop_->clock = r->finish;
+      loop_->settled = std::max(loop_->settled, r->settled);
       recovering_ = false;
       resume_attempts_ = 0;
       in_flight_.reset();
@@ -1588,8 +1503,6 @@ Result<ServiceMetrics> QaasService::Run(WorkloadClient* client) {
     if (JournalOn()) CommitJournal(ServiceSnapshot::Kind::kIterStart, metrics);
     RunOutcome out;
     DFIM_RETURN_NOT_OK(RunIteration(&out, &metrics));
-    loop.clock = out.finish;
-    loop.settled = std::max(loop.settled, out.settled);
     if (!out.failed) {
       if (out.finish <= opts_.total_time) {
         ++metrics.dataflows_finished;
@@ -1598,18 +1511,29 @@ Result<ServiceMetrics> QaasService::Run(WorkloadClient* client) {
       }
     }
   }
+  SettleRun(&metrics);
+  return metrics;
+}
+
+void QaasService::SettleRun(ServiceMetrics* metrics) {
   // The last dataflow may legitimately finish (and persist builds) past the
   // horizon; the bill is already settled through `settled` in that case.
-  Seconds final_t = std::max({opts_.total_time, loop.clock, loop.settled});
+  const Seconds final_t =
+      std::max({opts_.total_time, loop_->clock, loop_->settled});
   // A final scrub pass spends whatever budget the idle horizon tail
   // accrued, so end-of-run rot is detected rather than silently latent.
   if (opts_.integrity.scrub_objects_per_quantum > 0) {
-    RunScrub(final_t, &metrics);
+    RunScrub(final_t, metrics);
   }
   SettleStorage(final_t);
-  metrics.storage_cost = storage_.accrued_cost();
-  metrics.storage_clock_clamps = storage_.clock_clamps();
-  HarvestIntegrity(final_t, &metrics);
+  metrics->storage_cost = storage_.accrued_cost();
+  metrics->storage_clock_clamps = storage_.clock_clamps();
+  // The storage-side corruption ledger.
+  metrics->corruptions_injected = storage_.corruptions_injected();
+  metrics->corruptions_dead = storage_.corruptions_dead();
+  metrics->corruptions_latent = storage_.LatentCorrupt(final_t);
+  metrics->quarantine_evicted =
+      static_cast<int>(catalog_->quarantine_evictions());
   // Settle the fleet: leases past the horizon expire idle, so the final
   // ledger accounts every granted container. An always-on fleet is billed
   // through the horizon first — its idle tail is part of the bill.
@@ -1617,10 +1541,9 @@ Result<ServiceMetrics> QaasService::Run(WorkloadClient* client) {
     fleet_.KeepAlive(std::max(final_t, opts_.total_time));
   }
   fleet_.ReapExpired(std::max(final_t, opts_.total_time));
-  HarvestFleet(&metrics);
-  if (JournalOn()) HarvestJournal(&metrics);
+  HarvestFleet(metrics);
+  if (JournalOn()) HarvestJournal(metrics);
   loop_ = nullptr;
-  return metrics;
 }
 
 Result<ServiceMetrics> QaasService::RunOpenLoop(WorkloadClient* client) {
@@ -1696,7 +1619,8 @@ Result<ServiceMetrics> QaasService::RunOpenLoop(WorkloadClient* client) {
     }
 
     double pressure = (start - batch.front().arrival) / quantum;
-    last_pressure_ = pressure;  // the autoscaler signal when the EWMA is off
+    // The autoscaler signal when the EWMA is off.
+    state_.last_pressure = pressure;
     admission_.SampleQueuePressure(static_cast<int>(queue.size()));
     // Brownout signal: the smoothed queue length when enabled (it rises as
     // soon as the queue grows, before any dataflow is actually delayed),
@@ -1712,8 +1636,6 @@ Result<ServiceMetrics> QaasService::RunOpenLoop(WorkloadClient* client) {
     if (JournalOn()) CommitJournal(ServiceSnapshot::Kind::kIterStart, metrics);
     RunOutcome out;
     DFIM_RETURN_NOT_OK(RunIteration(&out, &metrics));
-    loop.clock = out.finish;
-    loop.settled = std::max(loop.settled, out.settled);
     for (const auto& m : batch) {
       metrics.queue_delay_quanta += (start - m.arrival) / quantum;
       if (!out.failed) {
@@ -1730,7 +1652,7 @@ Result<ServiceMetrics> QaasService::RunOpenLoop(WorkloadClient* client) {
         }
       }
     }
-    // RunOne/RunBatch appended one timeline point per member; stamp the
+    // The iteration appended one timeline point per member; stamp the
     // open-loop state onto each and refresh every mirrored counter
     // (deadline/finish accounting above ran after the execution stamp).
     for (size_t i = 0; i < batch.size(); ++i) {
@@ -1744,24 +1666,7 @@ Result<ServiceMetrics> QaasService::RunOpenLoop(WorkloadClient* client) {
     }
   }
 
-  Seconds final_t = std::max({opts_.total_time, loop.clock, loop.settled});
-  if (opts_.integrity.scrub_objects_per_quantum > 0) {
-    RunScrub(final_t, &metrics);
-  }
-  SettleStorage(final_t);
-  metrics.storage_cost = storage_.accrued_cost();
-  metrics.storage_clock_clamps = storage_.clock_clamps();
-  HarvestIntegrity(final_t, &metrics);
-  // Settle the fleet: leases past the horizon expire idle, so the final
-  // ledger accounts every granted container. An always-on fleet is billed
-  // through the horizon first — its idle tail is part of the bill.
-  if (opts_.autoscaler.enabled && opts_.autoscaler.keep_alive) {
-    fleet_.KeepAlive(std::max(final_t, opts_.total_time));
-  }
-  fleet_.ReapExpired(std::max(final_t, opts_.total_time));
-  HarvestFleet(&metrics);
-  if (JournalOn()) HarvestJournal(&metrics);
-  loop_ = nullptr;
+  SettleRun(&metrics);
   return metrics;
 }
 

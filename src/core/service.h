@@ -2,8 +2,6 @@
 #define DFIM_CORE_SERVICE_H_
 
 #include <deque>
-#include <map>
-#include <memory>
 #include <string>
 #include <vector>
 
@@ -244,7 +242,7 @@ class QaasService {
   Result<ServiceMetrics> Run(WorkloadClient* client);
 
   /// History records accumulated so far (inspection/testing).
-  const std::deque<DataflowRecord>& history() const { return history_; }
+  const std::deque<DataflowRecord>& history() const { return state_.history; }
 
   const StorageService& storage() const { return storage_; }
 
@@ -256,7 +254,9 @@ class QaasService {
   const Journal& journal() const { return journal_; }
 
   /// Partial build progress carried across preemptions (resumable_builds).
-  const BuildProgress& build_progress() const { return build_progress_; }
+  const BuildProgress& build_progress() const {
+    return state_.build_progress;
+  }
 
   /// Attaches the cross-shard fairness gate (sharded service only): every
   /// persist this service lands is arbitrated by `gate` under `shard`'s
@@ -295,23 +295,12 @@ class QaasService {
     Seconds last_persist = 0;
   };
 
-  /// Executes one dataflow starting at `start`, retrying crash-lost DAG
-  /// suffixes up to max_recovery_attempts when fault injection is active.
-  /// `build_fraction` is the brownout knob (1.0 = unthrottled, bit-identical
-  /// to the pre-overload path; 0 = no tuning at all this dataflow).
-  Result<RunOutcome> RunOne(const Dataflow& df, Seconds start,
-                            ServiceMetrics* metrics,
-                            double build_fraction = 1.0);
-
-  /// Batched admission (DESIGN.md §14): tunes every member against the
-  /// same catalog/history snapshot, merges the combined DAGs, schedules the
-  /// union through a single skyline pass, re-packs the union of build ops
-  /// into the merged schedule's idle slots, and executes once. Members
-  /// share the realized finish; per-member accounting (queue delay,
-  /// deadlines, history) stays distinct. Requires batch.size() >= 2.
-  Result<RunOutcome> RunBatch(const std::vector<PendingDataflow>& batch,
-                              Seconds start, ServiceMetrics* metrics,
-                              double build_fraction);
+  /// The A-phase of one iteration over the batch in `loop_` (size >= 1):
+  /// scrub, fleet plan, one `Decide` per member, bind-time verification and
+  /// repair packing, then the pre-execute commit — with the b0/b1 crash
+  /// boundaries around it — and on into `FinishRun`. `loop_->build_fraction`
+  /// is the brownout knob (1.0 = unthrottled; 0 = no tuning at all).
+  Result<RunOutcome> StartRun(ServiceMetrics* metrics);
 
   /// The tuning step of one dataflow: policy decision (gain tuner or
   /// baseline) bounded by the fleet plan, plus the builds-shed accounting.
@@ -345,8 +334,16 @@ class QaasService {
   void StampTimeline(Seconds finish, double makespan_quanta,
                      ServiceMetrics* metrics);
 
-  /// The arrival-driven service loop (admission.open_loop).
+  /// The arrival-driven service loop (admission.open_loop). It stays a
+  /// separate driver from the closed loop in `Run` because the pull
+  /// protocols differ: the closed loop pulls `Next(clock)` after each
+  /// finish, the open loop pulls ahead by arrival time through admission.
   Result<ServiceMetrics> RunOpenLoop(WorkloadClient* client);
+
+  /// The run epilogue shared by both drivers: a final scrub over the idle
+  /// horizon tail, the storage settle, the integrity/fleet/journal harvest,
+  /// the always-on fleet's keep-alive and the final reap. Clears `loop_`.
+  void SettleRun(ServiceMetrics* metrics);
 
   /// Policy step for kNoIndex / kRandom. `max_containers` > 0 overrides the
   /// configured fleet cap (elastic fleet); 0 keeps it bit-identically.
@@ -377,15 +374,7 @@ class QaasService {
   /// decision and packs them into its idle slots (marginal-cost-zero).
   /// Unpacked entries return to the queue.
   void ScheduleRepairs(TunerDecision* decision, ServiceMetrics* metrics);
-
-  /// Harvests the storage-side corruption ledger into the final metrics.
-  void HarvestIntegrity(Seconds now, ServiceMetrics* metrics);
   /// @}
-
-  /// Containers for the schedule, reusing fleet ones alive at `start`
-  /// (the strict, never-denied fixed-fleet path — bit-identical to the
-  /// pre-elastic pool).
-  std::vector<Container*> AcquireContainers(int n, Seconds start);
 
   /// \name Elastic fleet (DESIGN.md §13)
   /// @{
@@ -424,7 +413,7 @@ class QaasService {
   /// invalidation + storage release).
   void ApplyDueUpdates(Seconds now, ServiceMetrics* metrics);
 
-  /// \name Crash-consistent control plane (DESIGN.md §15)
+  /// \name Crash-consistent control-plane state (DESIGN.md §15)
   /// @{
 
   bool JournalOn() const { return opts_.journal.enabled; }
@@ -435,12 +424,12 @@ class QaasService {
   /// post-crash `last_billed()`, which would shift rot realization and
   /// verify verdicts one iteration early.
   Seconds BillingClock() const {
-    return JournalOn() ? storage_clock_mirror_ : storage_.last_billed();
+    return JournalOn() ? state_.storage_clock_mirror : storage_.last_billed();
   }
 
   /// Advances the billing-clock mirror (monotone).
   void BumpClockMirror(Seconds t) {
-    if (t > storage_clock_mirror_) storage_clock_mirror_ = t;
+    if (t > state_.storage_clock_mirror) state_.storage_clock_mirror = t;
   }
 
   /// Service-side storage delete: immediate when the journal is off;
@@ -487,7 +476,8 @@ class QaasService {
   /// completion, recovering and resuming across any injected control-plane
   /// crashes: restore the latest snapshot, then re-run the iteration
   /// (kIterStart) or re-enter the B-phase (kPreExecute). In-flight
-  /// persists are re-resolved exactly-once via idempotency tokens.
+  /// persists are re-resolved exactly-once via idempotency tokens. On
+  /// completion the loop clock moves to the finish (and `settled` forward).
   Status RunIteration(RunOutcome* out, ServiceMetrics* metrics);
 
   /// Copies the journal ledger's recovery counters into the metrics
@@ -499,8 +489,6 @@ class QaasService {
   ServiceOptions opts_;
   OnlineIndexTuner tuner_;
   StorageService storage_;
-  Rng rng_;
-  std::deque<DataflowRecord> history_;
   /// Provider fault draws for the fleet (attached to fleet_ when any
   /// provider rate is nonzero; kept as a member for pointer stability).
   FaultModel provider_faults_;
@@ -510,53 +498,11 @@ class QaasService {
   /// The admission loop's policy state (shed policies, estimate EWMA,
   /// smoothed pressure, brownout hysteresis) — the per-tenant carve-out.
   AdmissionController admission_;
-  /// Last time each index earned a positive per-dataflow gain (or was
-  /// built); drives the deletion grace period.
-  std::map<std::string, Seconds> last_useful_;
-  /// Partial build progress (resumable_builds extension).
-  BuildProgress build_progress_;
-  /// Next scheduled update batch (update_interval_quanta > 0 only).
-  Seconds next_update_ = 0;
+  /// The journaled control state (see ControlState).
+  ControlState state_;
   /// Cross-shard fairness gate (null outside the sharded service).
   PersistGate* persist_gate_ = nullptr;
   int gate_shard_ = 0;
-  /// \name Elastic-fleet state (DESIGN.md §13)
-  /// @{
-  /// Autoscaler fleet-size target (containers).
-  int fleet_target_ = 1;
-  /// Acquire backoff: no fresh provider requests until this instant, and
-  /// the current ladder rung in quanta (0 = ladder reset).
-  Seconds acquire_backoff_until_ = 0;
-  double acquire_backoff_quanta_ = 0;
-  /// Queue pressure of the most recent dequeue (the autoscaler signal when
-  /// the smoothed EWMA is off).
-  double last_pressure_ = 0;
-  /// @}
-  /// \name Overload state
-  /// @{
-  /// Remaining fleet-wide recovery attempts (admission.retry_budget >= 0).
-  int retry_budget_left_ = -1;
-  /// Storage persist circuit breaker.
-  enum class BreakerState { kClosed, kOpen, kHalfOpen };
-  BreakerState breaker_state_ = BreakerState::kClosed;
-  int breaker_faults_ = 0;
-  Seconds breaker_open_until_ = 0;
-  /// @}
-  /// \name Integrity state (DESIGN.md §12)
-  /// @{
-  /// Quarantined partitions awaiting a repair build (FIFO; entries whose
-  /// quarantine was evicted meanwhile are skipped when popped).
-  struct RepairEntry {
-    std::string index_id;
-    int partition = -1;
-  };
-  std::deque<RepairEntry> repair_queue_;
-  /// Scrub budget accrued (objects) and the instant it was last topped up.
-  double scrub_credit_ = 0;
-  Seconds last_scrub_ = 0;
-  /// Last object path the scrub verified (walk resumes after it, wrapping).
-  std::string scrub_cursor_;
-  /// @}
   /// \name Crash-consistent control-plane state (DESIGN.md §15)
   /// @{
   /// The write-ahead journal + snapshot layer (no-op when disabled).
@@ -568,11 +514,6 @@ class QaasService {
   int resume_attempts_ = 0;
   /// True while re-executing a journaled iteration after a recovery.
   bool recovering_ = false;
-  /// Journaled mirror of the storage billing clock (== last_billed() in an
-  /// uncrashed run; restored to its snapshot value on recovery).
-  Seconds storage_clock_mirror_ = 0;
-  /// Deletes staged for the next group commit (journal on only).
-  std::vector<StagedDelete> staged_deletes_;
   /// The decision in flight between the pre-execute commit and the end of
   /// the iteration (what a kPreExecute snapshot restores).
   std::optional<InFlightDecision> in_flight_;

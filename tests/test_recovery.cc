@@ -3,10 +3,10 @@
 /// from its journal must be bit-identical to the uncrashed run on every
 /// pre-existing mirrored counter — the only divergences allowed are the six
 /// recovery counters themselves. On top of the boundary sweep: double
-/// crashes, rate-driven crashes, snapshot-compaction equivalence, the
-/// fail-open resume bound, the zero-slack journal ledger, idempotency-token
-/// dedup across a reconstructed consumer, validation fail-fast, and
-/// recovery through the sharded multi-tenant service.
+/// crashes, rate-driven crashes, the fail-open resume bound, the zero-slack
+/// journal ledger, idempotency-token dedup across a reconstructed consumer,
+/// validation fail-fast, and recovery through the sharded multi-tenant
+/// service.
 
 #include <gtest/gtest.h>
 
@@ -305,29 +305,6 @@ TEST(RecoveryTest, RateDrivenCrashesMatchAndReproduce) {
   EXPECT_EQ(a.metrics.name, b.metrics.name) << #name;
   DFIM_MIRRORED_COUNTERS(DFIM_RECOVERY_SAME)
 #undef DFIM_RECOVERY_SAME
-}
-
-TEST(RecoveryTest, CompactionIsPureSpaceOptimization) {
-  ServiceOptions base = StressedOptions(5, true);
-  base.journal.enabled = true;
-  base.faults.crash_at_boundary = 11;
-  ServiceOptions keep = base;
-  keep.journal.compact = false;
-  RecoveryRun compacted = RunWith(base, 5);
-  RecoveryRun retained = RunWith(keep, 5);
-  ASSERT_TRUE(compacted.status.ok());
-  ASSERT_TRUE(retained.status.ok());
-#define DFIM_RECOVERY_SAME(type, name)                    \
-  EXPECT_EQ(compacted.metrics.name, retained.metrics.name) \
-      << #name << " diverged under compaction";
-  DFIM_MIRRORED_COUNTERS(DFIM_RECOVERY_SAME)
-#undef DFIM_RECOVERY_SAME
-  ExpectZeroSlackLedger(retained, "compact off");
-  // Compact off retains every record header; compact on only the live tail.
-  EXPECT_GT(retained.service->journal().records().size(),
-            compacted.service->journal().records().size());
-  EXPECT_EQ(static_cast<int64_t>(retained.service->journal().records().size()),
-            retained.service->journal().ledger().records_written);
 }
 
 TEST(RecoveryTest, ResumeBoundFailsOpenUnderPermanentCrashes) {
