@@ -4,7 +4,8 @@
 // throughput, failure counters, and recovery cost per arm. The point is
 // graceful degradation: rising fault rates may slow the service and fail
 // some dataflows, but every dataflow stays accounted for and the catalog
-// never references an unpersisted partition.
+// never references an unpersisted partition (QaasService::Run returns an
+// error on any ledger slack, which exits the bench with status 1).
 //
 // A second sweep measures tail tolerance (DESIGN.md §9): speculation
 // on/off across straggler rates, plus a hedged-reads pair, on a
@@ -35,29 +36,9 @@ struct Arm {
 
 struct ArmResult {
   ServiceMetrics m;
+  ServiceSlack slack;
   double wall_ms = 0;
-  bool consistent = true;
-  int accounting_slack = 0;
 };
-
-// Catalog ⊆ storage: a crash-lost or corruption-dropped partition must never
-// keep a catalog entry claiming it is built (recovery semantics, DESIGN.md).
-bool CatalogStorageConsistent(const Catalog& catalog,
-                              const QaasService& service) {
-  for (const auto& idx : catalog.IndexIds()) {
-    auto def = catalog.GetIndexDef(idx);
-    auto state = catalog.GetIndexState(idx);
-    if (!def.ok() || !state.ok()) continue;
-    for (size_t p = 0; p < (*state)->num_partitions(); ++p) {
-      if ((*state)->part(p).built &&
-          !service.storage().Exists(
-              (*def)->PartitionPath(static_cast<int>(p)))) {
-        return false;
-      }
-    }
-  }
-  return true;
-}
 
 ArmResult RunArm(const Arm& arm, Seconds horizon, uint64_t seed) {
   bench::PaperSetup setup(seed);
@@ -78,10 +59,8 @@ ArmResult RunArm(const Arm& arm, Seconds horizon, uint64_t seed) {
   }
   ArmResult r;
   r.m = *m;
+  r.slack = service.CheckInvariants(*m);
   r.wall_ms = std::chrono::duration<double, std::milli>(t1 - t0).count();
-  r.accounting_slack = m->dataflows_arrived - m->dataflows_finished -
-                       m->dataflows_failed - m->dataflows_overran;
-  r.consistent = CatalogStorageConsistent(setup.catalog, service);
   return r;
 }
 
@@ -96,15 +75,9 @@ struct IntegrityArm {
 
 struct IntegrityResult {
   ServiceMetrics m;
+  ServiceSlack slack;
   double wall_ms = 0;
-  bool consistent = true;
   int still_quarantined = 0;
-  /// Zero-slack corruption ledger residue (must be exactly 0):
-  ///   injected - detected_on_read - detected_by_scrub - dead - latent.
-  int64_t ledger_slack = 0;
-  /// Zero-slack quarantine ledger residue (must be exactly 0):
-  ///   quarantined - repairs_completed - evicted - still_quarantined.
-  int64_t quarantine_slack = 0;
 };
 
 IntegrityResult RunIntegrityArm(const IntegrityArm& arm, Seconds horizon,
@@ -135,12 +108,7 @@ IntegrityResult RunIntegrityArm(const IntegrityArm& arm, Seconds horizon,
   r.m = *m;
   r.wall_ms = std::chrono::duration<double, std::milli>(t1 - t0).count();
   r.still_quarantined = static_cast<int>(setup.catalog.quarantined().size());
-  r.ledger_slack = m->corruptions_injected - m->corruptions_detected_on_read -
-                   m->corruptions_detected_by_scrub - m->corruptions_dead -
-                   m->corruptions_latent;
-  r.quarantine_slack = m->partitions_quarantined - m->repairs_completed -
-                       m->quarantine_evicted - r.still_quarantined;
-  r.consistent = CatalogStorageConsistent(setup.catalog, service);
+  r.slack = service.CheckInvariants(*m);
   return r;
 }
 
@@ -148,12 +116,8 @@ IntegrityResult RunIntegrityArm(const IntegrityArm& arm, Seconds horizon,
 
 struct RecoveryArmResult {
   ServiceMetrics m;
+  ServiceSlack slack;
   double wall_ms = 0;
-  bool consistent = true;
-  /// Zero-slack journal record ledger residue (must be exactly 0):
-  ///   written - replayed - truncated - tail_discarded - live.
-  int64_t ledger_slack = 0;
-  int64_t generation = 0;
 };
 
 RecoveryArmResult RunRecoveryArm(bool journal, double ctl_rate,
@@ -179,9 +143,7 @@ RecoveryArmResult RunRecoveryArm(bool journal, double ctl_rate,
   RecoveryArmResult r;
   r.m = *m;
   r.wall_ms = std::chrono::duration<double, std::milli>(t1 - t0).count();
-  r.ledger_slack = service.journal().LedgerSlack();
-  r.generation = service.journal().generation();
-  r.consistent = CatalogStorageConsistent(setup.catalog, service);
+  r.slack = service.CheckInvariants(*m);
   return r;
 }
 
@@ -310,16 +272,15 @@ int main(int argc, char** argv) {
     ArmResult r = RunArm(arms[i], horizon, seed);
     if (i == 0) fault_free = r.m;
     const ServiceMetrics& m = r.m;
-    bool ok = r.consistent && r.accounting_slack >= 0 &&
-              r.accounting_slack <= 1;
+    bool ok = r.slack.ok();
     all_ok = all_ok && ok;
     std::printf("%-16s %8d %8d %8d %8d %10lld %10lld %10.2f %9d %6s\n",
                 arms[i].name.c_str(), m.dataflows_finished, m.dataflows_failed,
                 m.containers_failed, m.ops_reexecuted,
                 static_cast<long long>(m.recovery_quanta),
                 static_cast<long long>(m.total_vm_quanta),
-                m.AvgTimeQuantaPerDataflow(), r.accounting_slack,
-                ok ? "yes" : "NO");
+                m.AvgTimeQuantaPerDataflow(),
+                static_cast<int>(r.slack.accounting), ok ? "yes" : "NO");
 
     char buf[640];
     std::snprintf(
@@ -343,7 +304,8 @@ int main(int argc, char** argv) {
         m.storage_faults, m.builds_discarded,
         static_cast<long long>(m.total_vm_quanta),
         m.AvgTimeQuantaPerDataflow(), m.index_partitions_built,
-        r.accounting_slack, r.consistent ? "true" : "false", r.wall_ms);
+        static_cast<int>(r.slack.accounting),
+        r.slack.unstored_partitions == 0 ? "true" : "false", r.wall_ms);
     json += buf;
     json += (i + 1 < arms.size()) ? ",\n" : "\n";
   }
@@ -454,9 +416,7 @@ int main(int argc, char** argv) {
     IntegrityResult on = RunIntegrityArm(ipairs[i].second, horizon, seed);
     // Both arms must balance their ledgers exactly and keep the catalog a
     // subset of storage — corruption degrades, it never lies.
-    bool ok = off.ledger_slack == 0 && on.ledger_slack == 0 &&
-              off.quarantine_slack == 0 && on.quarantine_slack == 0 &&
-              off.consistent && on.consistent;
+    bool ok = off.slack.ok() && on.slack.ok();
     if (ipairs[i].first.torn > 0) {
       // Corruption actually flows: injections, quarantines, and (repair-on
       // only) completed repair builds.
@@ -523,9 +483,11 @@ int main(int argc, char** argv) {
         static_cast<long long>(off.m.total_vm_quanta),
         static_cast<long long>(on.m.total_vm_quanta),
         static_cast<long long>(on.m.scrub_reads),
-        static_cast<long long>(off.ledger_slack + on.ledger_slack),
-        static_cast<long long>(off.quarantine_slack + on.quarantine_slack),
-        off.consistent && on.consistent ? "true" : "false",
+        static_cast<long long>(off.slack.corruption + on.slack.corruption),
+        static_cast<long long>(off.slack.quarantine + on.slack.quarantine),
+        off.slack.unstored_partitions + on.slack.unstored_partitions == 0
+            ? "true"
+            : "false",
         ok ? "true" : "false", off.wall_ms + on.wall_ms);
     json += buf;
     json += (i + 1 < ipairs.size()) ? ",\n" : "\n";
@@ -551,18 +513,16 @@ int main(int argc, char** argv) {
       joff.m.storage_cost == fault_free.storage_cost &&
       joff.m.index_partitions_built == fault_free.index_partitions_built &&
       joff.m.journal_records == 0 && joff.m.journal_bytes == 0;
-  const bool on_balanced = jon.ledger_slack == 0 && jon.m.ctl_crashes == 0 &&
-                           jon.m.journal_records > 0 && jon.consistent;
+  const bool on_balanced = jon.slack.ok() && jon.m.ctl_crashes == 0 &&
+                           jon.m.journal_records > 0;
   const bool crash_exact =
-      jcrash.ledger_slack == 0 && jcrash.m.ctl_crashes > 0 &&
-      jcrash.generation == jcrash.m.replayed_records &&
+      jcrash.slack.ok() && jcrash.m.ctl_crashes > 0 &&
       jcrash.m.dataflows_finished == jon.m.dataflows_finished &&
       jcrash.m.dataflows_failed == jon.m.dataflows_failed &&
       jcrash.m.total_vm_quanta == jon.m.total_vm_quanta &&
       jcrash.m.total_time_quanta == jon.m.total_time_quanta &&
       jcrash.m.storage_cost == jon.m.storage_cost &&
-      jcrash.m.index_partitions_built == jon.m.index_partitions_built &&
-      jcrash.consistent;
+      jcrash.m.index_partitions_built == jon.m.index_partitions_built;
   all_ok = all_ok && off_identical && on_balanced && crash_exact;
 
   const double mttr = jcrash.m.ctl_crashes > 0
@@ -618,7 +578,8 @@ int main(int argc, char** argv) {
             ? r.m.recovery_replay_quanta /
                   static_cast<double>(r.m.ctl_crashes)
             : 0.0,
-        static_cast<long long>(r.ledger_slack), rec_ok[i] ? "true" : "false",
+        static_cast<long long>(r.slack.journal_records),
+        rec_ok[i] ? "true" : "false",
         r.wall_ms);
     json += buf;
     json += (i + 1 < 3) ? ",\n" : "\n";

@@ -4,7 +4,8 @@
 // point is GRACEFUL degradation: as load grows the service sheds optional
 // index builds first, then whole dataflows; goodput (finished minus
 // deadline misses) never collapses below the no-index baseline; and every
-// arrival stays accounted for with zero slack.
+// arrival stays accounted for with zero slack (QaasService::Run returns an
+// error on any ledger slack, which exits the bench with status 1).
 //
 // An elastic-fleet sweep rides along: bursty MMPP arrivals against a
 // pinned fleet and a pressure-driven autoscaled fleet through the same
@@ -37,9 +38,8 @@ struct Arm {
 
 struct ArmResult {
   ServiceMetrics m;
+  ServiceSlack slack;
   double wall_ms = 0;
-  bool consistent = true;
-  int accounting_slack = 0;
   int goodput = 0;
 };
 
@@ -80,23 +80,8 @@ ArmResult RunArm(const Arm& arm, Seconds horizon, uint64_t seed) {
   ArmResult r;
   r.m = *m;
   r.wall_ms = std::chrono::duration<double, std::milli>(t1 - t0).count();
-  // Open loop: the identity is exact, zero slack allowed.
-  r.accounting_slack = m->dataflows_arrived - m->dataflows_finished -
-                       m->dataflows_failed - m->dataflows_overran -
-                       m->dataflows_shed;
+  r.slack = service.CheckInvariants(*m);
   r.goodput = m->dataflows_finished - m->deadlines_missed;
-  for (const auto& idx : setup.catalog.IndexIds()) {
-    auto def = setup.catalog.GetIndexDef(idx);
-    auto state = setup.catalog.GetIndexState(idx);
-    if (!def.ok() || !state.ok()) continue;
-    for (size_t p = 0; p < (*state)->num_partitions(); ++p) {
-      if ((*state)->part(p).built &&
-          !service.storage().Exists(
-              (*def)->PartitionPath(static_cast<int>(p)))) {
-        r.consistent = false;
-      }
-    }
-  }
   return r;
 }
 
@@ -120,14 +105,11 @@ struct FleetArm {
 
 struct FleetArmResult {
   ServiceMetrics m;
+  ServiceSlack slack;
   double wall_ms = 0;
-  bool consistent = true;
-  int accounting_slack = 0;
   int goodput = 0;
   double p99_qdelay = 0;
   Dollars vm_cost = 0;
-  long long request_slack = 0;
-  long long grant_slack = 0;
 };
 
 FleetArmResult RunFleetArm(const FleetArm& arm, int fleet_n, Seconds horizon,
@@ -165,30 +147,13 @@ FleetArmResult RunFleetArm(const FleetArm& arm, int fleet_n, Seconds horizon,
   FleetArmResult r;
   r.m = *m;
   r.wall_ms = std::chrono::duration<double, std::milli>(t1 - t0).count();
-  r.accounting_slack = m->dataflows_arrived - m->dataflows_finished -
-                       m->dataflows_failed - m->dataflows_overran -
-                       m->dataflows_shed;
+  r.slack = service.CheckInvariants(*m);
   r.goodput = m->dataflows_finished - m->deadlines_missed;
   std::vector<double> qdelays;
   qdelays.reserve(m->timeline.size());
   for (const auto& pt : m->timeline) qdelays.push_back(pt.queue_delay_quanta);
   r.p99_qdelay = Percentile(qdelays, 0.99);
   r.vm_cost = service.fleet().total_vm_cost();
-  const FleetLedger& ledger = service.fleet().ledger();
-  r.request_slack = ledger.RequestSlack();
-  r.grant_slack = ledger.GrantSlack(service.fleet().HeldCount());
-  for (const auto& idx : setup.catalog.IndexIds()) {
-    auto def = setup.catalog.GetIndexDef(idx);
-    auto state = setup.catalog.GetIndexState(idx);
-    if (!def.ok() || !state.ok()) continue;
-    for (size_t p = 0; p < (*state)->num_partitions(); ++p) {
-      if ((*state)->part(p).built &&
-          !service.storage().Exists(
-              (*def)->PartitionPath(static_cast<int>(p)))) {
-        r.consistent = false;
-      }
-    }
-  }
   return r;
 }
 
@@ -204,8 +169,6 @@ struct ShardArmResult {
   ServiceMetrics agg;
   std::vector<ServiceMetrics> per_tenant;
   double wall_ms = 0;
-  int accounting_slack = 0;  // aggregate open-loop identity
-  int tenant_slack = 0;      // worst per-tenant open-loop identity residue
   bool sum_identity = true;  // aggregate == sum of per-tenant, every counter
   int goodput = 0;
 };
@@ -253,15 +216,6 @@ ShardArmResult RunShardArm(const ShardArm& arm, int num_tenants,
   r.agg = *m;
   r.per_tenant = service.per_tenant();
   r.wall_ms = std::chrono::duration<double, std::milli>(t1 - t0).count();
-  r.accounting_slack = m->dataflows_arrived - m->dataflows_finished -
-                       m->dataflows_failed - m->dataflows_overran -
-                       m->dataflows_shed;
-  for (const auto& pt : r.per_tenant) {
-    const int s = pt.dataflows_arrived - pt.dataflows_finished -
-                  pt.dataflows_failed - pt.dataflows_overran -
-                  pt.dataflows_shed;
-    if (std::abs(s) > std::abs(r.tenant_slack)) r.tenant_slack = s;
-  }
   // Zero-slack aggregation identity over every mirrored counter (float
   // counters get a last-ULP allowance; sums are associative-only on paper).
 #define DFIM_BENCH_SUM(type, name)                                        \
@@ -350,7 +304,7 @@ int main(int argc, char** argv) {
     ArmResult r = RunArm(arms[i], horizon, seed);
     results.push_back(r);
     const ServiceMetrics& m = r.m;
-    bool ok = r.consistent && r.accounting_slack == 0;
+    bool ok = r.slack.ok();
     all_ok = all_ok && ok;
     std::printf("%-18s %8d %8d %8d %8d %8d %8d %9.1f %8d %7s\n",
                 arms[i].name.c_str(), m.dataflows_arrived,
@@ -384,8 +338,9 @@ int main(int argc, char** argv) {
         m.deadlines_missed, r.goodput, m.builds_shed, m.breaker_opens,
         m.retries_denied, m.queue_delay_quanta, m.peak_queue_len,
         static_cast<long long>(m.total_vm_quanta), m.index_partitions_built,
-        static_cast<long long>(m.storage_clock_clamps), r.accounting_slack,
-        r.consistent ? "true" : "false", r.wall_ms);
+        static_cast<long long>(m.storage_clock_clamps),
+        static_cast<int>(r.slack.accounting),
+        r.slack.unstored_partitions == 0 ? "true" : "false", r.wall_ms);
     json += buf;
     json += (i + 1 < arms.size()) ? ",\n" : "\n";
   }
@@ -474,8 +429,7 @@ int main(int argc, char** argv) {
     const ServiceMetrics& m = r.m;
     // Self-check: both fleet ledger identities balance to zero slack, and
     // the open-loop accounting identity is exact.
-    bool ok = r.consistent && r.accounting_slack == 0 &&
-              r.request_slack == 0 && r.grant_slack == 0;
+    bool ok = r.slack.ok();
     all_ok = all_ok && ok;
     std::printf("%-22s %8d %8d %8d %8d %9.2f %9.2f %8d %7s\n",
                 fleet_arms[i].name.c_str(), m.dataflows_arrived,
@@ -512,8 +466,10 @@ int main(int argc, char** argv) {
         static_cast<long long>(m.acquires_denied_quota),
         static_cast<long long>(m.acquires_denied_capacity),
         m.containers_reaped, m.containers_drained, m.containers_preempted,
-        m.acquire_backoffs, m.boot_wait_quanta, r.request_slack, r.grant_slack,
-        r.accounting_slack, r.wall_ms);
+        m.acquire_backoffs, m.boot_wait_quanta,
+        static_cast<long long>(r.slack.fleet_requests),
+        static_cast<long long>(r.slack.fleet_grants),
+        static_cast<int>(r.slack.accounting), r.wall_ms);
     json += buf;
     json += (i + 1 < fleet_arms.size()) ? ",\n" : "\n";
   }
@@ -590,8 +546,7 @@ int main(int argc, char** argv) {
     // Reference for bit-identity: the shards=1 arm of the same batch mode.
     const ShardArmResult& ref = shard_results[(i / 4) * 4];
     const bool invariant = TenantsBitIdentical(ref, cur);
-    bool ok = cur.accounting_slack == 0 && cur.tenant_slack == 0 &&
-              cur.sum_identity && invariant;
+    bool ok = cur.sum_identity && invariant;
     if (!invariant) {
       std::printf("SHARDING VIOLATION: %s per-tenant metrics differ from "
                   "%s\n",
@@ -618,8 +573,9 @@ int main(int argc, char** argv) {
         "     \"goodput\": %d, \"builds_shed\": %d, "
         "\"dataflow_batches\": %lld, \"batched_dataflows\": %lld, "
         "\"gate_puts\": %lld,\n"
+        // Run fails on any tenant's ledger slack, so both slacks are zero.
         "     \"total_vm_quanta\": %lld, \"queue_delay_quanta\": %.2f, "
-        "\"accounting_slack\": %d, \"tenant_slack\": %d,\n"
+        "\"accounting_slack\": 0, \"tenant_slack\": 0,\n"
         "     \"sum_identity\": %s, \"tenants_bit_identical\": %s, "
         "\"wall_ms\": %.1f}",
         shard_arms[i].name.c_str(), shard_arms[i].num_shards,
@@ -631,7 +587,6 @@ int main(int argc, char** argv) {
         static_cast<long long>(m.batched_dataflows),
         static_cast<long long>(m.gate_puts),
         static_cast<long long>(m.total_vm_quanta), m.queue_delay_quanta,
-        cur.accounting_slack, cur.tenant_slack,
         cur.sum_identity ? "true" : "false", invariant ? "true" : "false",
         cur.wall_ms);
     json += buf;

@@ -83,7 +83,7 @@ Seconds AdmissionController::CorrectedEstimate(AppType app, Seconds raw) const {
   if (admission_.estimate_ewma_alpha <= 0) return raw;
   auto it = ewma_ratio_.find(app);
   if (it == ewma_ratio_.end()) return raw;
-  if (it->second.count < admission_.estimate_ewma_warmup) return raw;
+  if (it->second.count < kEstimateEwmaWarmup) return raw;
   return raw * it->second.ratio;
 }
 
@@ -101,7 +101,7 @@ double AdmissionController::BuildFraction(double pressure_quanta) {
   const BrownoutOptions& b = brownout_;
   if (b.pressure_hi_quanta <= 0) return 1.0;
   if (brownout_off_) {
-    if (pressure_quanta < b.pressure_lo_quanta * b.resume_fraction) {
+    if (pressure_quanta < b.pressure_lo_quanta * kBrownoutResumeFraction) {
       brownout_off_ = false;  // hysteretic re-enable
     } else {
       return 0;
@@ -120,7 +120,7 @@ bool AdmissionController::WarmRatio(AppType app, double* ratio) const {
   if (admission_.estimate_ewma_alpha <= 0) return false;
   auto it = ewma_ratio_.find(app);
   if (it == ewma_ratio_.end()) return false;
-  if (it->second.count < admission_.estimate_ewma_warmup) return false;
+  if (it->second.count < kEstimateEwmaWarmup) return false;
   *ratio = it->second.ratio;
   return true;
 }

@@ -48,29 +48,31 @@ struct AdmissionOptions {
   /// kDeadlineInfeasible dequeue check. Deadlines themselves stay pinned to
   /// the raw critical path (the SLO contract does not drift with the
   /// correction). 0 disables feedback (estimates bit-identical to before).
+  /// The correction applies only once a family has kEstimateEwmaWarmup
+  /// observations.
   double estimate_ewma_alpha = 0;
-  /// Observations required per app family before the EWMA correction is
-  /// applied. The ratio starts at a prior of 1.0 and blends every
-  /// observation in, but the estimate stays the raw critical path until the
-  /// family has this many samples — a cold first run (no indexes built yet)
-  /// would otherwise seed an inflated ratio that sheds every later arrival
-  /// and starves the feedback loop of further observations.
-  int estimate_ewma_warmup = 3;
 };
+
+/// Observations required per app family before the EWMA correction is
+/// applied. The ratio starts at a prior of 1.0 and blends every observation
+/// in, but the estimate stays the raw critical path until the family has
+/// this many samples — a cold first run (no indexes built yet) would
+/// otherwise seed an inflated ratio that sheds every later arrival and
+/// starves the feedback loop of further observations.
+inline constexpr int kEstimateEwmaWarmup = 3;
 
 /// \brief Pressure-based brownout of optional index builds.
 ///
 /// Pressure is the queue delay (in quanta) of the dataflow being dequeued.
 /// Between `lo` and `hi` the fraction of beneficial builds kept falls
 /// linearly from 1 to 0; at `hi` tuning disables entirely and only
-/// re-enables (hysteresis) once pressure drops below lo x resume_fraction.
+/// re-enables (hysteresis) once pressure drops below
+/// lo x kBrownoutResumeFraction.
 struct BrownoutOptions {
   /// Pressure at which shedding starts (0 with hi == 0 disables brownout).
   double pressure_lo_quanta = 0;
   /// Pressure at which tuning shuts off entirely; <= 0 disables brownout.
   double pressure_hi_quanta = 0;
-  /// Re-enable threshold as a fraction of pressure_lo_quanta.
-  double resume_fraction = 0.5;
   /// Smoothed pressure signal: when > 0, pressure is an EWMA of the pending
   /// queue *length* sampled at every arrival and dequeue event instead of
   /// the per-dequeue queue delay — the smoothed signal rises as soon as the
@@ -80,6 +82,9 @@ struct BrownoutOptions {
   /// before.
   double queue_ewma_alpha = 0;
 };
+
+/// Brownout re-enable threshold as a fraction of pressure_lo_quanta.
+inline constexpr double kBrownoutResumeFraction = 0.5;
 
 /// \brief Circuit breaker on the storage persist (Put) path.
 ///
@@ -153,7 +158,7 @@ class AdmissionController {
 
   /// Admission estimate for `app`: `raw` scaled by the family's observed
   /// EWMA makespan/critical-path ratio (identity until the family has
-  /// estimate_ewma_warmup observations).
+  /// kEstimateEwmaWarmup observations).
   Seconds CorrectedEstimate(AppType app, Seconds raw) const;
 
   /// Folds one observed (makespan, critical path) pair into the family's
@@ -163,7 +168,7 @@ class AdmissionController {
   /// Brownout knob from queue pressure (quanta), with hysteresis.
   double BuildFraction(double pressure_quanta);
 
-  /// The family's warmed EWMA ratio (estimate_ewma_warmup observations or
+  /// The family's warmed EWMA ratio (kEstimateEwmaWarmup observations or
   /// more); false while cold. Drives the adaptive speculation watermark.
   bool WarmRatio(AppType app, double* ratio) const;
 
@@ -175,14 +180,14 @@ class AdmissionController {
   BrownoutOptions brownout_;
   /// Per-app-family EWMA of observed makespan / critical-path ratios
   /// (estimate_ewma_alpha > 0 only). The ratio blends from a prior of 1.0;
-  /// `count` gates application behind estimate_ewma_warmup.
+  /// `count` gates application behind kEstimateEwmaWarmup.
   struct EwmaState {
     double ratio = 1.0;
     int count = 0;
   };
   std::map<AppType, EwmaState> ewma_ratio_;
   /// Brownout hysteresis: true once pressure crossed pressure_hi_quanta,
-  /// until it falls below pressure_lo_quanta x resume_fraction.
+  /// until it falls below pressure_lo_quanta x kBrownoutResumeFraction.
   bool brownout_off_ = false;
   /// Smoothed queue-length pressure, updated at every arrival and dequeue.
   double queue_ewma_ = 0;

@@ -298,6 +298,17 @@ uint64_t PersistKey(const std::string& index_id, int partition, int retry) {
 /// simulator's read-hedge (bit 62) and clone (bit 61) salts.
 constexpr uint64_t kPersistHedgeBit = 1ULL << 60;
 
+/// History list capacity (older records fade to ~0 anyway).
+constexpr size_t kMaxHistory = 256;
+
+/// A completed index partition's storage `Put` retries this many times on
+/// transient faults, backing off exponentially from kPersistBackoffInitial
+/// to at most kPersistBackoffCap; a partition that was never persisted is
+/// discarded (no catalog entry).
+constexpr int kPersistMaxRetries = 4;
+constexpr Seconds kPersistBackoffInitial = 1.0;
+constexpr Seconds kPersistBackoffCap = 30.0;
+
 /// Batched admission (DESIGN.md §14): merges the members' decisions into
 /// one, schedules the union through a single skyline pass within `sched`
 /// and re-packs the union of build ops into the merged schedule's idle
@@ -907,7 +918,7 @@ Result<QaasService::ExecOutcome> QaasService::ExecuteDecision(
             continue;
           }
         }
-        int retries = container_died ? 0 : opts_.storage_put_max_retries;
+        int retries = container_died ? 0 : kPersistMaxRetries;
         // A half-open breaker allows exactly one probe attempt.
         if (breaker_on && state_.breaker_state == BreakerState::kHalfOpen) {
           retries = 0;
@@ -921,7 +932,7 @@ Result<QaasService::ExecOutcome> QaasService::ExecuteDecision(
             (!breaker_on || state_.breaker_state == BreakerState::kClosed);
         bool persisted = false;
         bool primary_ok = false;
-        Seconds backoff = opts_.storage_backoff_initial;
+        Seconds backoff = kPersistBackoffInitial;
         for (int r = 0; r <= retries; ++r) {
           const uint64_t pkey = PersistKey(b.index_id, b.partition, r);
           if (!fault_model.StorageOpFaults(fi.run_key, pkey)) {
@@ -967,7 +978,7 @@ Result<QaasService::ExecOutcome> QaasService::ExecuteDecision(
           if (persisted) break;  // the hedge saved the round: no backoff
           if (r < retries) {
             persist_delay += backoff;
-            backoff = std::min(backoff * 2.0, opts_.storage_backoff_cap);
+            backoff = std::min(backoff * 2.0, kPersistBackoffCap);
           }
         }
         if (persisted && primary_ok && breaker_on) {
@@ -1250,7 +1261,7 @@ void QaasService::RecordHistory(const Dataflow& df, Seconds finish,
     }
   }
   state_.history.push_back(std::move(rec));
-  while (state_.history.size() > opts_.max_history) state_.history.pop_front();
+  while (state_.history.size() > kMaxHistory) state_.history.pop_front();
 }
 
 void QaasService::ApplyDeletions(const std::vector<std::string>& to_delete,
@@ -1489,7 +1500,12 @@ Result<ServiceMetrics> QaasService::Run(WorkloadClient* client) {
     if (JournalOn()) journal_.AppendArrival(df->id, df->issued_at);
     ++metrics.dataflows_arrived;
     Seconds start = std::max(df->issued_at, loop.clock);
-    if (start >= opts_.total_time) break;
+    if (start >= opts_.total_time) {
+      // The horizon closed before this arrival could start: shed, as the
+      // open loop sheds horizon-stranded entries.
+      ++metrics.dataflows_shed;
+      break;
+    }
     ApplyDueUpdates(start, &metrics);
     loop.batch.clear();
     PendingDataflow p;
@@ -1512,6 +1528,8 @@ Result<ServiceMetrics> QaasService::Run(WorkloadClient* client) {
     }
   }
   SettleRun(&metrics);
+  const ServiceSlack slack = CheckInvariants(metrics);
+  if (!slack.ok()) return Status::Internal(slack.ToString());
   return metrics;
 }
 
@@ -1544,6 +1562,69 @@ void QaasService::SettleRun(ServiceMetrics* metrics) {
   HarvestFleet(metrics);
   if (JournalOn()) HarvestJournal(metrics);
   loop_ = nullptr;
+}
+
+namespace {
+
+/// Visits every ServiceSlack field with its name, in declaration order.
+template <typename F>
+void ForEachSlack(const ServiceSlack& s, F&& f) {
+  f("accounting", s.accounting);
+  f("speculation", s.speculation);
+  f("corruption", s.corruption);
+  f("quarantine", s.quarantine);
+  f("fleet_requests", s.fleet_requests);
+  f("fleet_grants", s.fleet_grants);
+  f("journal_records", s.journal_records);
+  f("journal_generations", s.journal_generations);
+  f("unstored_partitions", s.unstored_partitions);
+}
+
+}  // namespace
+
+bool ServiceSlack::ok() const {
+  bool zero = true;
+  ForEachSlack(*this, [&zero](const char*, int64_t v) { zero &= v == 0; });
+  return zero;
+}
+
+std::string ServiceSlack::ToString() const {
+  std::string out;
+  ForEachSlack(*this, [&out](const char* name, int64_t v) {
+    if (v == 0) return;
+    out += out.empty() ? "ledger slack:" : "";
+    out += std::string(" ") + name + "=" + std::to_string(v);
+  });
+  return out;
+}
+
+ServiceSlack QaasService::CheckInvariants(const ServiceMetrics& m) const {
+  ServiceSlack s;
+  s.accounting = int64_t{m.dataflows_arrived} - m.dataflows_finished -
+                 m.dataflows_failed - m.dataflows_overran - m.dataflows_shed;
+  s.speculation = int64_t{m.ops_speculated} - m.spec_wins - m.spec_cancelled;
+  s.corruption = m.corruptions_injected - m.corruptions_detected_on_read -
+                 m.corruptions_detected_by_scrub - m.corruptions_dead -
+                 m.corruptions_latent;
+  s.quarantine = int64_t{m.partitions_quarantined} - m.repairs_completed -
+                 m.quarantine_evicted -
+                 static_cast<int64_t>(catalog_->quarantined().size());
+  s.fleet_requests = fleet_.ledger().RequestSlack();
+  s.fleet_grants = fleet_.ledger().GrantSlack(fleet_.HeldCount());
+  s.journal_records = journal_.LedgerSlack();
+  s.journal_generations = journal_.generation() - journal_.ledger().replayed;
+  for (const auto& idx : catalog_->IndexIds()) {
+    auto def = catalog_->GetIndexDef(idx);
+    auto state = catalog_->GetIndexState(idx);
+    if (!def.ok() || !state.ok()) continue;
+    for (size_t p = 0; p < (*state)->num_partitions(); ++p) {
+      if ((*state)->part(p).built &&
+          !storage_.Exists((*def)->PartitionPath(static_cast<int>(p)))) {
+        ++s.unstored_partitions;
+      }
+    }
+  }
+  return s;
 }
 
 Result<ServiceMetrics> QaasService::RunOpenLoop(WorkloadClient* client) {
@@ -1667,6 +1748,8 @@ Result<ServiceMetrics> QaasService::RunOpenLoop(WorkloadClient* client) {
   }
 
   SettleRun(&metrics);
+  const ServiceSlack slack = CheckInvariants(metrics);
+  if (!slack.ok()) return Status::Internal(slack.ToString());
   return metrics;
 }
 

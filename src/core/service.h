@@ -167,8 +167,6 @@ struct ServiceOptions {
   /// Tables touched per batch.
   int update_tables_per_batch = 1;
   /// @}
-  /// History list capacity (older records fade to ~0 anyway).
-  size_t max_history = 256;
   /// \name Fault injection & recovery
   /// @{
   /// Fault rates (all zero by default — injection disabled, and the whole
@@ -180,12 +178,6 @@ struct ServiceOptions {
   /// fresh/surviving containers and re-paying the quanta. When exhausted
   /// the dataflow is recorded as failed instead of wedging the horizon loop.
   int max_recovery_attempts = 3;
-  /// Storage `Put` of a completed index partition retries this many times
-  /// on transient faults, with capped exponential backoff; a partition that
-  /// was never persisted is discarded (no catalog entry).
-  int storage_put_max_retries = 4;
-  Seconds storage_backoff_initial = 1.0;
-  Seconds storage_backoff_cap = 30.0;
   /// @}
   /// \name Overload robustness (all defaults keep the closed-loop paths
   /// bit-identical to a service without overload support).
@@ -223,6 +215,41 @@ struct ServiceOptions {
   uint64_t seed = 99;
 };
 
+/// \brief The residue of every zero-slack ledger the service keeps: each
+/// field is the left side minus the right side of one identity, so a
+/// balanced run is all zeros. This is the single list of ledgers (DESIGN.md
+/// §4 "Tests"); `QaasService::Run` checks it once at the end of every run.
+struct ServiceSlack {
+  /// arrived - finished - failed - overran - shed.
+  int64_t accounting = 0;
+  /// ops_speculated - spec_wins - spec_cancelled.
+  int64_t speculation = 0;
+  /// corruptions_injected - detected_on_read - detected_by_scrub - dead
+  /// - latent.
+  int64_t corruption = 0;
+  /// partitions_quarantined - repairs_completed - quarantine_evicted
+  /// - (entries still quarantined in the catalog).
+  int64_t quarantine = 0;
+  /// FleetLedger::RequestSlack(): requests - granted - denied.
+  int64_t fleet_requests = 0;
+  /// FleetLedger::GrantSlack(alive): granted - released - preempted
+  /// - crashed - alive.
+  int64_t fleet_grants = 0;
+  /// Journal::LedgerSlack(): records written - replayed - truncated
+  /// - tail discarded - live.
+  int64_t journal_records = 0;
+  /// Journal generation - snapshots replayed (one bump per recovery).
+  int64_t journal_generations = 0;
+  /// Catalog-built index partitions with no stored object (catalog ⊆
+  /// storage).
+  int64_t unstored_partitions = 0;
+
+  bool ok() const;
+  /// "ledger slack: name=value ..." over every nonzero field ("" when ok).
+  std::string ToString() const;
+  bool operator==(const ServiceSlack&) const = default;
+};
+
 /// \brief The QaaS service: executes a stream of dataflows on the simulated
 /// cloud, running the configured index-management policy (paper Fig. 1).
 ///
@@ -238,8 +265,14 @@ class QaasService {
  public:
   QaasService(Catalog* catalog, ServiceOptions options);
 
-  /// Consumes `client` until the horizon and returns the metrics.
+  /// Consumes `client` until the horizon and returns the metrics, or
+  /// Status::Internal naming every ledger that does not balance.
   Result<ServiceMetrics> Run(WorkloadClient* client);
+
+  /// The slack of every ledger after a run that produced `metrics`, against
+  /// this service's catalog, storage, fleet and journal. Cost:
+  /// O(catalog partitions).
+  ServiceSlack CheckInvariants(const ServiceMetrics& metrics) const;
 
   /// History records accumulated so far (inspection/testing).
   const std::deque<DataflowRecord>& history() const { return state_.history; }

@@ -132,8 +132,8 @@ struct ServiceMetrics {
   int dataflows_arrived = 0;
   int dataflows_finished = 0;
   /// Dataflows that completed but past the horizon (counted in neither
-  /// finished nor failed; started == finished + failed + overran up to the
-  /// one arrival the horizon may cut off mid-issue).
+  /// finished nor failed). In both loops
+  /// arrived == finished + failed + overran + shed, exactly.
   int dataflows_overran = 0;
   double total_time_quanta = 0;
   int64_t total_vm_quanta = 0;
@@ -184,8 +184,9 @@ struct ServiceMetrics {
   int hedged_reads = 0;
   int hedge_wins = 0;
   /// @}
-  /// \name Overload & SLO accounting (open-loop runs; zero otherwise).
-  /// Open-loop identity: arrived == finished + failed + overran + shed.
+  /// \name Overload & SLO accounting (open-loop runs; zero otherwise,
+  /// except that the closed loop sheds the one arrival the horizon cuts off
+  /// before it can start).
   /// @{
   /// Dataflows dropped without execution (queue full, deadline-infeasible,
   /// or stranded in the queue when the horizon closed).
@@ -223,7 +224,7 @@ struct ServiceMetrics {
   /// @}
   /// \name Cross-shard fairness gate (zero without an attached gate).
   /// Zero-slack identity: summed over every tenant of a sharded run,
-  /// gate_puts == the gate's own arbitration count, and
+  /// gate_puts and gate_throttled equal the gate's own totals, and
   /// gate_throttled <= gate_puts.
   /// @{
   /// Persists arbitrated by the cross-shard gate.

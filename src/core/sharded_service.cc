@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cmath>
+#include <string>
 #include <utility>
 
 #include "sched/partial_state.h"
@@ -160,7 +161,18 @@ Result<ServiceMetrics> ShardedQaasService::Run(WorkloadClient* client) {
   for (const Status& st : statuses) {
     DFIM_RETURN_NOT_OK(st);
   }
-  return AggregateMetrics(per_tenant_);
+  // The one cross-tenant ledger (each tenant's Run checked its own): every
+  // persist a tenant counts as gated went through the gate, and vice versa.
+  ServiceMetrics agg = AggregateMetrics(per_tenant_);
+  const int64_t gate_puts_slack = agg.gate_puts - (gate_ ? gate_->puts() : 0);
+  const int64_t gate_throttled_slack =
+      agg.gate_throttled - (gate_ ? gate_->throttled() : 0);
+  if (gate_puts_slack != 0 || gate_throttled_slack != 0) {
+    return Status::Internal(
+        "ledger slack: gate_puts=" + std::to_string(gate_puts_slack) +
+        " gate_throttled=" + std::to_string(gate_throttled_slack));
+  }
+  return agg;
 }
 
 }  // namespace dfim

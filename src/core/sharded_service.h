@@ -56,8 +56,8 @@ class CrossShardGate : public PersistGate {
   int share() const { return share_; }
 
   /// \name Run-wide tallies (sum over lanes; read after the run joins).
-  /// `puts()` must equal the sum of every tenant's `gate_puts` — the
-  /// zero-slack identity the sharding tests check.
+  /// `puts()` and `throttled()` must equal the sums of every tenant's
+  /// `gate_puts` and `gate_throttled`; `ShardedQaasService::Run` checks it.
   /// @{
   int64_t puts() const;
   int64_t throttled() const;
@@ -106,7 +106,8 @@ class ShardedQaasService {
   /// Drains `client` up front (arrival order), partitions the stream by
   /// tenant, runs every shard, and returns the cross-tenant aggregate.
   /// Requires admission.open_loop — tenants consume their partitions as
-  /// arrival-driven replay streams.
+  /// arrival-driven replay streams. Returns Status::Internal when a
+  /// tenant's ledgers or the gate lanes do not balance.
   Result<ServiceMetrics> Run(WorkloadClient* client);
 
   /// Per-tenant metrics of the last Run (index = tenant id).

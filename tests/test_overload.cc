@@ -21,34 +21,14 @@ struct OverloadFixture {
     service = std::make_unique<QaasService>(&catalog, so);
   }
 
+  /// Runs the open loop; `Run` itself fails on any ledger slack (the
+  /// arrival identity, catalog ⊆ storage, ...).
   ServiceMetrics Run(const ArrivalOptions& arrivals, uint64_t seed = 5) {
     OpenLoopWorkloadClient client(gen.get(), arrivals,
                                   {{AppType::kMontage, 1e9}}, seed);
     auto m = service->Run(&client);
     EXPECT_TRUE(m.ok()) << m.status().ToString();
     return m.ok() ? *m : ServiceMetrics{};
-  }
-
-  /// Open-loop identity: every arrival is finished, failed, overran, or
-  /// shed — exactly, with zero slack.
-  static void CheckAccounting(const ServiceMetrics& m) {
-    EXPECT_EQ(m.dataflows_arrived, m.dataflows_finished + m.dataflows_failed +
-                                       m.dataflows_overran + m.dataflows_shed);
-    EXPECT_GE(m.dataflows_shed, m.shed_queue_full + m.shed_infeasible);
-  }
-
-  void CheckCatalogStorageConsistent() {
-    for (const auto& idx : catalog.IndexIds()) {
-      auto def = catalog.GetIndexDef(idx);
-      auto state = catalog.GetIndexState(idx);
-      ASSERT_TRUE(def.ok() && state.ok());
-      for (size_t p = 0; p < (*state)->num_partitions(); ++p) {
-        if (!(*state)->part(p).built) continue;
-        EXPECT_TRUE(service->storage().Exists(
-            (*def)->PartitionPath(static_cast<int>(p))))
-            << idx << " partition " << p << " built but never persisted";
-      }
-    }
   }
 
   Catalog catalog;
@@ -108,11 +88,9 @@ TEST(OverloadTest, OpenLoopAccountsEveryArrivalExactly) {
   ServiceMetrics m = f.Run(Arrivals(15.0));
   EXPECT_GT(m.dataflows_arrived, 0);
   EXPECT_GT(m.dataflows_finished, 0);
-  OverloadFixture::CheckAccounting(m);
   EXPECT_EQ(m.shed_queue_full, 0);  // unbounded queue
   EXPECT_GT(m.peak_queue_len, 0);
   EXPECT_GT(m.queue_delay_quanta, 0);
-  f.CheckCatalogStorageConsistent();
 }
 
 TEST(OverloadTest, OpenLoopIsDeterministic) {
@@ -138,7 +116,6 @@ TEST(OverloadTest, BoundedQueueShedsAndRespectsCapacity) {
   ServiceMetrics m = f.Run(Arrivals(10.0));
   EXPECT_GT(m.shed_queue_full, 0);
   EXPECT_LE(m.peak_queue_len, 4);
-  OverloadFixture::CheckAccounting(m);
 }
 
 TEST(OverloadTest, AllShedPoliciesKeepTheIdentity) {
@@ -151,8 +128,8 @@ TEST(OverloadTest, AllShedPoliciesKeepTheIdentity) {
     OverloadFixture f(so);
     ServiceMetrics m = f.Run(Arrivals(10.0));
     EXPECT_GT(m.dataflows_shed, 0) << ShedPolicyToString(policy);
-    OverloadFixture::CheckAccounting(m);
-    f.CheckCatalogStorageConsistent();
+    // The shed reasons are subsets of all sheds.
+    EXPECT_GE(m.dataflows_shed, m.shed_queue_full + m.shed_infeasible);
   }
 }
 
@@ -164,7 +141,6 @@ TEST(OverloadTest, DeadlinesMissedCountedUnderOverload) {
   EXPECT_GT(m.deadlines_missed, 0);
   // Misses still count as finished: goodput is the difference.
   EXPECT_LE(m.deadlines_missed, m.dataflows_finished);
-  OverloadFixture::CheckAccounting(m);
 }
 
 TEST(OverloadTest, InfeasibleEntriesDroppedEarly) {
@@ -174,7 +150,6 @@ TEST(OverloadTest, InfeasibleEntriesDroppedEarly) {
   OverloadFixture f(so);
   ServiceMetrics m = f.Run(Arrivals(15.0));
   EXPECT_GT(m.shed_infeasible, 0);
-  OverloadFixture::CheckAccounting(m);
 }
 
 TEST(OverloadTest, BrownoutShedsBuildsUnderPressure) {
@@ -192,8 +167,6 @@ TEST(OverloadTest, BrownoutShedsBuildsUnderPressure) {
   EXPECT_GT(with.builds_shed, 0);
   // Shedding builds can only reduce index-building work.
   EXPECT_LE(with.index_partitions_built, without.index_partitions_built);
-  OverloadFixture::CheckAccounting(with);
-  f.CheckCatalogStorageConsistent();
 }
 
 TEST(OverloadTest, EwmaQueuePressureShedsBuildsUnderLoad) {
@@ -207,8 +180,6 @@ TEST(OverloadTest, EwmaQueuePressureShedsBuildsUnderLoad) {
   OverloadFixture f(so);
   ServiceMetrics m = f.Run(Arrivals(15.0));
   EXPECT_GT(m.builds_shed, 0);
-  OverloadFixture::CheckAccounting(m);
-  f.CheckCatalogStorageConsistent();
 }
 
 TEST(OverloadTest, EwmaQueuePressureIsDeterministic) {
@@ -263,8 +234,6 @@ TEST(OverloadTest, BreakerOpensAndCutsRetryTraffic) {
     so.breaker.open_duration = 240.0;
     OverloadFixture f(so);
     ServiceMetrics m = f.Run(Arrivals(30.0));
-    OverloadFixture::CheckAccounting(m);
-    f.CheckCatalogStorageConsistent();
     return m;
   };
   ServiceMetrics without = run(0);
@@ -287,7 +256,6 @@ TEST(OverloadTest, RetryBudgetCapsFleetWideRecovery) {
     so.admission.retry_budget = budget;
     OverloadFixture f(so);
     ServiceMetrics m = f.Run(Arrivals(60.0));
-    OverloadFixture::CheckAccounting(m);
     return m;
   };
   ServiceMetrics unlimited = run(-1);
@@ -318,7 +286,6 @@ TEST(OverloadTest, EwmaFeedbackCutsWrongSideAdmissions) {
     so.admission.estimate_ewma_alpha = alpha;
     OverloadFixture f(so);
     ServiceMetrics m = f.Run(Arrivals(120.0));
-    OverloadFixture::CheckAccounting(m);
     return m;
   };
   ServiceMetrics base = run(0);

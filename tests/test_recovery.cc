@@ -3,10 +3,11 @@
 /// from its journal must be bit-identical to the uncrashed run on every
 /// pre-existing mirrored counter — the only divergences allowed are the six
 /// recovery counters themselves. On top of the boundary sweep: double
-/// crashes, rate-driven crashes, the fail-open resume bound, the zero-slack
-/// journal ledger, idempotency-token dedup across a reconstructed consumer,
-/// validation fail-fast, and recovery through the sharded multi-tenant
-/// service.
+/// crashes, rate-driven crashes, the fail-open resume bound, idempotency-
+/// token dedup across a reconstructed consumer, validation fail-fast, and
+/// recovery through the sharded multi-tenant service. Every run that returns
+/// OK has also balanced the journal's record and generation ledgers, which
+/// `Run` checks itself.
 
 #include <gtest/gtest.h>
 
@@ -99,7 +100,7 @@ RecoveryRun RunWith(ServiceOptions so, uint64_t seed) {
   return run;
 }
 
-/// Every pre-existing mirrored counter bit-identical; ledger exact.
+/// Every pre-existing mirrored counter bit-identical.
 void ExpectEquivalent(const RecoveryRun& a, const RecoveryRun& b,
                       const std::string& label) {
   ASSERT_TRUE(a.status.ok()) << label << ": " << a.status.ToString();
@@ -122,18 +123,6 @@ void ExpectEquivalent(const RecoveryRun& a, const RecoveryRun& b,
       << label;
   EXPECT_EQ(a.metrics.corruptions_dead, b.metrics.corruptions_dead) << label;
   EXPECT_EQ(a.metrics.timeline.size(), b.metrics.timeline.size()) << label;
-}
-
-void ExpectZeroSlackLedger(const RecoveryRun& run, const std::string& label) {
-  const Journal& j = run.service->journal();
-  EXPECT_EQ(j.LedgerSlack(), 0)
-      << label << ": journal record ledger leaked (written="
-      << j.ledger().records_written << " replayed=" << j.ledger().replayed
-      << " truncated=" << j.ledger().truncated_by_snapshot
-      << " tail=" << j.ledger().tail_discarded
-      << " live=" << j.live_records() << ")";
-  EXPECT_EQ(j.generation(), j.ledger().replayed)
-      << label << ": one generation bump per recovery";
 }
 
 // ---- Validation: fail fast at the service front door -----------------------
@@ -211,7 +200,6 @@ TEST(RecoveryTest, UncrashedJournalBalancesAndReproduces) {
   const JournalLedger& lg = a.service->journal().ledger();
   EXPECT_GT(lg.commits, 0);
   EXPECT_EQ(lg.tail_discarded, 0);
-  ExpectZeroSlackLedger(a, "uncrashed");
   // Same config, same seed: the journal layer is deterministic too.
   RecoveryRun b = RunWith(so, 3);
 #define DFIM_RECOVERY_SAME(type, name) \
@@ -243,7 +231,6 @@ TEST(RecoveryTest, OpenLoopCrashAtEveryBoundaryMatchesUncrashed) {
     ExpectEquivalent(truth, crashed, label);
     EXPECT_EQ(crashed.metrics.ctl_crashes, 1) << label;
     EXPECT_EQ(crashed.metrics.replayed_records, 1) << label;
-    ExpectZeroSlackLedger(crashed, label);
     total_deduped += crashed.metrics.persists_deduped;
     total_replay_quanta += crashed.metrics.recovery_replay_quanta;
   }
@@ -269,7 +256,6 @@ TEST(RecoveryTest, ClosedLoopCrashSweepMatchesUncrashed) {
     const std::string label = "closed crash_at_boundary=" + std::to_string(k);
     ExpectEquivalent(truth, crashed, label);
     EXPECT_EQ(crashed.metrics.ctl_crashes, 1) << label;
-    ExpectZeroSlackLedger(crashed, label);
   }
 }
 
@@ -285,7 +271,6 @@ TEST(RecoveryTest, DoubleCrashMatchesUncrashed) {
   EXPECT_EQ(crashed.metrics.ctl_crashes, 2);
   EXPECT_EQ(crashed.metrics.replayed_records, 2);
   EXPECT_EQ(crashed.service->journal().generation(), 2);
-  ExpectZeroSlackLedger(crashed, "double crash");
 }
 
 TEST(RecoveryTest, RateDrivenCrashesMatchAndReproduce) {
@@ -297,7 +282,6 @@ TEST(RecoveryTest, RateDrivenCrashesMatchAndReproduce) {
   RecoveryRun a = RunWith(so, 9);
   ExpectEquivalent(truth, a, "ctl_crash_rate=0.03");
   EXPECT_GT(a.metrics.ctl_crashes, 0);
-  ExpectZeroSlackLedger(a, "ctl_crash_rate=0.03");
   // Counter-based draws: the crash schedule itself reproduces bit-for-bit,
   // recovery counters included.
   RecoveryRun b = RunWith(so, 9);
@@ -319,7 +303,6 @@ TEST(RecoveryTest, ResumeBoundFailsOpenUnderPermanentCrashes) {
   // uncrashed instead of looping forever — and replay exactness still holds.
   ExpectEquivalent(truth, crashed, "ctl_crash_rate=1.0 fail-open");
   EXPECT_GT(crashed.metrics.ctl_crashes, 0);
-  ExpectZeroSlackLedger(crashed, "fail-open");
 }
 
 // ---- Idempotency tokens across a reconstructed consumer --------------------

@@ -2,6 +2,10 @@
 
 #include <gtest/gtest.h>
 
+#include <string>
+#include <tuple>
+#include <vector>
+
 namespace dfim {
 namespace {
 
@@ -128,6 +132,78 @@ TEST(ServiceTest, ArrivalsPastHorizonNotExecuted) {
   for (const auto& pt : m.timeline) {
     EXPECT_LE(pt.t, 1e9);
   }
+}
+
+TEST(ServiceTest, ClosedLoopArrivalAtTheHorizonIsShed) {
+  // The one dataflow arrives exactly when the horizon closes: it is counted
+  // as arrived and shed, so the arrival identity holds with zero slack.
+  const Seconds horizon = 10.0 * 60.0;
+  ServiceFixture f(IndexPolicy::kGain, 5, horizon);
+  ReplayWorkloadClient client({f.gen->Generate(AppType::kMontage, 0, horizon)});
+  auto m = f.service->Run(&client);
+  ASSERT_TRUE(m.ok()) << m.status().ToString();
+  EXPECT_EQ(m->dataflows_arrived, 1);
+  EXPECT_EQ(m->dataflows_shed, 1);
+  EXPECT_EQ(m->dataflows_finished + m->dataflows_failed + m->dataflows_overran,
+            0);
+  EXPECT_TRUE(m->timeline.empty());
+}
+
+TEST(ServiceTest, CheckInvariantsNamesTheLedgerThatSlips) {
+  ServiceFixture f(IndexPolicy::kGain, 5, /*horizon=*/20.0 * 60.0);
+  const ServiceMetrics m = f.RunMontage();
+  ASSERT_GT(m.index_partitions_built, 0);
+  EXPECT_EQ(f.service->CheckInvariants(m), ServiceSlack{});
+  EXPECT_EQ(f.service->CheckInvariants(m).ToString(), "");
+
+  // One tampered copy of the metrics per metrics-side ledger: exactly the
+  // matching field moves, and ToString names it.
+  const std::vector<std::tuple<std::string, void (*)(ServiceMetrics*),
+                               int64_t ServiceSlack::*>>
+      cases = {
+          {"accounting", [](ServiceMetrics* t) { ++t->dataflows_arrived; },
+           &ServiceSlack::accounting},
+          {"speculation", [](ServiceMetrics* t) { ++t->ops_speculated; },
+           &ServiceSlack::speculation},
+          {"corruption", [](ServiceMetrics* t) { ++t->corruptions_injected; },
+           &ServiceSlack::corruption},
+          {"quarantine",
+           [](ServiceMetrics* t) { ++t->partitions_quarantined; },
+           &ServiceSlack::quarantine},
+      };
+  for (const auto& [name, tamper, field] : cases) {
+    ServiceMetrics bad = m;
+    tamper(&bad);
+    ServiceSlack expected;
+    expected.*field = 1;
+    const ServiceSlack slack = f.service->CheckInvariants(bad);
+    EXPECT_FALSE(slack.ok()) << name;
+    EXPECT_EQ(slack, expected) << name << ": " << slack.ToString();
+    EXPECT_EQ(slack.ToString(), "ledger slack: " + name + "=1");
+  }
+
+  // The catalog claims a partition built that storage never received (no
+  // fault or update touches this run, so an unbuilt partition is unstored).
+  std::string id;
+  int pid = -1;
+  for (const auto& idx : f.catalog.IndexIds()) {
+    auto state = f.catalog.GetIndexState(idx);
+    ASSERT_TRUE(state.ok());
+    for (size_t p = 0; p < (*state)->num_partitions() && pid < 0; ++p) {
+      if (!(*state)->part(p).built) {
+        id = idx;
+        pid = static_cast<int>(p);
+      }
+    }
+    if (pid >= 0) break;
+  }
+  ASSERT_GE(pid, 0);
+  ASSERT_TRUE(f.catalog.MarkIndexPartitionBuilt(id, pid, 0).ok());
+  ServiceSlack expected;
+  expected.unstored_partitions = 1;
+  const ServiceSlack slack = f.service->CheckInvariants(m);
+  EXPECT_EQ(slack, expected) << slack.ToString();
+  EXPECT_EQ(slack.ToString(), "ledger slack: unstored_partitions=1");
 }
 
 TEST(ServiceTest, CostMetricCombinesVmAndStorage) {

@@ -89,11 +89,6 @@ void ExpectMetricsIdentical(const ServiceMetrics& a, const ServiceMetrics& b) {
   }
 }
 
-void CheckAccounting(const ServiceMetrics& m) {
-  EXPECT_EQ(m.dataflows_arrived, m.dataflows_finished + m.dataflows_failed +
-                                     m.dataflows_overran + m.dataflows_shed);
-}
-
 // ---------------------------------------------------------------------------
 // Knob validation (satellite 1).
 
@@ -260,7 +255,6 @@ TEST(ShardingTest, ShardCountInvariancePerTenantMetrics) {
     EXPECT_EQ(one[t].tenant, t);
     ExpectMetricsIdentical(one[t], two[t]);
     ExpectMetricsIdentical(one[t], four[t]);
-    CheckAccounting(one[t]);
     finished += one[t].dataflows_finished;
   }
   EXPECT_GT(finished, 0);
@@ -305,7 +299,6 @@ TEST(ShardingTest, AggregateIdentityZeroSlack) {
   double cost = 0;
   for (const auto& m : per) cost += m.storage_cost;
   EXPECT_EQ(cost, agg->storage_cost);
-  CheckAccounting(*agg);
 }
 
 // ---------------------------------------------------------------------------
@@ -334,7 +327,8 @@ TEST(BatchingTest, MaxBatchOneIsBitIdenticalToUnbatched) {
 
 TEST(BatchingTest, BatchedAccountingIdentityAndFormation) {
   // Overload the open loop so a queue builds, then merge up to 4 pending
-  // arrivals per admission window.
+  // arrivals per admission window. `Run` fails unless every batch member is
+  // accounted for exactly once.
   ServiceOptions so = BaseOptions(30.0 * 60.0);
   so.batch.max_batch = 4;
   so.batch.window_quanta = 10.0;
@@ -343,7 +337,6 @@ TEST(BatchingTest, BatchedAccountingIdentityAndFormation) {
   auto client = f.Client(8.0, 1);
   auto m = svc.Run(&client);
   ASSERT_TRUE(m.ok()) << m.status().ToString();
-  CheckAccounting(*m);
   EXPECT_GT(m->dataflow_batches, 0);
   EXPECT_GE(m->batched_dataflows, 2 * m->dataflow_batches);
   EXPECT_LE(m->batched_dataflows,
@@ -376,8 +369,6 @@ TEST(BatchingTest, BatchedServiceKeepsUpAtLeastAsWell) {
   ASSERT_TRUE(mb.ok());
   EXPECT_GE(mb->dataflows_finished + mb->dataflows_overran,
             ma->dataflows_finished + ma->dataflows_overran);
-  CheckAccounting(*ma);
-  CheckAccounting(*mb);
 }
 
 // ---------------------------------------------------------------------------
@@ -410,16 +401,14 @@ TEST(FairnessGateTest, GateArbitratesEveryPersistZeroSlack) {
   ASSERT_TRUE(m.ok()) << m.status().ToString();
   ASSERT_NE(svc.gate(), nullptr);
   EXPECT_EQ(svc.gate()->share(), 1);
-  // Zero slack: every persist any tenant issued was arbitrated.
+  // `Run` checked zero slack on the gate lanes: every persist any tenant
+  // issued was arbitrated, and the throttle counts agree.
   EXPECT_GT(m->gate_puts, 0);
-  EXPECT_EQ(m->gate_puts, svc.gate()->puts());
-  EXPECT_EQ(m->gate_throttled, svc.gate()->throttled());
   EXPECT_NEAR(m->gate_throttle_quanta, svc.gate()->throttle_quanta(), 1e-6);
   // A share of 1 per 50-quanta window under a build-heavy policy throttles.
   EXPECT_GT(m->gate_throttled, 0);
   EXPECT_GT(m->gate_throttle_quanta, 0);
   EXPECT_LE(m->gate_throttled, m->gate_puts);
-  CheckAccounting(*m);
 }
 
 TEST(FairnessGateTest, DeficitCarryoverDelaysBursts) {

@@ -412,20 +412,6 @@ struct SpecServiceFixture {
     return m.ok() ? *m : ServiceMetrics{};
   }
 
-  void CheckCatalogStorageConsistent() {
-    for (const auto& idx : catalog.IndexIds()) {
-      auto def = catalog.GetIndexDef(idx);
-      auto state = catalog.GetIndexState(idx);
-      ASSERT_TRUE(def.ok() && state.ok());
-      for (size_t p = 0; p < (*state)->num_partitions(); ++p) {
-        if (!(*state)->part(p).built) continue;
-        EXPECT_TRUE(service->storage().Exists(
-            (*def)->PartitionPath(static_cast<int>(p))))
-            << idx << " partition " << p << " built but never persisted";
-      }
-    }
-  }
-
   Catalog catalog;
   std::unique_ptr<FileDatabase> db;
   std::unique_ptr<DataflowGenerator> gen;
@@ -469,12 +455,10 @@ TEST(ServiceSpecTest, StragglersSpeculatedAndFullyAccounted) {
   ServiceMetrics m = f.RunMontage();
   EXPECT_GT(m.dataflows_finished, 0);
   EXPECT_GT(m.ops_speculated, 0);
-  // Every spawned clone resolves exactly one way.
-  EXPECT_EQ(m.ops_speculated, m.spec_wins + m.spec_cancelled);
+  // `Run` checked that every spawned clone resolves exactly one way and
+  // that cancelled clones leave no catalog/storage trace.
   EXPECT_GE(m.spec_cancelled_quanta, 0.0);
   EXPECT_EQ(m.dataflows_failed, 0);  // stragglers slow, never kill
-  // Cancelled clones leave no catalog/storage trace.
-  f.CheckCatalogStorageConsistent();
   // Cumulative timeline counters never decrease and end at the totals.
   for (size_t i = 1; i < m.timeline.size(); ++i) {
     EXPECT_GE(m.timeline[i].ops_speculated,
@@ -523,7 +507,6 @@ TEST(ServiceSpecTest, HedgingCountsReadsAndNeverBreaksAccounting) {
   // The read-side accounting identity (storage_retries covers Puts only).
   EXPECT_GT(m.storage_reads, 0);
   EXPECT_LE(m.storage_faults, m.storage_reads + m.storage_retries);
-  f.CheckCatalogStorageConsistent();
 }
 
 TEST(ServiceSpecTest, OpenLoopZeroSlackIdentityHoldsWithSpeculation) {
@@ -555,12 +538,10 @@ TEST(ServiceSpecTest, OpenLoopZeroSlackIdentityHoldsWithSpeculation) {
   ArrivalOptions arrivals;
   arrivals.mean_interarrival = 20.0;
   OpenLoopWorkloadClient client(&gen, arrivals, {{AppType::kMontage, 1e9}}, 5);
+  // `Run` fails unless the arrival and speculation identities hold.
   auto m = service.Run(&client);
   ASSERT_TRUE(m.ok()) << m.status().ToString();
-  EXPECT_EQ(m->dataflows_arrived, m->dataflows_finished + m->dataflows_failed +
-                                      m->dataflows_overran +
-                                      m->dataflows_shed);
-  EXPECT_EQ(m->ops_speculated, m->spec_wins + m->spec_cancelled);
+  EXPECT_GT(m->ops_speculated, 0);
 }
 
 // ---- Adaptive straggler watermark (rides the PR 4 admission EWMA) ----------
@@ -624,7 +605,6 @@ TEST(ServiceSpecTest, AdaptiveThresholdStaysAccountedAndReproducible) {
   ServiceMetrics a = RunAdaptive(true, 0.3, 0.4);
   ServiceMetrics b = RunAdaptive(true, 0.3, 0.4);
   EXPECT_GT(a.dataflows_finished, 0);
-  EXPECT_EQ(a.ops_speculated, a.spec_wins + a.spec_cancelled);
   EXPECT_EQ(a.ops_speculated, b.ops_speculated);
   EXPECT_EQ(a.spec_wins, b.spec_wins);
   EXPECT_EQ(a.total_vm_quanta, b.total_vm_quanta);
@@ -634,7 +614,6 @@ TEST(ServiceSpecTest, AdaptiveThresholdStaysAccountedAndReproducible) {
   // the fixed-watermark run obeys the same zero-slack identity and can only
   // speculate at least as eagerly (its threshold is never raised).
   ServiceMetrics fixed = RunAdaptive(false, 0.3, 0.4);
-  EXPECT_EQ(fixed.ops_speculated, fixed.spec_wins + fixed.spec_cancelled);
   EXPECT_GE(fixed.ops_speculated, a.ops_speculated);
 }
 
