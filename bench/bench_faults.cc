@@ -17,7 +17,6 @@
 // Usage: bench_faults [output.json]
 
 #include <algorithm>
-#include <chrono>
 #include <cmath>
 #include <cstdio>
 #include <limits>
@@ -37,7 +36,6 @@ struct Arm {
 struct ArmResult {
   ServiceMetrics m;
   ServiceSlack slack;
-  double wall_ms = 0;
 };
 
 ArmResult RunArm(const Arm& arm, Seconds horizon, uint64_t seed) {
@@ -49,9 +47,7 @@ ArmResult RunArm(const Arm& arm, Seconds horizon, uint64_t seed) {
   QaasService service(&setup.catalog, so);
   PhaseWorkloadClient client(setup.generator.get(), 60.0,
                              {{AppType::kMontage, 1e9}}, seed);
-  auto t0 = std::chrono::steady_clock::now();
   auto m = service.Run(&client);
-  auto t1 = std::chrono::steady_clock::now();
   if (!m.ok()) {
     std::fprintf(stderr, "arm %s failed: %s\n", arm.name.c_str(),
                  m.status().ToString().c_str());
@@ -60,7 +56,6 @@ ArmResult RunArm(const Arm& arm, Seconds horizon, uint64_t seed) {
   ArmResult r;
   r.m = *m;
   r.slack = service.CheckInvariants(*m);
-  r.wall_ms = std::chrono::duration<double, std::milli>(t1 - t0).count();
   return r;
 }
 
@@ -76,7 +71,6 @@ struct IntegrityArm {
 struct IntegrityResult {
   ServiceMetrics m;
   ServiceSlack slack;
-  double wall_ms = 0;
   int still_quarantined = 0;
 };
 
@@ -96,9 +90,7 @@ IntegrityResult RunIntegrityArm(const IntegrityArm& arm, Seconds horizon,
   QaasService service(&setup.catalog, so);
   PhaseWorkloadClient client(setup.generator.get(), 60.0,
                              {{AppType::kMontage, 1e9}}, seed);
-  auto t0 = std::chrono::steady_clock::now();
   auto m = service.Run(&client);
-  auto t1 = std::chrono::steady_clock::now();
   if (!m.ok()) {
     std::fprintf(stderr, "integrity arm %s failed: %s\n", arm.name.c_str(),
                  m.status().ToString().c_str());
@@ -106,7 +98,6 @@ IntegrityResult RunIntegrityArm(const IntegrityArm& arm, Seconds horizon,
   }
   IntegrityResult r;
   r.m = *m;
-  r.wall_ms = std::chrono::duration<double, std::milli>(t1 - t0).count();
   r.still_quarantined = static_cast<int>(setup.catalog.quarantined().size());
   r.slack = service.CheckInvariants(*m);
   return r;
@@ -117,7 +108,6 @@ IntegrityResult RunIntegrityArm(const IntegrityArm& arm, Seconds horizon,
 struct RecoveryArmResult {
   ServiceMetrics m;
   ServiceSlack slack;
-  double wall_ms = 0;
 };
 
 RecoveryArmResult RunRecoveryArm(bool journal, double ctl_rate,
@@ -132,9 +122,7 @@ RecoveryArmResult RunRecoveryArm(bool journal, double ctl_rate,
   QaasService service(&setup.catalog, so);
   PhaseWorkloadClient client(setup.generator.get(), 60.0,
                              {{AppType::kMontage, 1e9}}, seed);
-  auto t0 = std::chrono::steady_clock::now();
   auto m = service.Run(&client);
-  auto t1 = std::chrono::steady_clock::now();
   if (!m.ok()) {
     std::fprintf(stderr, "recovery arm (journal=%d rate=%.3f) failed: %s\n",
                  journal ? 1 : 0, ctl_rate, m.status().ToString().c_str());
@@ -142,7 +130,6 @@ RecoveryArmResult RunRecoveryArm(bool journal, double ctl_rate,
   }
   RecoveryArmResult r;
   r.m = *m;
-  r.wall_ms = std::chrono::duration<double, std::milli>(t1 - t0).count();
   r.slack = service.CheckInvariants(*m);
   return r;
 }
@@ -294,8 +281,7 @@ int main(int argc, char** argv) {
         "\"storage_faults\": %d, \"builds_discarded\": %d,\n"
         "     \"total_vm_quanta\": %lld, \"avg_time_quanta_per_dataflow\": "
         "%.4f, \"index_partitions_built\": %d,\n"
-        "     \"accounting_slack\": %d, \"catalog_storage_consistent\": %s, "
-        "\"wall_ms\": %.1f}",
+        "     \"accounting_slack\": %d, \"catalog_storage_consistent\": %s}",
         arms[i].name.c_str(), arms[i].faults.crash_rate,
         arms[i].faults.straggler_rate, arms[i].faults.storage_fault_rate,
         m.dataflows_arrived, m.dataflows_finished, m.dataflows_failed,
@@ -305,7 +291,7 @@ int main(int argc, char** argv) {
         static_cast<long long>(m.total_vm_quanta),
         m.AvgTimeQuantaPerDataflow(), m.index_partitions_built,
         static_cast<int>(r.slack.accounting),
-        r.slack.unstored_partitions == 0 ? "true" : "false", r.wall_ms);
+        r.slack.unstored_partitions == 0 ? "true" : "false");
     json += buf;
     json += (i + 1 < arms.size()) ? ",\n" : "\n";
   }
@@ -468,8 +454,7 @@ int main(int argc, char** argv) {
         "\"vm_quanta_off\": %lld, \"vm_quanta_on\": %lld, "
         "\"scrub_reads_on\": %lld,\n"
         "     \"ledger_slack\": %lld, \"quarantine_slack\": %lld, "
-        "\"catalog_storage_consistent\": %s, \"ok\": %s, "
-        "\"wall_ms\": %.1f}",
+        "\"catalog_storage_consistent\": %s, \"ok\": %s}",
         ipairs[i].first.name.c_str(), ipairs[i].first.torn,
         ipairs[i].first.bitrot,
         static_cast<long long>(off.m.corruptions_injected),
@@ -488,7 +473,7 @@ int main(int argc, char** argv) {
         off.slack.unstored_partitions + on.slack.unstored_partitions == 0
             ? "true"
             : "false",
-        ok ? "true" : "false", off.wall_ms + on.wall_ms);
+        ok ? "true" : "false");
     json += buf;
     json += (i + 1 < ipairs.size()) ? ",\n" : "\n";
   }
@@ -530,17 +515,16 @@ int main(int argc, char** argv) {
                                 static_cast<double>(jcrash.m.ctl_crashes)
                           : 0.0;
   bench::Header("Control-plane recovery: journal off / on / on + crashes");
-  std::printf("%-14s %8s %9s %10s %8s %8s %9s %8s %6s\n", "arm", "finished",
-              "jrecords", "jbytes", "crashes", "deduped", "replay.q",
-              "wall.ms", "ok?");
+  std::printf("%-14s %8s %9s %10s %8s %8s %9s %6s\n", "arm", "finished",
+              "jrecords", "jbytes", "crashes", "deduped", "replay.q", "ok?");
   auto print_rec = [&](const char* name, const RecoveryArmResult& r, bool ok) {
-    std::printf("%-14s %8d %9lld %10lld %8lld %8lld %9.2f %8.1f %6s\n", name,
+    std::printf("%-14s %8d %9lld %10lld %8lld %8lld %9.2f %6s\n", name,
                 r.m.dataflows_finished,
                 static_cast<long long>(r.m.journal_records),
                 static_cast<long long>(r.m.journal_bytes),
                 static_cast<long long>(r.m.ctl_crashes),
                 static_cast<long long>(r.m.persists_deduped),
-                r.m.recovery_replay_quanta, r.wall_ms, ok ? "yes" : "NO");
+                r.m.recovery_replay_quanta, ok ? "yes" : "NO");
   };
   print_rec("journal_off", joff, off_identical);
   print_rec("journal_on", jon, on_balanced);
@@ -564,7 +548,7 @@ int main(int argc, char** argv) {
         "\"ctl_crashes\": %lld, \"replayed_records\": %lld, "
         "\"persists_deduped\": %lld,\n"
         "     \"recovery_replay_quanta\": %.4f, \"mttr_quanta\": %.4f, "
-        "\"ledger_slack\": %lld, \"ok\": %s, \"wall_ms\": %.1f}",
+        "\"ledger_slack\": %lld, \"ok\": %s}",
         rec_names[i], rec_rates[i], r.m.dataflows_finished,
         r.m.dataflows_failed, static_cast<long long>(r.m.total_vm_quanta),
         r.m.index_partitions_built,
@@ -579,8 +563,7 @@ int main(int argc, char** argv) {
                   static_cast<double>(r.m.ctl_crashes)
             : 0.0,
         static_cast<long long>(r.slack.journal_records),
-        rec_ok[i] ? "true" : "false",
-        r.wall_ms);
+        rec_ok[i] ? "true" : "false");
     json += buf;
     json += (i + 1 < 3) ? ",\n" : "\n";
   }

@@ -152,9 +152,9 @@ void BM_SkylineScheduler(benchmark::State& state) {
 }
 BENCHMARK(BM_SkylineScheduler)->Arg(2)->Arg(4)->Arg(8);
 
-/// Serial naive vs incremental vs parallel skyline engines on the same
-/// generated dataflow (arg = engine: 0 naive, 1 incremental, 2 parallel x2),
-/// optional build ops included so the keep-base path is exercised.
+/// Naive vs incremental skyline engines on the same generated dataflow
+/// (arg = engine: 0 naive, 1 incremental), optional build ops included so
+/// the keep-base path is exercised.
 void BM_SkylineSchedule(benchmark::State& state) {
   bench::PaperSetup setup(7);
   Dataflow df = setup.generator->Generate(AppType::kMontage, 0, 0);
@@ -163,16 +163,7 @@ void BM_SkylineSchedule(benchmark::State& state) {
   SchedulerOptions so = bench::PaperSchedulerOptions();
   so.skyline_cap = 8;
   so.max_containers = 16;
-  switch (state.range(0)) {
-    case 0:
-      so.use_naive_expansion = true;
-      break;
-    case 1:
-      break;
-    case 2:
-      so.num_threads = 2;
-      break;
-  }
+  so.use_naive_expansion = state.range(0) == 0;
   BuildDataflowCosts(df.dag, df, setup.catalog, so.net_mb_per_sec, &durations,
                      &costs);
   SkylineScheduler sched(so);
@@ -184,7 +175,6 @@ void BM_SkylineSchedule(benchmark::State& state) {
 BENCHMARK(BM_SkylineSchedule)
     ->Arg(0)
     ->Arg(1)
-    ->Arg(2)
     ->ArgNames({"engine"});
 
 void BM_LoadBalanceScheduler(benchmark::State& state) {

@@ -17,7 +17,6 @@
 // Usage: bench_overload [output.json]
 
 #include <algorithm>
-#include <chrono>
 #include <cmath>
 #include <cstdio>
 #include <string>
@@ -39,7 +38,6 @@ struct Arm {
 struct ArmResult {
   ServiceMetrics m;
   ServiceSlack slack;
-  double wall_ms = 0;
   int goodput = 0;
 };
 
@@ -69,9 +67,7 @@ ArmResult RunArm(const Arm& arm, Seconds horizon, uint64_t seed) {
   arrivals.mean_interarrival = arm.mean_interarrival;
   OpenLoopWorkloadClient client(setup.generator.get(), arrivals,
                                 {{AppType::kMontage, 1e9}}, seed);
-  auto t0 = std::chrono::steady_clock::now();
   auto m = service.Run(&client);
-  auto t1 = std::chrono::steady_clock::now();
   if (!m.ok()) {
     std::fprintf(stderr, "arm %s failed: %s\n", arm.name.c_str(),
                  m.status().ToString().c_str());
@@ -79,7 +75,6 @@ ArmResult RunArm(const Arm& arm, Seconds horizon, uint64_t seed) {
   }
   ArmResult r;
   r.m = *m;
-  r.wall_ms = std::chrono::duration<double, std::milli>(t1 - t0).count();
   r.slack = service.CheckInvariants(*m);
   r.goodput = m->dataflows_finished - m->deadlines_missed;
   return r;
@@ -106,7 +101,6 @@ struct FleetArm {
 struct FleetArmResult {
   ServiceMetrics m;
   ServiceSlack slack;
-  double wall_ms = 0;
   int goodput = 0;
   double p99_qdelay = 0;
   Dollars vm_cost = 0;
@@ -136,9 +130,7 @@ FleetArmResult RunFleetArm(const FleetArm& arm, int fleet_n, Seconds horizon,
   QaasService service(&setup.catalog, so);
   OpenLoopWorkloadClient client(setup.generator.get(), arrivals,
                                 {{AppType::kMontage, 1e9}}, seed);
-  auto t0 = std::chrono::steady_clock::now();
   auto m = service.Run(&client);
-  auto t1 = std::chrono::steady_clock::now();
   if (!m.ok()) {
     std::fprintf(stderr, "fleet arm %s failed: %s\n", arm.name.c_str(),
                  m.status().ToString().c_str());
@@ -146,7 +138,6 @@ FleetArmResult RunFleetArm(const FleetArm& arm, int fleet_n, Seconds horizon,
   }
   FleetArmResult r;
   r.m = *m;
-  r.wall_ms = std::chrono::duration<double, std::milli>(t1 - t0).count();
   r.slack = service.CheckInvariants(*m);
   r.goodput = m->dataflows_finished - m->deadlines_missed;
   std::vector<double> qdelays;
@@ -168,7 +159,6 @@ struct ShardArm {
 struct ShardArmResult {
   ServiceMetrics agg;
   std::vector<ServiceMetrics> per_tenant;
-  double wall_ms = 0;
   bool sum_identity = true;  // aggregate == sum of per-tenant, every counter
   int goodput = 0;
 };
@@ -204,9 +194,7 @@ ShardArmResult RunShardArm(const ShardArm& arm, int num_tenants,
   OpenLoopWorkloadClient client(setups.front()->generator.get(), arrivals,
                                 {{AppType::kMontage, 1e9}}, seed);
   client.set_num_tenants(num_tenants);
-  auto t0 = std::chrono::steady_clock::now();
   auto m = service.Run(&client);
-  auto t1 = std::chrono::steady_clock::now();
   if (!m.ok()) {
     std::fprintf(stderr, "sharded arm %s failed: %s\n", arm.name.c_str(),
                  m.status().ToString().c_str());
@@ -215,7 +203,6 @@ ShardArmResult RunShardArm(const ShardArm& arm, int num_tenants,
   ShardArmResult r;
   r.agg = *m;
   r.per_tenant = service.per_tenant();
-  r.wall_ms = std::chrono::duration<double, std::milli>(t1 - t0).count();
   // Zero-slack aggregation identity over every mirrored counter (float
   // counters get a last-ULP allowance; sums are associative-only on paper).
 #define DFIM_BENCH_SUM(type, name)                                        \
@@ -327,8 +314,7 @@ int main(int argc, char** argv) {
         "\"queue_delay_quanta\": %.2f, \"peak_queue_len\": %d,\n"
         "     \"total_vm_quanta\": %lld, \"index_partitions_built\": %d, "
         "\"storage_clock_clamps\": %lld,\n"
-        "     \"accounting_slack\": %d, \"catalog_storage_consistent\": %s, "
-        "\"wall_ms\": %.1f}",
+        "     \"accounting_slack\": %d, \"catalog_storage_consistent\": %s}",
         arms[i].name.c_str(),
         arms[i].policy == IndexPolicy::kGain ? "gain" : "noindex",
         arms[i].mean_interarrival, arms[i].faults.crash_rate,
@@ -340,7 +326,7 @@ int main(int argc, char** argv) {
         static_cast<long long>(m.total_vm_quanta), m.index_partitions_built,
         static_cast<long long>(m.storage_clock_clamps),
         static_cast<int>(r.slack.accounting),
-        r.slack.unstored_partitions == 0 ? "true" : "false", r.wall_ms);
+        r.slack.unstored_partitions == 0 ? "true" : "false");
     json += buf;
     json += (i + 1 < arms.size()) ? ",\n" : "\n";
   }
@@ -453,7 +439,7 @@ int main(int argc, char** argv) {
         "\"containers_preempted\": %d, \"acquire_backoffs\": %d, "
         "\"boot_wait_quanta\": %.4f,\n"
         "     \"request_slack\": %lld, \"grant_slack\": %lld, "
-        "\"accounting_slack\": %d, \"wall_ms\": %.1f}",
+        "\"accounting_slack\": %d}",
         fleet_arms[i].name.c_str(), fleet_n,
         fleet_arms[i].elastic ? "true" : "false",
         fleet_arms[i].faults.preempt_rate,
@@ -469,7 +455,7 @@ int main(int argc, char** argv) {
         m.acquire_backoffs, m.boot_wait_quanta,
         static_cast<long long>(r.slack.fleet_requests),
         static_cast<long long>(r.slack.fleet_grants),
-        static_cast<int>(r.slack.accounting), r.wall_ms);
+        static_cast<int>(r.slack.accounting));
     json += buf;
     json += (i + 1 < fleet_arms.size()) ? ",\n" : "\n";
   }
@@ -531,9 +517,9 @@ int main(int argc, char** argv) {
   bench::Header("Sharded tenant scaling (8 tenants, " +
                 std::to_string(static_cast<int>(shard_horizon / 60.0)) +
                 " quanta)");
-  std::printf("%-18s %8s %8s %8s %8s %8s %8s %9s %8s %7s\n", "arm", "arrived",
+  std::printf("%-18s %8s %8s %8s %8s %8s %8s %9s %7s\n", "arm", "arrived",
               "finished", "shed", "goodput", "batches", "b.flows", "vm.q",
-              "wall.ms", "ok?");
+              "ok?");
 
   json += "  \"sharded\": [\n";
   std::vector<ShardArmResult> shard_results;
@@ -554,13 +540,12 @@ int main(int argc, char** argv) {
                   shard_arms[(i / 4) * 4].name.c_str());
     }
     all_ok = all_ok && ok;
-    std::printf("%-18s %8d %8d %8d %8d %8lld %8lld %9lld %8.1f %7s\n",
+    std::printf("%-18s %8d %8d %8d %8d %8lld %8lld %9lld %7s\n",
                 shard_arms[i].name.c_str(), m.dataflows_arrived,
                 m.dataflows_finished, m.dataflows_shed, cur.goodput,
                 static_cast<long long>(m.dataflow_batches),
                 static_cast<long long>(m.batched_dataflows),
-                static_cast<long long>(m.total_vm_quanta), cur.wall_ms,
-                ok ? "yes" : "NO");
+                static_cast<long long>(m.total_vm_quanta), ok ? "yes" : "NO");
 
     char buf[800];
     std::snprintf(
@@ -576,8 +561,7 @@ int main(int argc, char** argv) {
         // Run fails on any tenant's ledger slack, so both slacks are zero.
         "     \"total_vm_quanta\": %lld, \"queue_delay_quanta\": %.2f, "
         "\"accounting_slack\": 0, \"tenant_slack\": 0,\n"
-        "     \"sum_identity\": %s, \"tenants_bit_identical\": %s, "
-        "\"wall_ms\": %.1f}",
+        "     \"sum_identity\": %s, \"tenants_bit_identical\": %s}",
         shard_arms[i].name.c_str(), shard_arms[i].num_shards,
         shard_arms[i].batched ? "true" : "false", num_tenants,
         static_cast<int>(shard_horizon / 60.0), m.dataflows_arrived,
@@ -587,8 +571,7 @@ int main(int argc, char** argv) {
         static_cast<long long>(m.batched_dataflows),
         static_cast<long long>(m.gate_puts),
         static_cast<long long>(m.total_vm_quanta), m.queue_delay_quanta,
-        cur.sum_identity ? "true" : "false", invariant ? "true" : "false",
-        cur.wall_ms);
+        cur.sum_identity ? "true" : "false", invariant ? "true" : "false");
     json += buf;
     json += (i + 1 < shard_arms.size()) ? ",\n" : "\n";
   }

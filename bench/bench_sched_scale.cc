@@ -1,6 +1,6 @@
 // Skyline-scheduler scaling bench: sweeps DAG width/depth x container count
 // x skyline cap, timing the retained naive engine against the incremental
-// (and parallel) probe/commit engine on identical inputs, and writes
+// probe/commit engine on identical inputs, and writes
 // BENCH_sched.json (min/median runtime per config, generate_stats style) so
 // successive PRs have a recorded perf trajectory.
 //
@@ -320,16 +320,12 @@ int main(int argc, char** argv) {
     naive_opts.use_naive_expansion = true;
     SchedulerOptions inc_opts = naive_opts;
     inc_opts.use_naive_expansion = false;
-    SchedulerOptions par_opts = inc_opts;
-    par_opts.num_threads = 2;
 
-    std::vector<Schedule> naive_sky, inc_sky, par_sky;
+    std::vector<Schedule> naive_sky, inc_sky;
     Stats naive = TimeEngine(g, durations, naive_opts, reps, &naive_sky);
     Stats inc = TimeEngine(g, durations, inc_opts, reps, &inc_sky);
-    Stats par = TimeEngine(g, durations, par_opts, reps, &par_sky);
 
-    bool identical =
-        SameSkylines(naive_sky, inc_sky) && SameSkylines(inc_sky, par_sky);
+    bool identical = SameSkylines(naive_sky, inc_sky);
     double speedup = inc.median_ms > 0 ? naive.median_ms / inc.median_ms : 0;
     min_engine_speedup = std::min(min_engine_speedup, speedup);
 
@@ -345,8 +341,6 @@ int main(int argc, char** argv) {
                 naive.min_ms, naive.median_ms, "", "");
     std::printf("%-22s %-12s %10.3f %10.3f %9.2fx %8s\n", "", "incremental",
                 inc.min_ms, inc.median_ms, speedup, identical ? "yes" : "NO");
-    std::printf("%-22s %-12s %10.3f %10.3f\n", "", "parallel2", par.min_ms,
-                par.median_ms);
     std::printf("%-22s %-12s %10.3f %10.3f\n", "", "slot:aos", slot.aos.min_ms,
                 slot.aos.median_ms);
     std::printf("%-22s %-12s %10.3f %10.3f %9.2fx\n", "", "slot:flat",
@@ -365,8 +359,6 @@ int main(int argc, char** argv) {
     AppendStats(&json, "naive", naive);
     json += ",\n";
     AppendStats(&json, "incremental", inc);
-    json += ",\n";
-    AppendStats(&json, "parallel2", par);
     json += ",\n";
     AppendStats(&json, "slot_search_aos", slot.aos);
     json += ",\n";

@@ -3,8 +3,8 @@
 
 Usage: bench/diff_counters.py A.json B.json
 
-Strips every `wall_ms` value and the `meta` block (host- and build-
-dependent) wherever they occur. Prints each remaining path whose value
+Strips every `wall_ms` value (older result files carry one) and the
+`meta` block (host- and build-dependent) wherever they occur. Prints each remaining path whose value
 differs, or that only one file has, one per line. Values compare exactly:
 the BENCH_* counters are deterministic per seed, so a refactor that claims
 to change no behaviour must leave them bit-identical.

@@ -67,10 +67,6 @@ Status ValidateFaultOptions(const FaultOptions& opts) {
   if (bad_rate(opts.bitrot_rate)) {
     return Status::InvalidArgument("bitrot_rate must be in [0, 1]");
   }
-  if (opts.torn_write_rate > 0 && !(opts.torn_crash_multiplier >= 1.0)) {
-    return Status::InvalidArgument(
-        "torn_crash_multiplier must be >= 1 when torn_write_rate > 0");
-  }
   if (bad_rate(opts.acquire_fail_rate)) {
     return Status::InvalidArgument("acquire_fail_rate must be in [0, 1]");
   }
@@ -139,7 +135,7 @@ bool FaultModel::TornWrite(uint64_t run_key, uint64_t persist_key,
                            bool crash_interrupted) const {
   if (opts_.torn_write_rate <= 0) return false;
   double rate = opts_.torn_write_rate *
-                (crash_interrupted ? opts_.torn_crash_multiplier : 1.0);
+                (crash_interrupted ? kTornCrashMultiplier : 1.0);
   return ToUnit(Mix(opts_.seed, run_key, persist_key, kTornStream)) <
          std::min(1.0, rate);
 }

@@ -13,6 +13,11 @@ namespace dfim {
 /// Sentinel crash time for containers that never fail.
 inline constexpr Seconds kNeverFails = std::numeric_limits<double>::infinity();
 
+/// Multiplier on `FaultOptions::torn_write_rate` for crash-interrupted
+/// persists (the build's container died during the run, so its single Put
+/// attempt raced the failure).
+inline constexpr double kTornCrashMultiplier = 4.0;
+
 /// \brief Fault-injection rates (paper §3 cloud model, stressed).
 ///
 /// The paper's model is explicit that a deleted/failed container loses its
@@ -40,10 +45,6 @@ struct FaultOptions {
   /// Probability one persist lands torn: the Put succeeds but the object's
   /// content checksum can never verify.
   double torn_write_rate = 0;
-  /// Multiplier (>= 1) on `torn_write_rate` for crash-interrupted persists
-  /// (the build's container died during the run, so its single Put attempt
-  /// raced the failure).
-  double torn_crash_multiplier = 4.0;
   /// Per-object, per-quantum probability of latent bit-rot onset: once the
   /// onset quantum passes, the stored object's checksum stops verifying.
   double bitrot_rate = 0;
@@ -189,7 +190,7 @@ class FaultModel {
   /// \brief Deterministic torn-write draw for one landing persist attempt.
   ///
   /// `persist_key` identifies the attempt (same key space as the Put fault
-  /// draws); `crash_interrupted` biases the rate by `torn_crash_multiplier`
+  /// draws); `crash_interrupted` biases the rate by kTornCrashMultiplier
   /// (the persist raced the container's death). Pure counter-based hash —
   /// bit-identical per (seed, run_key, persist_key).
   bool TornWrite(uint64_t run_key, uint64_t persist_key,

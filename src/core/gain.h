@@ -30,9 +30,10 @@ struct GainOptions {
   /// each index's D to its observed inter-reference gap, so sparsely but
   /// regularly used indexes are not faded into deletion between uses.
   bool adaptive_fading = false;
-  /// Upper clamp for the learned per-index D (quanta).
-  double adaptive_fading_max_quanta = 50.0;
 };
+
+/// Upper clamp for the learned per-index D (quanta) under adaptive fading.
+inline constexpr double kAdaptiveFadingMaxQuanta = 50.0;
 
 /// \brief One related dataflow's contribution to an index's gain: the
 /// realized (or what-if) per-dataflow gains gtd/gmd and how long ago the

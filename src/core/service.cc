@@ -23,9 +23,6 @@ Status ValidateIntegrityOptions(const IntegrityOptions& opts) {
   if (!(opts.scrub_objects_per_quantum >= 0)) {
     return Status::InvalidArgument("scrub_objects_per_quantum must be >= 0");
   }
-  if (opts.max_repairs_per_dataflow < 0) {
-    return Status::InvalidArgument("max_repairs_per_dataflow must be >= 0");
-  }
   return Status::OK();
 }
 
@@ -49,11 +46,6 @@ Status ValidateAutoscalerOptions(const AutoscalerOptions& opts) {
   }
   if (opts.grow_step < 1) {
     return Status::InvalidArgument("autoscaler grow_step must be >= 1");
-  }
-  if (!(opts.backoff_initial_quanta > 0) ||
-      !(opts.backoff_cap_quanta >= opts.backoff_initial_quanta)) {
-    return Status::InvalidArgument(
-        "autoscaler backoff ladder must satisfy 0 < initial <= cap");
   }
   return Status::OK();
 }
@@ -92,8 +84,7 @@ QaasService::QaasService(Catalog* catalog, ServiceOptions options)
       journal_(options.journal) {
   // Plumb/normalize the scheduler knobs once: every SkylineScheduler the
   // service constructs (directly or via the tuner's interleaver) sees the
-  // same options, and a zero/negative thread count means "serial".
-  opts_.tuner.sched.num_threads = std::max(1, opts_.tuner.sched.num_threads);
+  // same options, and the skyline keeps at least one survivor per round.
   opts_.tuner.sched.skyline_cap = std::max(1, opts_.tuner.sched.skyline_cap);
   state_.retry_budget_left = opts_.admission.retry_budget;
   if (opts_.faults.provider_enabled()) {
@@ -169,9 +160,9 @@ QaasService::FleetPlan QaasService::PrepareFleet(Seconds now,
       ++metrics->acquire_backoffs;
       state_.acquire_backoff_quanta =
           state_.acquire_backoff_quanta <= 0
-              ? opts_.autoscaler.backoff_initial_quanta
+              ? kAcquireBackoffInitialQuanta
               : std::min(state_.acquire_backoff_quanta * 2.0,
-                         opts_.autoscaler.backoff_cap_quanta);
+                         kAcquireBackoffCapQuanta);
       state_.acquire_backoff_until =
           t + state_.acquire_backoff_quanta * quantum;
     } else if (usable > 0 || got.booting > 0) {
@@ -512,7 +503,7 @@ void QaasService::ScheduleRepairs(TunerDecision* decision,
   if (state_.repair_queue.empty()) return;
   const double net = opts_.tuner.sched.net_mb_per_sec;
   std::vector<int> repair_ids;
-  int budget = opts_.integrity.max_repairs_per_dataflow;
+  int budget = kMaxRepairsPerDataflow;
   size_t scan = state_.repair_queue.size();
   while (budget > 0 && scan-- > 0 && !state_.repair_queue.empty()) {
     RepairEntry e = std::move(state_.repair_queue.front());
@@ -724,17 +715,34 @@ Result<QaasService::RunOutcome> QaasService::FinishRun(
   if (MaybeCtlCrash()) return RunOutcome{.crashed = true};
 
   if (JournalOn()) HarvestJournal(metrics);
-  // One timeline point per member (the open loop re-stamps queue state).
-  const int stamps = static_cast<int>(batch.size());
-  for (int i = 0; i < stamps; ++i) {
+  // Per-member finish accounting, ahead of the stamps so each point counts
+  // its own dataflow. Closed-loop members have no queue delay, estimate or
+  // deadline, so only finished/overran move for them.
+  for (const auto& m : batch) {
+    metrics->queue_delay_quanta += (start - m.arrival) / quantum;
+    if (exec.failed) continue;
+    // Feed the realized makespan back into the family's estimate ratio.
+    admission_.ObserveMakespan(m.df.app, m.raw_estimate, finish - start);
+    if (finish <= opts_.total_time) {
+      ++metrics->dataflows_finished;
+    } else {
+      ++metrics->dataflows_overran;
+    }
+    if (m.deadline > 0 && finish > m.deadline) ++metrics->deadlines_missed;
+  }
+  // One timeline point per member, stamped with the queue state.
+  for (const auto& m : batch) {
     StampTimeline(finish, exec.elapsed / quantum, metrics);
+    TimelinePoint& pt = metrics->timeline.back();
+    pt.queue_len = static_cast<int>(loop_->queue.size());
+    pt.queue_delay_quanta = (start - m.arrival) / quantum;
   }
   if (JournalOn()) {
-    journal_.AppendStage(StageBoundary::kStampTimeline, finish, stamps);
+    journal_.AppendStage(StageBoundary::kStampTimeline, finish,
+                         static_cast<int64_t>(batch.size()));
   }
   RunOutcome out;
   out.finish = finish;
-  out.failed = exec.failed;
   out.settled = settled;
   return out;
 }
@@ -1424,14 +1432,13 @@ void QaasService::CommitJournal(ServiceSnapshot::Kind kind,
   journal_.CommitSnapshot(MakeSnapshot(kind, metrics));
 }
 
-Status QaasService::RunIteration(RunOutcome* out, ServiceMetrics* metrics) {
+Status QaasService::RunIteration(ServiceMetrics* metrics) {
   bool resume_b_phase = false;
   while (true) {
     Result<RunOutcome> r =
         resume_b_phase ? FinishRun(metrics) : StartRun(metrics);
     if (!r.ok()) return r.status();
     if (!r->crashed) {
-      *out = *r;
       loop_->clock = r->finish;
       loop_->settled = std::max(loop_->settled, r->settled);
       recovering_ = false;
@@ -1517,15 +1524,7 @@ Result<ServiceMetrics> QaasService::Run(WorkloadClient* client) {
     // C0: all of this iteration's inputs (the arrival, due updates) are in;
     // a crash anywhere past this point re-runs from here.
     if (JournalOn()) CommitJournal(ServiceSnapshot::Kind::kIterStart, metrics);
-    RunOutcome out;
-    DFIM_RETURN_NOT_OK(RunIteration(&out, &metrics));
-    if (!out.failed) {
-      if (out.finish <= opts_.total_time) {
-        ++metrics.dataflows_finished;
-      } else {
-        ++metrics.dataflows_overran;
-      }
-    }
+    DFIM_RETURN_NOT_OK(RunIteration(&metrics));
   }
   SettleRun(&metrics);
   const ServiceSlack slack = CheckInvariants(metrics);
@@ -1715,36 +1714,7 @@ Result<ServiceMetrics> QaasService::RunOpenLoop(WorkloadClient* client) {
     // C0: arrivals pulled, batch formed, due updates applied; a crash
     // anywhere in the iteration below re-runs from here.
     if (JournalOn()) CommitJournal(ServiceSnapshot::Kind::kIterStart, metrics);
-    RunOutcome out;
-    DFIM_RETURN_NOT_OK(RunIteration(&out, &metrics));
-    for (const auto& m : batch) {
-      metrics.queue_delay_quanta += (start - m.arrival) / quantum;
-      if (!out.failed) {
-        // Feed the realized makespan back into the family's estimate ratio.
-        admission_.ObserveMakespan(m.df.app, m.raw_estimate,
-                                   out.finish - start);
-        if (out.finish <= opts_.total_time) {
-          ++metrics.dataflows_finished;
-        } else {
-          ++metrics.dataflows_overran;
-        }
-        if (m.deadline > 0 && out.finish > m.deadline) {
-          ++metrics.deadlines_missed;
-        }
-      }
-    }
-    // The iteration appended one timeline point per member; stamp the
-    // open-loop state onto each and refresh every mirrored counter
-    // (deadline/finish accounting above ran after the execution stamp).
-    for (size_t i = 0; i < batch.size(); ++i) {
-      TimelinePoint& pt =
-          metrics.timeline[metrics.timeline.size() - batch.size() + i];
-      pt.queue_len = static_cast<int>(queue.size());
-      pt.queue_delay_quanta = (start - batch[i].arrival) / quantum;
-#define DFIM_STAMP_COUNTER(type, name) pt.name = metrics.name;
-      DFIM_MIRRORED_COUNTERS(DFIM_STAMP_COUNTER)
-#undef DFIM_STAMP_COUNTER
-    }
+    DFIM_RETURN_NOT_OK(RunIteration(&metrics));
   }
 
   SettleRun(&metrics);

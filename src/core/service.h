@@ -57,10 +57,11 @@ struct IntegrityOptions {
   /// Schedule repair rebuilds for quarantined partitions, riding the
   /// existing idle-slot knapsack (marginal-cost-zero, like normal builds).
   bool repair = false;
-  /// Repair build ops packed per dataflow at most (bounds the optional-op
-  /// load a single decision absorbs; the rest stay queued).
-  int max_repairs_per_dataflow = 2;
 };
+
+/// Repair build ops packed per dataflow at most (bounds the optional-op load
+/// a single decision absorbs; the rest stay queued).
+inline constexpr int kMaxRepairsPerDataflow = 2;
 
 /// Rejects negative budgets/latencies and a zero verify_latency while
 /// verification is on (a free verify would silently skip the charge path).
@@ -91,14 +92,6 @@ struct AutoscalerOptions {
   int grow_step = 2;
   /// Pressure at or below which the target shrinks by one.
   double shrink_pressure = 0.5;
-  /// Capped exponential backoff after a provider-denied acquire: the first
-  /// denial pauses fresh requests for `backoff_initial_quanta`, doubling
-  /// per consecutive denial up to `backoff_cap_quanta`. A clean grant
-  /// resets the ladder; the backoff is bypassed whenever zero containers
-  /// are usable (it must never wedge the service at an empty fleet). Also
-  /// used when provider faults run without the autoscaler.
-  double backoff_initial_quanta = 1.0;
-  double backoff_cap_quanta = 16.0;
   /// Statically provisioned always-on fleet: every alive container's lease
   /// is extended through the present at each fleet-preparation step and
   /// through the horizon at the end of the run, so idle gaps are billed
@@ -108,9 +101,18 @@ struct AutoscalerOptions {
   bool keep_alive = false;
 };
 
+/// Capped exponential backoff after a provider-denied acquire: the first
+/// denial pauses fresh requests for kAcquireBackoffInitialQuanta, doubling
+/// per consecutive denial up to kAcquireBackoffCapQuanta. A clean grant
+/// resets the ladder; the backoff is bypassed whenever zero containers are
+/// usable (it must never wedge the service at an empty fleet). Also used
+/// when provider faults run without the autoscaler.
+inline constexpr double kAcquireBackoffInitialQuanta = 1.0;
+inline constexpr double kAcquireBackoffCapQuanta = 16.0;
+
 /// Rejects a non-positive floor, a ceiling below the floor, an initial
-/// target outside [0, max], grow <= shrink pressure, a non-positive grow
-/// step, and a broken backoff ladder. All checks gated on `enabled`.
+/// target outside [0, max], grow <= shrink pressure and a non-positive grow
+/// step. All checks gated on `enabled`.
 Status ValidateAutoscalerOptions(const AutoscalerOptions& opts);
 
 /// \brief Arbitration hook on the storage persist path: the sharded
@@ -304,8 +306,6 @@ class QaasService {
   struct RunOutcome {
     /// Realized finish time (or the instant the dataflow was abandoned).
     Seconds finish = 0;
-    /// True when recovery was exhausted and the dataflow was dropped.
-    bool failed = false;
     /// Time storage was settled through: >= finish when index partitions
     /// were persisted inside the paid lease tail past the makespan.
     Seconds settled = 0;
@@ -403,7 +403,7 @@ class QaasService {
   void QuarantineAndScheduleRepair(const std::string& index_id, int partition,
                                    Seconds now, ServiceMetrics* metrics);
 
-  /// Appends up to max_repairs_per_dataflow queued repair builds to the
+  /// Appends up to kMaxRepairsPerDataflow queued repair builds to the
   /// decision and packs them into its idle slots (marginal-cost-zero).
   /// Unpacked entries return to the queue.
   void ScheduleRepairs(TunerDecision* decision, ServiceMetrics* metrics);
@@ -500,9 +500,9 @@ class QaasService {
   void CommitJournal(ServiceSnapshot::Kind kind, const ServiceMetrics& metrics);
 
   /// The B-phase of one iteration: execute the in-flight decision, record
-  /// history, apply deletions, settle, harvest, stamp — with the b2..b4
-  /// crash boundaries between stages. Reads `in_flight_` and the driver
-  /// loop's batch/start via `loop_`.
+  /// history, apply deletions, settle, harvest, count each member's finish,
+  /// stamp — with the b2..b4 crash boundaries between stages. Reads
+  /// `in_flight_` and the driver loop's batch/start/queue via `loop_`.
   Result<RunOutcome> FinishRun(ServiceMetrics* metrics);
 
   /// Runs the current iteration (loop_->batch/start/fraction) to
@@ -511,7 +511,7 @@ class QaasService {
   /// (kIterStart) or re-enter the B-phase (kPreExecute). In-flight
   /// persists are re-resolved exactly-once via idempotency tokens. On
   /// completion the loop clock moves to the finish (and `settled` forward).
-  Status RunIteration(RunOutcome* out, ServiceMetrics* metrics);
+  Status RunIteration(ServiceMetrics* metrics);
 
   /// Copies the journal ledger's recovery counters into the metrics
   /// (absolute values; the ledger, like storage, survives crashes).

@@ -3,18 +3,14 @@
 #include <algorithm>
 #include <cmath>
 #include <string>
+#include <thread>
 #include <utility>
-
-#include "sched/partial_state.h"
 
 namespace dfim {
 
 Status ValidateShardOptions(const ShardOptions& opts) {
   if (opts.num_shards < 1) {
     return Status::InvalidArgument("shard num_shards must be >= 1");
-  }
-  if (opts.num_threads < 0) {
-    return Status::InvalidArgument("shard num_threads must be >= 0");
   }
   if (opts.fairness.enabled) {
     if (!(opts.fairness.window_quanta > 0)) {
@@ -150,12 +146,16 @@ Result<ServiceMetrics> ShardedQaasService::Run(WorkloadClient* client) {
       per_tenant_[static_cast<size_t>(t)].tenant = t;
     }
   };
-  if (num_shards == 1) {
+  // One thread per shard; shard 0 runs on the calling thread. jthreads
+  // join on destruction, so every shard is joined before `statuses` and the
+  // streams go away, on exception paths too.
+  {
+    std::vector<std::jthread> threads;
+    threads.reserve(static_cast<size_t>(num_shards - 1));
+    for (int s = 1; s < num_shards; ++s) {
+      threads.emplace_back(run_shard, static_cast<size_t>(s));
+    }
     run_shard(0);
-  } else {
-    ProbePool pool(shards_.num_threads > 0 ? shards_.num_threads
-                                           : num_shards);
-    pool.Run(static_cast<size_t>(num_shards), run_shard);
   }
 
   for (const Status& st : statuses) {

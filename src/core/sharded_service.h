@@ -25,16 +25,14 @@ struct FairnessOptions {
 
 /// \brief Multi-tenant partitioning of the QaaS (DESIGN.md §14).
 struct ShardOptions {
-  /// Tenant shards run on real threads; tenant t lives on shard
+  /// Tenant shards run one thread each; tenant t lives on shard
   /// t % num_shards. 1 = unsharded (still per-tenant isolated).
   int num_shards = 1;
-  /// Worker threads for the shard runner (0 = one per shard).
-  int num_threads = 0;
   FairnessOptions fairness;
 };
 
-/// Rejects a non-positive shard count, a negative thread count, and — when
-/// fairness is enabled — a non-positive window or budget.
+/// Rejects a non-positive shard count and — when fairness is enabled — a
+/// non-positive window or budget.
 Status ValidateShardOptions(const ShardOptions& opts);
 
 /// \brief Deficit round-robin persist arbiter over virtual-time windows.

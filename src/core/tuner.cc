@@ -54,10 +54,8 @@ void BuildDataflowCosts(const Dag& dag, const Dataflow& df,
 namespace {
 
 // Normalizes the scheduler knobs before they reach the interleaver's
-// SkylineScheduler: zero/negative thread counts mean "serial" and the
-// skyline must keep at least one survivor per round.
+// SkylineScheduler: the skyline must keep at least one survivor per round.
 SchedulerOptions NormalizedSched(SchedulerOptions s) {
-  s.num_threads = std::max(1, s.num_threads);
   s.skyline_cap = std::max(1, s.skyline_cap);
   return s;
 }
@@ -177,7 +175,7 @@ IndexGains OnlineIndexTuner::EvaluateIndex(
     }
     double mean_gap = gap_sum / static_cast<double>(reference_times.size() - 1);
     d_override = std::clamp(mean_gap, opts_.gain.fade_d_quanta,
-                            opts_.gain.adaptive_fading_max_quanta);
+                            kAdaptiveFadingMaxQuanta);
   }
   return gain_model_.Evaluate(uses, ti, /*build_cost_quanta=*/ti,
                               size.ok() ? *size : 0, d_override);

@@ -29,7 +29,7 @@ namespace dfim {
 /// consecutively, so a level scan walks the arena forward. Each node splits
 /// its payload into a flat key column and a parallel row column, so the
 /// intra-node search (btree_kernels.h: branch-light hybrid lower/upper
-/// bound, AVX2 under -DDFIM_NATIVE=ON) reads one dense cache-line stream.
+/// bound) reads one dense cache-line stream.
 /// Descents prefetch the next node's columns before searching the current
 /// one, and LookupBatch/ScanRangeBatch run G concurrent descents in a
 /// software-pipelined group (AMAC-style state machine advancing one
@@ -486,7 +486,7 @@ class BPlusTree {
           continue;
         }
         // Narrow window, fully resident: resolve this node with the hybrid
-        // kernel (AVX2 under DFIM_NATIVE), offset back by lo.
+        // kernel, offset back by lo.
         if (s.depth_left == 0) {
           s.pos = s.lo + static_cast<uint32_t>(btree_kernels::LowerBound(
                              n.keys.data() + s.lo, n.rows.data() + s.lo,

@@ -5,10 +5,10 @@
 //
 // Every kernel is selection-only: it returns an index computed from
 // comparisons of the stored keys/rows, never an arithmetic combination of
-// them — so the unrolled scalar path, the AVX2 path and the naive reference
-// below are bit-identical by construction (the same contract as the
-// DFIM_NATIVE GapScan/FirstFit kernels in sched/timeline.h), which
-// tests/test_index_kernels.cc asserts over seeded random nodes.
+// them — so the unrolled path and the naive reference below are
+// bit-identical by construction (the same contract as the GapScan/FirstFit
+// kernels in sched/timeline.h), which tests/test_index_kernels.cc asserts
+// over seeded random nodes.
 //
 // Layout assumption: a node's keys live in one dense column (`keys[0..n)`)
 // with the parallel payload column `rows[0..n)`, both sorted by the
@@ -17,10 +17,6 @@
 #include <cstddef>
 #include <cstdint>
 #include <type_traits>
-
-#if defined(DFIM_NATIVE) && defined(__AVX2__)
-#include <immintrin.h>
-#endif
 
 namespace dfim {
 
@@ -75,59 +71,12 @@ inline size_t NaiveUpperBound(const Key* keys, const RowId* rows, size_t n,
   return i;
 }
 
-#if defined(DFIM_NATIVE) && defined(__AVX2__)
-
-/// Number of sorted keys in [keys, keys+n) strictly less than `key`
-/// (vector compare + popcount; counting a monotone predicate is selection).
-inline size_t CountKeysLess(const int32_t* keys, size_t n, int32_t key) {
-  size_t i = 0;
-  size_t cnt = 0;
-  const __m256i vk = _mm256_set1_epi32(key);
-  for (; i + 8 <= n; i += 8) {
-    __m256i v =
-        _mm256_loadu_si256(reinterpret_cast<const __m256i*>(keys + i));
-    __m256i lt = _mm256_cmpgt_epi32(vk, v);
-    cnt += static_cast<size_t>(__builtin_popcount(static_cast<unsigned>(
-        _mm256_movemask_ps(_mm256_castsi256_ps(lt)))));
-  }
-  for (; i < n; ++i) cnt += keys[i] < key ? 1u : 0u;
-  return cnt;
-}
-
-inline size_t CountKeysLess(const int64_t* keys, size_t n, int64_t key) {
-  size_t i = 0;
-  size_t cnt = 0;
-  const __m256i vk = _mm256_set1_epi64x(key);
-  for (; i + 4 <= n; i += 4) {
-    __m256i v =
-        _mm256_loadu_si256(reinterpret_cast<const __m256i*>(keys + i));
-    __m256i lt = _mm256_cmpgt_epi64(vk, v);
-    cnt += static_cast<size_t>(__builtin_popcount(static_cast<unsigned>(
-        _mm256_movemask_pd(_mm256_castsi256_pd(lt)))));
-  }
-  for (; i < n; ++i) cnt += keys[i] < key ? 1u : 0u;
-  return cnt;
-}
-
-template <typename Key>
-inline constexpr bool kHasSimdCount =
-    std::is_same_v<Key, int32_t> || std::is_same_v<Key, int64_t>;
-
-#else
-
-template <typename Key>
-inline constexpr bool kHasSimdCount = false;
-
-#endif  // DFIM_NATIVE && __AVX2__
-
 /// \brief Hybrid lower bound over one node's key/row columns: branch-light
 /// binary halving down to a kLinearCutover window, then a 4-wide unrolled
 /// branch-free count of the monotone "less than target" predicate (the
 /// window is one dense cache-line stream, so the count beats the
-/// unpredictable tail of a full binary search). With DFIM_NATIVE the window
-/// count is an AVX2 compare+popcount on the key column followed by a scalar
-/// tie walk over equal keys — identical returns, see header comment.
-/// Ordered-only keys (std::string) take the plain halving loop to len 0.
+/// unpredictable tail of a full binary search) — identical returns to the
+/// naive reference, see header comment. Ordered-only keys (std::string) take the plain halving loop to len 0.
 template <typename Key>
 inline size_t LowerBound(const Key* keys, const RowId* rows, size_t n,
                          const Key& key, RowId row) {
@@ -141,14 +90,6 @@ inline size_t LowerBound(const Key* keys, const RowId* rows, size_t n,
       lo = less ? mid + 1 : lo;
       len = less ? len - half - 1 : half;
     }
-#if defined(DFIM_NATIVE) && defined(__AVX2__)
-    if constexpr (kHasSimdCount<Key>) {
-      size_t p = lo + CountKeysLess(keys + lo, len, key);
-      const size_t end = lo + len;
-      while (p < end && !(key < keys[p]) && rows[p] < row) ++p;
-      return p;
-    }
-#endif
     const size_t end = lo + len;
     size_t i = lo;
     size_t c0 = 0, c1 = 0, c2 = 0, c3 = 0;
@@ -191,14 +132,6 @@ inline size_t UpperBound(const Key* keys, const RowId* rows, size_t n,
       lo = le ? mid + 1 : lo;
       len = le ? len - half - 1 : half;
     }
-#if defined(DFIM_NATIVE) && defined(__AVX2__)
-    if constexpr (kHasSimdCount<Key>) {
-      size_t p = lo + CountKeysLess(keys + lo, len, key);
-      const size_t end = lo + len;
-      while (p < end && !(key < keys[p]) && rows[p] <= row) ++p;
-      return p;
-    }
-#endif
     const size_t end = lo + len;
     size_t i = lo;
     size_t c0 = 0, c1 = 0, c2 = 0, c3 = 0;

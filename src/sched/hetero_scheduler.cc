@@ -3,7 +3,6 @@
 #include <algorithm>
 #include <cmath>
 #include <limits>
-#include <memory>
 
 #include "sched/partial_state.h"
 
@@ -215,28 +214,15 @@ Result<std::vector<TypedSchedule>> HeteroSkylineScheduler::ScheduleDag(
   empty.op_container.assign(dag.num_ops(), -1);
   std::vector<HeteroPartial> skyline{empty};
 
-  // Parallel probing (num_threads > 1): candidate (base, container, type)
-  // tuples are enumerated serially into fixed slots, evaluated by the
-  // fork-join ProbePool, then compacted in enumeration order — the surviving
-  // sequence (and thus the stable Pareto prune) is bit-identical to the
-  // serial path.
-  std::unique_ptr<ProbePool> pool;
-  if (opts_.num_threads > 1) {
-    pool = std::make_unique<ProbePool>(opts_.num_threads);
-  }
-  struct Candidate {
-    int base = 0;
-    int container = 0;
-    int type_idx = 0;
-  };
-  std::vector<Candidate> cands;
   std::vector<HeteroProbe> probes;
   std::vector<HeteroPartial> next_sky;
   for (int id : order) {
     const Operator& op = dag.op(id);
     if (op.optional) continue;  // interleaving handled by the homogeneous path
     Seconds dur = durations[static_cast<size_t>(id)];
-    cands.clear();
+    // Probes are enumerated in (base, container, type) order, which the
+    // stable Pareto prune below relies on for deterministic tie-breaks.
+    probes.clear();
     for (size_t b = 0; b < skyline.size(); ++b) {
       const HeteroPartial& base = skyline[b];
       int used = static_cast<int>(base.timelines.size());
@@ -252,20 +238,10 @@ Result<std::vector<TypedSchedule>> HeteroSkylineScheduler::ScheduleDag(
           t_end = t_begin + 1;
         }
         for (int t = t_begin; t < t_end; ++t) {
-          cands.push_back(Candidate{static_cast<int>(b), c, t});
+          Probe(base, static_cast<int>(b), dag, op, dur, c, t, opts_.quantum,
+                types_, &probes.emplace_back());
         }
       }
-    }
-    probes.assign(cands.size(), HeteroProbe{});
-    auto eval = [&](size_t i) {
-      const Candidate& cd = cands[i];
-      Probe(skyline[static_cast<size_t>(cd.base)], cd.base, dag, op, dur,
-            cd.container, cd.type_idx, opts_.quantum, types_, &probes[i]);
-    };
-    if (pool != nullptr) {
-      pool->Run(cands.size(), eval);
-    } else {
-      for (size_t i = 0; i < cands.size(); ++i) eval(i);
     }
     probes.erase(std::remove_if(probes.begin(), probes.end(),
                                 [](const HeteroProbe& p) { return !p.valid; }),

@@ -43,11 +43,6 @@ struct TypedSchedule {
 /// pruning, flow staging), except every fresh container is tried at every
 /// VM type: op runtimes scale with the type's speed, transfers with its
 /// bandwidth, and money is charged at the type's own per-quantum price.
-///
-/// `SchedulerOptions::num_threads > 1` probes candidate placements on a
-/// fork-join ProbePool; results are bit-identical to the serial search
-/// (candidates are enumerated into pre-assigned slots, so thread timing
-/// never reorders the skyline).
 class HeteroSkylineScheduler {
  public:
   HeteroSkylineScheduler(SchedulerOptions options, std::vector<VmType> types)

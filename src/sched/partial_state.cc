@@ -174,71 +174,4 @@ void CommitPlacement(const PartialState& base, const Dag& dag,
   out->op_container[static_cast<size_t>(probe.op_id)] = c;
 }
 
-ProbePool::ProbePool(int num_threads) {
-  // Deliberately not clamped to hardware_concurrency: determinism does not
-  // depend on the worker count, and tests exercise the parallel path on
-  // single-core machines too.
-  int n = std::max(1, num_threads);
-  workers_.reserve(static_cast<size_t>(n - 1));
-  for (int i = 1; i < n; ++i) {
-    workers_.emplace_back(&ProbePool::WorkerLoop, this);
-  }
-}
-
-ProbePool::~ProbePool() {
-  {
-    std::lock_guard<std::mutex> lk(mu_);
-    shutdown_ = true;
-  }
-  start_cv_.notify_all();
-  for (auto& w : workers_) w.join();
-}
-
-void ProbePool::Drain() {
-  const std::function<void(size_t)>* fn = fn_;
-  size_t count = count_;
-  for (;;) {
-    size_t i = next_.fetch_add(1, std::memory_order_relaxed);
-    if (i >= count) break;
-    (*fn)(i);
-  }
-}
-
-void ProbePool::Run(size_t n, const std::function<void(size_t)>& fn) {
-  if (workers_.empty() || n == 0) {
-    for (size_t i = 0; i < n; ++i) fn(i);
-    return;
-  }
-  {
-    std::lock_guard<std::mutex> lk(mu_);
-    fn_ = &fn;
-    count_ = n;
-    next_.store(0, std::memory_order_relaxed);
-    pending_workers_ = workers_.size();
-    ++generation_;
-  }
-  start_cv_.notify_all();
-  Drain();  // the calling thread participates
-  std::unique_lock<std::mutex> lk(mu_);
-  done_cv_.wait(lk, [this] { return pending_workers_ == 0; });
-  fn_ = nullptr;
-}
-
-void ProbePool::WorkerLoop() {
-  uint64_t seen = 0;
-  for (;;) {
-    {
-      std::unique_lock<std::mutex> lk(mu_);
-      start_cv_.wait(lk, [&] { return shutdown_ || generation_ != seen; });
-      if (shutdown_) return;
-      seen = generation_;
-    }
-    Drain();
-    {
-      std::lock_guard<std::mutex> lk(mu_);
-      if (--pending_workers_ == 0) done_cv_.notify_one();
-    }
-  }
-}
-
 }  // namespace dfim

@@ -1,14 +1,10 @@
 #ifndef DFIM_SCHED_PARTIAL_STATE_H_
 #define DFIM_SCHED_PARTIAL_STATE_H_
 
-#include <atomic>
+#include <algorithm>
 #include <cmath>
-#include <condition_variable>
 #include <cstdint>
-#include <functional>
 #include <limits>
-#include <mutex>
-#include <thread>
 #include <vector>
 
 #include "common/units.h"
@@ -31,10 +27,6 @@ struct SchedulerOptions {
   /// the paper's reference [12] prunes the same way); capping keeps the
   /// evenly-spaced representatives along the time axis.
   int skyline_cap = 8;
-  /// Threads used for candidate (base, container) probe evaluation.
-  /// 1 = serial. Results are bit-identical regardless of the value: probes
-  /// land in pre-assigned slots and are merged in enumeration order.
-  int num_threads = 1;
   /// When true, SkylineScheduler uses the retained naive expansion
   /// (deep-copy every candidate, recompute money/gaps from scratch). Kept
   /// as the reference implementation for equivalence tests and benches.
@@ -200,41 +192,6 @@ void SkylinePrune(std::vector<T>* pool, int cap) {
   SampleEvenlySpaced(&kept, cap);
   *pool = std::move(kept);
 }
-
-/// \brief Minimal blocking fork-join pool for candidate probes.
-///
-/// Run(n, fn) executes fn(i) for every i in [0, n) across the workers plus
-/// the calling thread and returns when all are done. Work items must be
-/// independent (each probe writes only its own slot), which keeps parallel
-/// results bit-identical to serial execution.
-class ProbePool {
- public:
-  explicit ProbePool(int num_threads);
-  ~ProbePool();
-
-  ProbePool(const ProbePool&) = delete;
-  ProbePool& operator=(const ProbePool&) = delete;
-
-  void Run(size_t n, const std::function<void(size_t)>& fn);
-
-  int num_threads() const { return static_cast<int>(workers_.size()) + 1; }
-
- private:
-  void WorkerLoop();
-  /// Pulls indices from next_ until exhausted.
-  void Drain();
-
-  std::vector<std::thread> workers_;
-  std::mutex mu_;
-  std::condition_variable start_cv_;
-  std::condition_variable done_cv_;
-  uint64_t generation_ = 0;  // incremented per Run to wake workers
-  bool shutdown_ = false;
-  size_t count_ = 0;
-  const std::function<void(size_t)>* fn_ = nullptr;
-  std::atomic<size_t> next_{0};
-  size_t pending_workers_ = 0;  // workers still draining this generation
-};
 
 }  // namespace dfim
 

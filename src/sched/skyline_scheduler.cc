@@ -1,7 +1,6 @@
 #include "sched/skyline_scheduler.h"
 
 #include <algorithm>
-#include <memory>
 
 namespace dfim {
 namespace {
@@ -13,7 +12,7 @@ namespace {
 /// This is the pre-incremental O(|state| + containers x |timelines|) hot
 /// path; it is kept (behind SchedulerOptions::use_naive_expansion) as the
 /// ground truth the equivalence tests and the scaling bench compare the
-/// incremental/parallel engine against.
+/// incremental engine against.
 bool NaiveAssign(const PartialState& base, const Dag& dag, const Operator& op,
                  Seconds dur, int c, Seconds quantum, double net,
                  PartialState* out) {
@@ -132,55 +131,36 @@ Result<std::vector<Schedule>> SkylineScheduler::ScheduleDag(
 
   // Incremental engine: probe every candidate copy-free, prune the probes,
   // materialize only the survivors. Buffers are pooled across rounds.
-  std::unique_ptr<ProbePool> pool;
-  if (!opts_.use_naive_expansion && opts_.num_threads > 1) {
-    pool = std::make_unique<ProbePool>(opts_.num_threads);
-  }
   std::vector<PlacementProbe> probes;
-  std::vector<size_t> slot_off;
   std::vector<PartialState> next_sky;
 
-  auto expand = [this, &dag, &durations, &skyline, &pool, &probes, &slot_off,
+  auto expand = [this, &dag, &durations, &skyline, &probes,
                  &next_sky](int op_id, bool keep_base) {
     const Operator& op = dag.op(op_id);
     Seconds dur = durations[static_cast<size_t>(op_id)];
-    // Slot layout per base: [keep-base?] then one slot per candidate
-    // container. Slot order equals the naive enumeration order, which makes
-    // the parallel merge (and thus the whole search) bit-identical to
-    // serial and naive runs.
-    const size_t kb = keep_base ? 1 : 0;
-    slot_off.clear();
-    size_t total = 0;
-    for (const PartialState& base : skyline) {
-      slot_off.push_back(total);
-      int used = static_cast<int>(base.timelines.size());
-      total += kb + static_cast<size_t>(std::min(opts_.max_containers, used + 1));
-    }
-    probes.assign(total, PlacementProbe{});
-    auto eval = [&](size_t k) {
-      auto it = std::upper_bound(slot_off.begin(), slot_off.end(), k);
-      auto b = static_cast<size_t>(it - slot_off.begin()) - 1;
-      size_t rel = k - slot_off[b];
-      PlacementProbe* out = &probes[k];
+    // Per base: [keep-base?] then one probe per candidate container — the
+    // naive enumeration order, which makes the whole search bit-identical
+    // to naive runs.
+    probes.clear();
+    for (size_t b = 0; b < skyline.size(); ++b) {
       const PartialState& base = skyline[b];
-      if (kb != 0 && rel == 0) {
-        out->base = static_cast<int>(b);
-        out->container = PlacementProbe::kKeepBase;
-        out->makespan = base.makespan;
-        out->money = base.money;
-        out->num_ops = base.num_ops;
-        out->max_gap = base.max_gap;
-        out->valid = true;
-        return;
+      if (keep_base) {
+        PlacementProbe& out = probes.emplace_back();
+        out.base = static_cast<int>(b);
+        out.container = PlacementProbe::kKeepBase;
+        out.makespan = base.makespan;
+        out.money = base.money;
+        out.num_ops = base.num_ops;
+        out.max_gap = base.max_gap;
+        out.valid = true;
       }
-      int c = static_cast<int>(rel - kb);
-      ProbePlacement(base, static_cast<int>(b), dag, op, dur, c, opts_.quantum,
-                     opts_.net_mb_per_sec, out);
-    };
-    if (pool != nullptr) {
-      pool->Run(total, eval);
-    } else {
-      for (size_t k = 0; k < total; ++k) eval(k);
+      int used = static_cast<int>(base.timelines.size());
+      int limit = std::min(opts_.max_containers, used + 1);
+      for (int c = 0; c < limit; ++c) {
+        ProbePlacement(base, static_cast<int>(b), dag, op, dur, c,
+                       opts_.quantum, opts_.net_mb_per_sec,
+                       &probes.emplace_back());
+      }
     }
     probes.erase(std::remove_if(probes.begin(), probes.end(),
                                 [](const PlacementProbe& p) { return !p.valid; }),

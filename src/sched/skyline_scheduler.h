@@ -30,10 +30,9 @@ namespace dfim {
 /// (base, container) placement from the touched container's timeline plus
 /// cached per-container money/gap summaries, the skyline prune runs over
 /// the lightweight probes, and only the <= skyline_cap survivors are
-/// *committed* (one state copy each). SchedulerOptions::num_threads > 1
-/// fans the probes over a pool with slot-deterministic merge order, and
+/// *committed* (one state copy each).
 /// SchedulerOptions::use_naive_expansion selects the retained
-/// copy-everything reference engine; all three modes return bit-identical
+/// copy-everything reference engine; both engines return bit-identical
 /// schedules.
 class SkylineScheduler {
  public:

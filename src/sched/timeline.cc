@@ -41,11 +41,8 @@ void Timeline::Insert(const Assignment& a) {
   optional_.insert(optional_.begin() + static_cast<ptrdiff_t>(pos),
                    a.optional ? uint8_t{1} : uint8_t{0});
   last_end_ = std::max(last_end_, a.end);
-  Seconds cursor = 0;
-  Seconds best = 0;
-  timeline_internal::GapScan(starts_.data(), ends_.data(), 0, starts_.size(),
-                             &cursor, &best);
-  interior_gap_ = best;
+  interior_gap_ =
+      timeline_internal::GapScan(starts_.data(), ends_.data(), starts_.size());
 }
 
 void Timeline::AppendIdleSlots(int container, Seconds quantum,

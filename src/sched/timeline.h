@@ -3,15 +3,10 @@
 
 #include <algorithm>
 #include <cstdint>
-#include <limits>
 #include <optional>
 #include <vector>
 
 #include "common/units.h"
-
-#if defined(DFIM_NATIVE) && defined(__AVX2__)
-#include <immintrin.h>
-#endif
 
 namespace dfim {
 
@@ -60,10 +55,10 @@ struct IdleSlot {
 ///    non-overlapping timelines the schedulers produce, the cursor equals
 ///    the previous entry's end.
 ///  - All scans are branch-light loops over the flat start/end columns
-///    (auto-vectorizer friendly); with DFIM_NATIVE an explicit SIMD kernel
-///    is used. Both paths are bit-identical to the retained scalar reference
-///    walks (selection-only float ops: max/compare/subtract of identical
-///    operands), which tests/test_timeline.cc asserts per seeded timeline.
+///    (auto-vectorizer friendly), bit-identical to the retained scalar
+///    reference walks (selection-only float ops: max/compare/subtract of
+///    identical operands), which tests/test_timeline.cc asserts per seeded
+///    timeline.
 class Timeline {
  public:
   Timeline() = default;
@@ -158,73 +153,20 @@ namespace timeline_internal {
 // the bench harness both inline them — an out-of-line call per probe costs
 // more than the scan itself on the short timelines one dataflow produces.
 
-#if defined(DFIM_NATIVE) && defined(__AVX2__)
-
-/// Lane-shift helpers for 4x double vectors. ShiftIn1 moves lanes up by one
-/// (lane0 <- fill); ShiftIn2 by two. Used to build prefix-max across lanes.
-inline __m256d ShiftIn1(__m256d v, __m256d fill) {
-  __m256d s = _mm256_permute4x64_pd(v, _MM_SHUFFLE(2, 1, 0, 0));
-  return _mm256_blend_pd(s, fill, 0x1);
-}
-
-inline __m256d ShiftIn2(__m256d v, __m256d fill) {
-  __m256d s = _mm256_permute4x64_pd(v, _MM_SHUFFLE(1, 0, 0, 0));
-  return _mm256_blend_pd(s, fill, 0x3);
-}
-
-inline double Lane3(__m256d v) {
-  __m128d hi = _mm256_extractf128_pd(v, 1);
-  return _mm_cvtsd_f64(_mm_unpackhi_pd(hi, hi));
-}
-
-inline double HMax(__m256d v) {
-  __m128d hi = _mm256_extractf128_pd(v, 1);
-  __m128d lo = _mm256_castpd256_pd128(v);
-  __m128d m = _mm_max_pd(lo, hi);
-  return _mm_cvtsd_f64(_mm_max_sd(_mm_unpackhi_pd(m, m), m));
-}
-
-/// Inclusive prefix-max across the 4 lanes of `e` (identity: -inf).
-/// Prefix-max is pure selection, so any association yields the same bits.
-inline __m256d PrefixMax(__m256d e, __m256d neg_inf) {
-  __m256d m1 = _mm256_max_pd(e, ShiftIn1(e, neg_inf));
-  return _mm256_max_pd(m1, ShiftIn2(m1, neg_inf));
-}
-
-#endif  // DFIM_NATIVE && __AVX2__
-
-/// \brief The core gap-scan kernel over flat columns: for i in [lo, hi),
-///   best = max(best, starts[i] - cursor); cursor = max(cursor, ends[i]).
-/// `cursor`/`best` are read-modify-write. Branch-light; the DFIM_NATIVE
-/// build swaps in an explicit SIMD implementation with bit-identical
-/// results (prefix-max is a selection, exact under any association).
-inline void GapScan(const Seconds* starts, const Seconds* ends, size_t lo,
-                    size_t hi, Seconds* cursor, Seconds* best) {
-  Seconds c = *cursor;
-  Seconds b = *best;
-  size_t i = lo;
-#if defined(DFIM_NATIVE) && defined(__AVX2__)
-  const __m256d neg_inf =
-      _mm256_set1_pd(-std::numeric_limits<double>::infinity());
-  __m256d vbest = _mm256_set1_pd(b);
-  for (; i + 4 <= hi; i += 4) {
-    __m256d e = _mm256_loadu_pd(ends + i);
-    __m256d incl = PrefixMax(e, neg_inf);
-    // cursor(i) per lane: max of the carry and the ends before that lane.
-    __m256d excl = ShiftIn1(incl, neg_inf);
-    __m256d cur = _mm256_max_pd(excl, _mm256_set1_pd(c));
-    __m256d gaps = _mm256_sub_pd(_mm256_loadu_pd(starts + i), cur);
-    vbest = _mm256_max_pd(vbest, gaps);
-    c = std::max(c, Lane3(incl));
-  }
-  b = HMax(vbest);
-#else
-  // Scalar path, unrolled 4-wide: the cursor recurrence c = max(c, e) is a
-  // serial chain, but pairwise end-maxes are off-chain, so precomputing the
-  // block prefix (p01, p012) cuts the carried dependency to one max per 4
-  // elements. Selection-only float ops — bit-identical to the plain loop.
+/// \brief The core gap-scan kernel over flat columns: returns the max over
+/// i in [0, n) of starts[i] - cursor(i) (0 when none is larger), where
+/// cursor(i) is the running max of ends before i (starting at 0).
+/// Branch-light.
+inline Seconds GapScan(const Seconds* starts, const Seconds* ends, size_t n) {
+  Seconds c = 0;
+  Seconds b = 0;
+  size_t i = 0;
+  // Unrolled 4-wide: the cursor recurrence c = max(c, e) is a serial chain,
+  // but pairwise end-maxes are off-chain, so precomputing the block prefix
+  // (p01, p012) cuts the carried dependency to one max per 4 elements.
+  // Selection-only float ops — bit-identical to the plain loop.
   Seconds b0 = b, b1 = b, b2 = b, b3 = b;
-  for (; i + 4 <= hi; i += 4) {
+  for (; i + 4 <= n; i += 4) {
     Seconds e0 = ends[i], e1 = ends[i + 1], e2 = ends[i + 2], e3 = ends[i + 3];
     Seconds p01 = std::max(e0, e1);
     Seconds p012 = std::max(p01, e2);
@@ -235,53 +177,27 @@ inline void GapScan(const Seconds* starts, const Seconds* ends, size_t lo,
     c = std::max(c, std::max(p012, e3));
   }
   b = std::max(std::max(b0, b1), std::max(b2, b3));
-#endif
-  for (; i < hi; ++i) {
+  for (; i < n; ++i) {
     b = std::max(b, starts[i] - c);
     c = std::max(c, ends[i]);
   }
-  *cursor = c;
-  *best = b;
+  return b;
 }
 
-/// \brief First index i in [lo, hi) with starts[i] - max(est, cursor(i)) >=
-/// duration - 1e-9, where cursor(i) is the running max of ends before i.
-/// Returns hi when no entry fits; *cursor is left at cursor(returned index).
-inline size_t FirstFit(const Seconds* starts, const Seconds* ends, size_t lo,
-                       size_t hi, Seconds est, Seconds duration,
-                       Seconds* cursor) {
-  Seconds c = *cursor;
+/// \brief Gap insertion over flat columns: finds the first index i in
+/// [0, n) with starts[i] - max(est, cursor(i)) >= duration - 1e-9, where
+/// cursor(i) is the running max of ends before i (starting at 0), and
+/// returns cursor(i) — or the max of all ends when no entry fits. The
+/// earliest feasible start is then max(est, result).
+inline Seconds FirstFit(const Seconds* starts, const Seconds* ends, size_t n,
+                        Seconds est, Seconds duration) {
+  Seconds c = 0;
   const Seconds thr = duration - 1e-9;
-  size_t i = lo;
-#if defined(DFIM_NATIVE) && defined(__AVX2__)
-  const __m256d neg_inf =
-      _mm256_set1_pd(-std::numeric_limits<double>::infinity());
-  const __m256d vest = _mm256_set1_pd(est);
-  const __m256d vthr = _mm256_set1_pd(thr);
-  for (; i + 4 <= hi; i += 4) {
-    __m256d e = _mm256_loadu_pd(ends + i);
-    __m256d incl = PrefixMax(e, neg_inf);
-    __m256d excl = ShiftIn1(incl, neg_inf);
-    __m256d cur = _mm256_max_pd(excl, _mm256_set1_pd(c));
-    __m256d cand = _mm256_max_pd(vest, cur);
-    __m256d fit = _mm256_cmp_pd(
-        _mm256_sub_pd(_mm256_loadu_pd(starts + i), cand), vthr, _CMP_GE_OQ);
-    int mask = _mm256_movemask_pd(fit);
-    if (mask != 0) {
-      int lane = __builtin_ctz(static_cast<unsigned>(mask));
-      double lanes[4];
-      _mm256_storeu_pd(lanes, cur);
-      *cursor = lanes[lane];
-      return i + static_cast<size_t>(lane);
-    }
-    c = std::max(c, Lane3(incl));
-  }
-#else
-  // Scalar path, unrolled 4-wide like GapScan: per-lane cursors come off
-  // the block prefix, the four fit tests are branch-free, and a hit falls
-  // through to the exact per-lane cursor — identical returns to the plain
-  // loop below.
-  for (; i + 4 <= hi; i += 4) {
+  size_t i = 0;
+  // Unrolled 4-wide like GapScan: per-lane cursors come off the block
+  // prefix, the four fit tests are branch-free, and a hit falls through to
+  // the exact per-lane cursor — identical returns to the plain loop below.
+  for (; i + 4 <= n; i += 4) {
     Seconds e0 = ends[i], e1 = ends[i + 1], e2 = ends[i + 2], e3 = ends[i + 3];
     Seconds p01 = std::max(e0, e1);
     Seconds p012 = std::max(p01, e2);
@@ -294,25 +210,18 @@ inline size_t FirstFit(const Seconds* starts, const Seconds* ends, size_t lo,
     bool f2 = starts[i + 2] - std::max(est, c2) >= thr;
     bool f3 = starts[i + 3] - std::max(est, c3) >= thr;
     if (f0 | f1 | f2 | f3) {
-      if (f0) { *cursor = c0; return i; }
-      if (f1) { *cursor = c1; return i + 1; }
-      if (f2) { *cursor = c2; return i + 2; }
-      *cursor = c3;
-      return i + 3;
+      if (f0) return c0;
+      if (f1) return c1;
+      if (f2) return c2;
+      return c3;
     }
     c = std::max(c, std::max(p012, e3));
   }
-#endif
-  for (; i < hi; ++i) {
-    Seconds candidate = std::max(est, c);
-    if (starts[i] - candidate >= thr) {
-      *cursor = c;
-      return i;
-    }
+  for (; i < n; ++i) {
+    if (starts[i] - std::max(est, c) >= thr) return c;
     c = std::max(c, ends[i]);
   }
-  *cursor = c;
-  return hi;
+  return c;
 }
 
 }  // namespace timeline_internal
@@ -323,19 +232,15 @@ inline size_t Timeline::LowerBound(Seconds s) const {
 }
 
 inline Seconds Timeline::FindSlot(Seconds est, Seconds duration) const {
-  Seconds cursor = 0;
-  (void)timeline_internal::FirstFit(starts_.data(), ends_.data(), 0,
-                                    starts_.size(), est, duration, &cursor);
-  return std::max(est, cursor);
+  return std::max(est, timeline_internal::FirstFit(starts_.data(), ends_.data(),
+                                                   starts_.size(), est,
+                                                   duration));
 }
 
 inline std::optional<Seconds> Timeline::FindSlotBounded(Seconds est,
                                                         Seconds duration,
                                                         Seconds bound) const {
-  Seconds cursor = 0;
-  (void)timeline_internal::FirstFit(starts_.data(), ends_.data(), 0,
-                                    starts_.size(), est, duration, &cursor);
-  Seconds start = std::max(est, cursor);
+  Seconds start = FindSlot(est, duration);
   if (start + duration <= bound + 1e-9) return start;
   return std::nullopt;
 }
@@ -357,20 +262,9 @@ inline Seconds Timeline::MaxGapWithInsert(const Assignment& a,
                                           Seconds quantum) const {
   Seconds best = 0;
   Seconds cursor = 0;
-#if defined(DFIM_NATIVE) && defined(__AVX2__)
-  // Wide build: locate the insert position once, then run the vector gap
-  // kernel over both halves — the 4-wide scan amortizes the binary search.
-  size_t pos = LowerBound(a.start);
-  timeline_internal::GapScan(starts_.data(), ends_.data(), 0, pos, &cursor,
-                             &best);
-  best = std::max(best, a.start - cursor);
-  cursor = std::max(cursor, a.end);
-  timeline_internal::GapScan(starts_.data(), ends_.data(), pos, starts_.size(),
-                             &cursor, &best);
-#else
-  // Scalar build: fold the virtual entry into a single fused pass — a
-  // separate binary search costs as much as the scan itself on the short
-  // timelines one dataflow produces, and its branches don't predict.
+  // Fold the virtual entry into a single fused pass — a separate binary
+  // search costs as much as the scan itself on the short timelines one
+  // dataflow produces, and its branches don't predict.
   // `ss[i] >= a.start` first fires exactly at the lower-bound position, so
   // this folds the virtual entry where Insert would put it.
   const Seconds* ss = starts_.data();
@@ -390,7 +284,6 @@ inline Seconds Timeline::MaxGapWithInsert(const Assignment& a,
     best = std::max(best, a.start - cursor);
     cursor = std::max(cursor, a.end);
   }
-#endif
   Seconds lease_end =
       static_cast<double>(std::max<int64_t>(1, QuantaCeil(cursor, quantum))) *
       quantum;

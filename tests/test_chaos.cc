@@ -521,7 +521,6 @@ std::vector<ShardProfile> ShardProfiles() {
   fair.name = "4-tenants-4-shards-fair";
   fair.num_tenants = 4;
   fair.shards.num_shards = 4;
-  fair.shards.num_threads = 4;
   fair.shards.fairness.enabled = true;
   fair.shards.fairness.window_quanta = 4.0;
   fair.shards.fairness.max_puts_per_window = 8;

@@ -157,14 +157,13 @@ TEST_F(AdaptiveFadingTest, SparseButRegularUseSurvivesWithAdaptiveD) {
   EXPECT_FALSE(g_adaptive.deletable);
 }
 
-TEST_F(AdaptiveFadingTest, LearnedDClampedToConfiguredMax) {
+TEST_F(AdaptiveFadingTest, LearnedDClampedToMax) {
   Seconds now = 60000.0 * 60.0;
-  // Gaps of 1000 quanta: learned D clamps at adaptive_fading_max_quanta,
+  // Gaps of 1000 quanta: learned D clamps at kAdaptiveFadingMaxQuanta,
   // so truly abandoned indexes still fade out.
   auto h = SparseHistory(4, 1000.0, now, 1000.0);
   TunerOptions adaptive;
   adaptive.gain.adaptive_fading = true;
-  adaptive.gain.adaptive_fading_max_quanta = 50.0;
   OnlineIndexTuner learned(&catalog_, adaptive);
   IndexGains g = learned.EvaluateIndex("idx", h, nullptr, now);
   EXPECT_TRUE(g.deletable);

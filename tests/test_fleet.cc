@@ -214,14 +214,6 @@ TEST(AutoscalerOptionsTest, ValidationRejectsBadKnobs) {
   bad.grow_step = 0;
   EXPECT_FALSE(ValidateAutoscalerOptions(bad).ok());
 
-  bad = ok;
-  bad.backoff_initial_quanta = 0;
-  EXPECT_FALSE(ValidateAutoscalerOptions(bad).ok());
-
-  bad = ok;
-  bad.backoff_cap_quanta = bad.backoff_initial_quanta / 2;
-  EXPECT_FALSE(ValidateAutoscalerOptions(bad).ok());
-
   // Disabled autoscalers are never validated: the knobs are inert.
   bad.enabled = false;
   EXPECT_TRUE(ValidateAutoscalerOptions(bad).ok());

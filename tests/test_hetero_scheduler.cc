@@ -3,7 +3,6 @@
 #include <gtest/gtest.h>
 #include <map>
 
-#include "common/rng.h"
 #include "sched/skyline_scheduler.h"
 #include "sched_test_util.h"
 
@@ -113,66 +112,6 @@ TEST(HeteroSchedulerTest, MixedPoolBeatsSingleTypeOnAtLeastOneObjective) {
   ASSERT_TRUE(s.ok());
   EXPECT_LE(m->front().makespan(), s->front().makespan() + 1e-9);
   EXPECT_LE(m->back().money, s->back().money + 1e-9);
-}
-
-/// Random layered DAG for the parallel-equivalence sweep.
-Dag RandomLayered(int width, int depth, uint64_t seed) {
-  Rng rng(seed);
-  Dag g;
-  std::vector<std::vector<int>> layers;
-  for (int d = 0; d < depth; ++d) {
-    std::vector<int> layer;
-    for (int w = 0; w < width; ++w) {
-      Operator op;
-      op.time = rng.Uniform(10.0, 120.0);
-      layer.push_back(g.AddOperator(std::move(op)));
-    }
-    if (d > 0) {
-      for (int to : layer) {
-        for (int from : layers.back()) {
-          if (rng.Uniform() < 0.5) {
-            EXPECT_TRUE(g.AddFlow(from, to, rng.Uniform(0, 500.0)).ok());
-          }
-        }
-      }
-    }
-    layers.push_back(std::move(layer));
-  }
-  return g;
-}
-
-TEST(HeteroSchedulerTest, ParallelProbingIsBitIdenticalToSerial) {
-  // SchedulerOptions::num_threads > 1 routes candidate probing through the
-  // fork-join ProbePool; the resulting skyline must match the serial search
-  // exactly — same schedules, types, and money, bit for bit.
-  for (uint64_t seed : {1u, 7u, 23u, 91u}) {
-    Dag g = RandomLayered(4, 4, seed);
-    SchedulerOptions serial = Opts();
-    serial.num_threads = 1;
-    SchedulerOptions parallel = Opts();
-    parallel.num_threads = 4;
-    auto a = HeteroSkylineScheduler(serial, TwoTypes()).ScheduleDag(g, OpTimes(g));
-    auto b =
-        HeteroSkylineScheduler(parallel, TwoTypes()).ScheduleDag(g, OpTimes(g));
-    ASSERT_TRUE(a.ok());
-    ASSERT_TRUE(b.ok());
-    ASSERT_EQ(a->size(), b->size()) << "seed " << seed;
-    for (size_t i = 0; i < a->size(); ++i) {
-      const TypedSchedule& x = (*a)[i];
-      const TypedSchedule& y = (*b)[i];
-      EXPECT_EQ(x.money, y.money) << "seed " << seed;
-      EXPECT_EQ(x.container_type, y.container_type) << "seed " << seed;
-      ASSERT_EQ(x.schedule.assignments().size(), y.schedule.assignments().size());
-      for (size_t j = 0; j < x.schedule.assignments().size(); ++j) {
-        const Assignment& ax = x.schedule.assignments()[j];
-        const Assignment& ay = y.schedule.assignments()[j];
-        EXPECT_EQ(ax.op_id, ay.op_id);
-        EXPECT_EQ(ax.container, ay.container);
-        EXPECT_EQ(ax.start, ay.start);  // exact: no float tolerance
-        EXPECT_EQ(ax.end, ay.end);
-      }
-    }
-  }
 }
 
 }  // namespace

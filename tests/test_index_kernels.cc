@@ -1,6 +1,6 @@
 // Property tests for the cache-conscious index kernels (DESIGN.md §11):
-//  - the hybrid/unrolled (and, under DFIM_NATIVE, AVX2) intra-node search
-//    kernels return bit-identical indices to the naive scalar reference;
+//  - the hybrid/unrolled intra-node search kernels return bit-identical
+//    indices to the naive scalar reference;
 //  - the arena/SoA BPlusTree is structurally equivalent to the retained
 //    pointer-chasing BPlusTreeRef over seeded random Insert/BulkLoad
 //    histories (invariants, size/height/node_count, full ScanAll);

@@ -118,7 +118,6 @@ TEST(StorageIntegrityTest, UndetectedCorruptionDiesOnOverwriteOrDelete) {
 TEST(CorruptionDrawTest, TornWriteDeterministicAndRateScaled) {
   FaultOptions fo;
   fo.torn_write_rate = 0.2;
-  fo.torn_crash_multiplier = 4.0;
   fo.seed = 11;
   FaultModel a(fo);
   FaultModel b(fo);
@@ -194,12 +193,6 @@ TEST(IntegrityValidationTest, RejectsBadCorruptionKnobs) {
   FaultOptions rot_over;
   rot_over.bitrot_rate = 2.0;
   EXPECT_TRUE(ValidateFaultOptions(rot_over).IsInvalidArgument());
-
-  // A multiplier below 1 would make crash-interrupted persists *safer*.
-  FaultOptions mult;
-  mult.torn_write_rate = 0.5;
-  mult.torn_crash_multiplier = 0.5;
-  EXPECT_TRUE(ValidateFaultOptions(mult).IsInvalidArgument());
 }
 
 TEST(IntegrityValidationTest, RejectsBadIntegrityKnobs) {
@@ -226,10 +219,6 @@ TEST(IntegrityValidationTest, RejectsBadIntegrityKnobs) {
   IntegrityOptions neg_scrub;
   neg_scrub.scrub_objects_per_quantum = -1.0;
   EXPECT_TRUE(ValidateIntegrityOptions(neg_scrub).IsInvalidArgument());
-
-  IntegrityOptions neg_repairs;
-  neg_repairs.max_repairs_per_dataflow = -1;
-  EXPECT_TRUE(ValidateIntegrityOptions(neg_repairs).IsInvalidArgument());
 }
 
 // ---- Catalog: quarantine bookkeeping ---------------------------------------

@@ -358,7 +358,6 @@ TEST(RecoveryTest, ShardedRecoveryMatchesUncrashedAggregate) {
     so.faults.ctl_crash_rate = ctl_rate;
     ShardOptions shards;
     shards.num_shards = 2;
-    shards.num_threads = 2;
     shards.fairness.enabled = true;
     shards.fairness.window_quanta = 4.0;
     shards.fairness.max_puts_per_window = 8;

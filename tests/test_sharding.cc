@@ -97,9 +97,6 @@ TEST(ShardValidationTest, RejectsBadShardKnobs) {
   so.num_shards = 0;
   EXPECT_FALSE(ValidateShardOptions(so).ok());
   so = ShardOptions{};
-  so.num_threads = -1;
-  EXPECT_FALSE(ValidateShardOptions(so).ok());
-  so = ShardOptions{};
   so.fairness.enabled = true;
   so.fairness.window_quanta = 0;
   so.fairness.max_puts_per_window = 4;
@@ -262,7 +259,6 @@ TEST(ShardingTest, ShardCountInvariancePerTenantMetrics) {
 
 TEST(ShardingTest, RerunReproducibilityWithThreadsAndFairness) {
   ShardOptions so;
-  so.num_threads = 4;
   so.fairness.enabled = true;
   so.fairness.window_quanta = 4.0;
   so.fairness.max_puts_per_window = 8;
