@@ -556,8 +556,7 @@ int main(int argc, char** argv) {
         "\"dataflows_failed\": %d, \"dataflows_overran\": %d, "
         "\"dataflows_shed\": %d,\n"
         "     \"goodput\": %d, \"builds_shed\": %d, "
-        "\"dataflow_batches\": %lld, \"batched_dataflows\": %lld, "
-        "\"gate_puts\": %lld,\n"
+        "\"dataflow_batches\": %lld, \"batched_dataflows\": %lld,\n"
         // Run fails on any tenant's ledger slack, so both slacks are zero.
         "     \"total_vm_quanta\": %lld, \"queue_delay_quanta\": %.2f, "
         "\"accounting_slack\": 0, \"tenant_slack\": 0,\n"
@@ -569,7 +568,6 @@ int main(int argc, char** argv) {
         m.dataflows_shed, cur.goodput, m.builds_shed,
         static_cast<long long>(m.dataflow_batches),
         static_cast<long long>(m.batched_dataflows),
-        static_cast<long long>(m.gate_puts),
         static_cast<long long>(m.total_vm_quanta), m.queue_delay_quanta,
         cur.sum_identity ? "true" : "false", invariant ? "true" : "false");
     json += buf;

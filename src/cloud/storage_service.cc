@@ -42,9 +42,9 @@ int64_t StorageService::Put(const std::string& path, MegaBytes size,
   Settle(now);
   auto it = objects_.find(path);
   if (it != objects_.end()) {
-    // Idempotent replay: the same logical write already landed (hedged
-    // persist double-landing). Nothing changes — same generation, same
-    // content, same stamps.
+    // Idempotent replay: the same logical write already landed (a journal
+    // recovery re-issuing an in-flight persist). Nothing changes — same
+    // generation, same content, same stamps.
     if (stamp.token != 0 && stamp.token == it->second.token) {
       return it->second.generation;
     }

@@ -44,7 +44,8 @@ struct PutStamp {
   Seconds rot_at = kNeverFails;
   /// Idempotency token (0 = none): a Put replaying the token currently
   /// recorded on the object is a no-op at the same generation, so a
-  /// hedge-then-primary double landing never bumps the generation.
+  /// journal replay of an already-landed persist never bumps the
+  /// generation.
   uint64_t token = 0;
 };
 

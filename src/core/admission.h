@@ -2,7 +2,6 @@
 #define DFIM_CORE_ADMISSION_H_
 
 #include <deque>
-#include <map>
 #include <string>
 
 #include "core/service_metrics.h"
@@ -14,9 +13,6 @@ namespace dfim {
 enum class ShedPolicy {
   /// Drop the arriving dataflow (classic tail drop).
   kRejectNewest,
-  /// Drop the pending dataflow with the largest estimated makespan
-  /// (including the arrival itself) — protects cheap work under overload.
-  kRejectByCost,
   /// Tail-drop on a full queue, plus an early drop at dequeue time of any
   /// dataflow that can no longer meet its deadline even if started
   /// immediately (requires `slo_factor` > 0).
@@ -42,24 +38,7 @@ struct AdmissionOptions {
   /// suffix. -1 = unlimited (the per-dataflow max_recovery_attempts still
   /// applies either way).
   int retry_budget = -1;
-  /// Feed observed makespans back into the admission estimate: a per-app-
-  /// family EWMA of observed/critical-path ratios scales the bare
-  /// `CriticalPath()` bound used by kRejectByCost ordering and the
-  /// kDeadlineInfeasible dequeue check. Deadlines themselves stay pinned to
-  /// the raw critical path (the SLO contract does not drift with the
-  /// correction). 0 disables feedback (estimates bit-identical to before).
-  /// The correction applies only once a family has kEstimateEwmaWarmup
-  /// observations.
-  double estimate_ewma_alpha = 0;
 };
-
-/// Observations required per app family before the EWMA correction is
-/// applied. The ratio starts at a prior of 1.0 and blends every observation
-/// in, but the estimate stays the raw critical path until the family has
-/// this many samples — a cold first run (no indexes built yet) would
-/// otherwise seed an inflated ratio that sheds every later arrival and
-/// starves the feedback loop of further observations.
-inline constexpr int kEstimateEwmaWarmup = 3;
 
 /// \brief Pressure-based brownout of optional index builds.
 ///
@@ -73,14 +52,6 @@ struct BrownoutOptions {
   double pressure_lo_quanta = 0;
   /// Pressure at which tuning shuts off entirely; <= 0 disables brownout.
   double pressure_hi_quanta = 0;
-  /// Smoothed pressure signal: when > 0, pressure is an EWMA of the pending
-  /// queue *length* sampled at every arrival and dequeue event instead of
-  /// the per-dequeue queue delay — the smoothed signal rises as soon as the
-  /// queue starts growing, so brownout reacts before the first delayed
-  /// dataflow. The lo/hi thresholds are then read in queue entries rather
-  /// than delay quanta. 0 (default) keeps the delay signal bit-identical to
-  /// before.
-  double queue_ewma_alpha = 0;
 };
 
 /// Brownout re-enable threshold as a fraction of pressure_lo_quanta.
@@ -127,18 +98,14 @@ struct PendingDataflow {
   Dataflow df;
   Seconds arrival = 0;
   /// Makespan estimate used for admission decisions: the DAG critical
-  /// path, scaled by the app family's observed EWMA ratio when
-  /// estimate_ewma_alpha > 0.
+  /// path.
   Seconds estimate = 0;
-  /// Raw critical-path bound (feeds the EWMA ratio after execution).
-  Seconds raw_estimate = 0;
-  /// Absolute deadline (0 = none); always off the raw estimate.
+  /// Absolute deadline (0 = none).
   Seconds deadline = 0;
 };
 
 /// \brief The admission loop's policy state, carved out of the service:
-/// the bounded pending queue with shed policies, the per-family makespan-
-/// estimate EWMA, the smoothed queue-pressure signal, and the brownout
+/// the bounded pending queue with its shed policy and the brownout
 /// hysteresis. One controller per tenant — its state is part of the
 /// tenant's isolation unit in the sharded service.
 class AdmissionController {
@@ -151,46 +118,15 @@ class AdmissionController {
   void Admit(Dataflow df, std::deque<PendingDataflow>* queue,
              ServiceMetrics* metrics);
 
-  /// Folds one queue-length observation into the smoothed pressure signal
-  /// (no-op when brownout.queue_ewma_alpha == 0). Sampled at every arrival
-  /// (Admit) and dequeue event.
-  void SampleQueuePressure(int queue_len);
-
-  /// Admission estimate for `app`: `raw` scaled by the family's observed
-  /// EWMA makespan/critical-path ratio (identity until the family has
-  /// kEstimateEwmaWarmup observations).
-  Seconds CorrectedEstimate(AppType app, Seconds raw) const;
-
-  /// Folds one observed (makespan, critical path) pair into the family's
-  /// EWMA ratio (no-op when estimate_ewma_alpha == 0).
-  void ObserveMakespan(AppType app, Seconds raw_estimate, Seconds observed);
-
   /// Brownout knob from queue pressure (quanta), with hysteresis.
   double BuildFraction(double pressure_quanta);
-
-  /// The family's warmed EWMA ratio (kEstimateEwmaWarmup observations or
-  /// more); false while cold. Drives the adaptive speculation watermark.
-  bool WarmRatio(AppType app, double* ratio) const;
-
-  /// Smoothed queue-length pressure (brownout.queue_ewma_alpha > 0 only).
-  double queue_ewma() const { return queue_ewma_; }
 
  private:
   AdmissionOptions admission_;
   BrownoutOptions brownout_;
-  /// Per-app-family EWMA of observed makespan / critical-path ratios
-  /// (estimate_ewma_alpha > 0 only). The ratio blends from a prior of 1.0;
-  /// `count` gates application behind kEstimateEwmaWarmup.
-  struct EwmaState {
-    double ratio = 1.0;
-    int count = 0;
-  };
-  std::map<AppType, EwmaState> ewma_ratio_;
   /// Brownout hysteresis: true once pressure crossed pressure_hi_quanta,
   /// until it falls below pressure_lo_quanta x kBrownoutResumeFraction.
   bool brownout_off_ = false;
-  /// Smoothed queue-length pressure, updated at every arrival and dequeue.
-  double queue_ewma_ = 0;
 };
 
 }  // namespace dfim

@@ -87,16 +87,6 @@ uint64_t RecordChecksum(const JournalRecord& rec, uint64_t payload_digest) {
 
 }  // namespace
 
-Status ValidateJournalOptions(const JournalOptions& opts) {
-  if (!opts.enabled) return Status::OK();
-  if (opts.max_resume_attempts < 1) {
-    return Status::InvalidArgument(
-        "journal.max_resume_attempts must be >= 1 when the journal is "
-        "enabled");
-  }
-  return Status::OK();
-}
-
 JournalRecord Journal::MakeRecord(JournalRecordType type, StageBoundary stage,
                                   int64_t bytes, uint64_t payload_digest) {
   JournalRecord rec;
@@ -160,8 +150,6 @@ std::shared_ptr<const ServiceSnapshot> Journal::Recover() {
   std::shared_ptr<const ServiceSnapshot> snap = snapshot_;
   snapshot_ = nullptr;
   ++generation_;
-  // Replay consumes recorded gate outcomes from the top.
-  RewindGateLog();
   // Re-seat the restored state as a fresh snapshot under the new
   // generation: a second crash during replay recovers from the same point.
   CommitSnapshot(ServiceSnapshot(*snap));

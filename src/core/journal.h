@@ -31,14 +31,12 @@ namespace dfim {
 /// — a crash without a journal would simply lose the run.
 struct JournalOptions {
   bool enabled = false;
-  /// Consecutive recoveries allowed without completing an iteration before
-  /// further crash injection is suppressed (fail open: the run terminates
-  /// instead of crash-looping forever under ctl_crash_rate = 1).
-  int max_resume_attempts = 8;
 };
 
-/// Rejects a non-positive resume bound while the journal is enabled.
-Status ValidateJournalOptions(const JournalOptions& opts);
+/// Consecutive recoveries allowed without completing an iteration before
+/// further crash injection is suppressed (fail open: the run terminates
+/// instead of crash-looping forever under ctl_crash_rate = 1).
+inline constexpr int kMaxResumeAttempts = 8;
 
 /// \brief What a journal record describes.
 enum class JournalRecordType {
@@ -137,8 +135,7 @@ struct RepairEntry {
 /// a field added here is journaled by construction. Deliberately *not*
 /// journaled (they live on QaasService): the stage-boundary counter (a
 /// directed crash must fire exactly once), the consecutive-resume count
-/// (the fail-open bound spans recoveries), the `recovering_` flag, and the
-/// cross-shard gate pointer/shard (wiring, not state).
+/// (the fail-open bound spans recoveries) and the `recovering_` flag.
 struct ControlState {
   ControlState() = default;
   explicit ControlState(uint64_t seed) : rng(seed) {}
@@ -160,8 +157,7 @@ struct ControlState {
   /// the current ladder rung in quanta (0 = ladder reset).
   Seconds acquire_backoff_until = 0;
   double acquire_backoff_quanta = 0;
-  /// Queue pressure of the most recent dequeue (the autoscaler signal when
-  /// the smoothed EWMA is off).
+  /// Queue pressure of the most recent dequeue (the autoscaler signal).
   double last_pressure = 0;
 
   // --- overload ---
@@ -283,32 +279,6 @@ class Journal {
   /// null when there is nothing to recover from (or the checksum fails).
   std::shared_ptr<const ServiceSnapshot> Recover();
 
-  /// \name Gate-outcome log (exactly-once external arbitration)
-  /// The cross-shard persist gate is shared state the journal cannot
-  /// restore, so its answers are recorded positionally per iteration: the
-  /// first execution consults the gate live and records each delay; a
-  /// replay consumes the recorded outcomes instead of re-consulting (the
-  /// pre-crash call already reserved the slot). Reset at each pre-execute
-  /// commit; rewound (not cleared) on recovery.
-  /// @{
-  void ResetGateLog() {
-    gate_log_.clear();
-    gate_pos_ = 0;
-  }
-  void RewindGateLog() { gate_pos_ = 0; }
-  /// Consumes the next recorded outcome; false when the log is exhausted
-  /// (the caller consults the gate live and records the answer).
-  bool NextGateOutcome(Seconds* delay) {
-    if (gate_pos_ >= gate_log_.size()) return false;
-    *delay = gate_log_[gate_pos_++];
-    return true;
-  }
-  void RecordGateOutcome(Seconds delay) {
-    gate_log_.push_back(delay);
-    gate_pos_ = gate_log_.size();
-  }
-  /// @}
-
   const JournalLedger& ledger() const { return ledger_; }
   JournalLedger* mutable_ledger() { return &ledger_; }
 
@@ -340,8 +310,6 @@ class Journal {
   std::shared_ptr<const ServiceSnapshot> snapshot_;
   JournalRecord snapshot_record_;
   std::vector<JournalRecord> records_;
-  std::vector<Seconds> gate_log_;
-  size_t gate_pos_ = 0;
 };
 
 }  // namespace dfim

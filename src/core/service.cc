@@ -115,11 +115,8 @@ QaasService::FleetPlan QaasService::PrepareFleet(Seconds now,
     // baseline pays for its lulls.
     if (opts_.autoscaler.keep_alive) fleet_.KeepAlive(now);
     // Policy step: move the target with the queue-pressure signal (the
-    // smoothed EWMA when on — it rises before the first delayed dataflow —
-    // the per-dequeue delay otherwise).
-    const double signal = opts_.brownout.queue_ewma_alpha > 0
-                              ? admission_.queue_ewma()
-                              : state_.last_pressure;
+    // head's queue delay at the latest dequeue).
+    const double signal = state_.last_pressure;
     const int prev = state_.fleet_target;
     if (signal >= opts_.autoscaler.grow_pressure) {
       state_.fleet_target =
@@ -284,11 +281,6 @@ uint64_t PersistKey(const std::string& index_id, int partition, int retry) {
   return h * 0x100000001b3ULL;
 }
 
-/// Salt for the hedged duplicate of a persist attempt — its fault draw must
-/// be independent of the primary's. Bit 60 keeps it disjoint from the
-/// simulator's read-hedge (bit 62) and clone (bit 61) salts.
-constexpr uint64_t kPersistHedgeBit = 1ULL << 60;
-
 /// History list capacity (older records fade to ~0 anyway).
 constexpr size_t kMaxHistory = 256;
 
@@ -397,6 +389,7 @@ void QaasService::VerifyIndexBindings(TunerDecision* decision, Seconds now,
   // mirror: replay must not clamp to the inflated post-crash clock.
   now = std::max(now, BillingClock());
   BumpClockMirror(now);
+  const Seconds read_at = ReplayClamp(now);
   // One verdict per distinct index the decision binds: every built partition
   // must pass both the checksum and the expected-generation check. The op
   // granularity is the index — a dataflow op cannot read half an index.
@@ -414,7 +407,7 @@ void QaasService::VerifyIndexBindings(TunerDecision* decision, Seconds now,
         if (!(*state)->part(i).built) continue;
         const int64_t expect = (*state)->part(i).generation;
         const std::string path = (*def)->PartitionPath(static_cast<int>(i));
-        VerifyResult vr = storage_.VerifyRead(path, now);
+        VerifyResult vr = storage_.VerifyRead(path, read_at);
         bool bad = false;
         if (vr == VerifyResult::kCorrupt) {
           ++metrics->corruptions_detected_on_read;
@@ -478,7 +471,9 @@ void QaasService::RunScrub(Seconds now, ServiceMetrics* metrics) {
     state_.scrub_cursor = path;
     state_.scrub_credit -= 1.0;
     ++metrics->scrub_reads;
-    if (storage_.VerifyRead(path, now) != VerifyResult::kCorrupt) continue;
+    if (storage_.VerifyRead(path, ReplayClamp(now)) != VerifyResult::kCorrupt) {
+      continue;
+    }
     ++metrics->corruptions_detected_by_scrub;
     // Index-partition paths are "<index id>/p.<pid>": quarantine the
     // catalog partition when the object still backs a built one.
@@ -639,7 +634,7 @@ Result<QaasService::RunOutcome> QaasService::StartRun(
   // crash past this point resumes from here — the A-phase (whose scrub
   // verifies and quarantine deletes already happened) never re-runs. One
   // execution covers the whole batch (the head member keys the fault draws
-  // and the adaptive speculation watermark in FinishRun).
+  // in FinishRun).
   in_flight_ = InFlightDecision{std::move(decision), fleet_plan.wait};
   if (JournalOn()) {
     journal_.AppendStage(
@@ -721,8 +716,6 @@ Result<QaasService::RunOutcome> QaasService::FinishRun(
   for (const auto& m : batch) {
     metrics->queue_delay_quanta += (start - m.arrival) / quantum;
     if (exec.failed) continue;
-    // Feed the realized makespan back into the family's estimate ratio.
-    admission_.ObserveMakespan(m.df.app, m.raw_estimate, finish - start);
     if (finish <= opts_.total_time) {
       ++metrics->dataflows_finished;
     } else {
@@ -834,17 +827,6 @@ Result<QaasService::ExecOutcome> QaasService::ExecuteDecision(
         }
       }
       fi.spec = opts_.speculation;
-      // Adaptive straggler watermark: a family that systematically runs
-      // slower than its critical path (the PR 4 admission EWMA, warmup-
-      // gated) gets a proportionally laxer threshold, so structural
-      // slowness stops masquerading as straggling. Never tightens below
-      // the configured floor.
-      if (fi.spec.speculate && fi.spec.adaptive_spec_threshold) {
-        double ratio = 1.0;
-        if (admission_.WarmRatio(df.app, &ratio)) {
-          fi.spec.spec_slowdown_threshold *= std::max(1.0, ratio);
-        }
-      }
       // Breaker coordination: a hedge is an extra storage request, and
       // piling duplicates onto a store that already tripped the breaker
       // would double-trip it — suppress hedging while the breaker is open.
@@ -910,9 +892,8 @@ Result<QaasService::ExecOutcome> QaasService::ExecuteDecision(
         container_died |= c == b.container;
       }
       // Which retry round landed the persist (its draws key the integrity
-      // stamps), and whether a hedged duplicate double-landed.
+      // stamps).
       int landed_attempt = 0;
-      bool double_landed = false;
       if (inject) {
         const bool breaker_on = opts_.breaker.open_after > 0;
         Seconds persist_at = start + elapsed + b.finish;
@@ -931,43 +912,14 @@ Result<QaasService::ExecOutcome> QaasService::ExecuteDecision(
         if (breaker_on && state_.breaker_state == BreakerState::kHalfOpen) {
           retries = 0;
         }
-        // Hedged persists (DESIGN.md §12): each round issues one duplicate
-        // under a salted key and proceeds if either lands. Only while the
-        // breaker is fully closed — an open breaker skips persists outright
-        // and a half-open probe must stay a single request.
-        const bool hedge_persist =
-            fi.spec.hedge_persists &&
-            (!breaker_on || state_.breaker_state == BreakerState::kClosed);
         bool persisted = false;
-        bool primary_ok = false;
         Seconds backoff = kPersistBackoffInitial;
         for (int r = 0; r <= retries; ++r) {
-          const uint64_t pkey = PersistKey(b.index_id, b.partition, r);
-          if (!fault_model.StorageOpFaults(fi.run_key, pkey)) {
+          if (!fault_model.StorageOpFaults(
+                  fi.run_key, PersistKey(b.index_id, b.partition, r))) {
             persisted = true;
-            primary_ok = true;
             landed_attempt = r;
-            if (hedge_persist) {
-              ++metrics->hedged_persists;
-              // The duplicate was issued concurrently; when it also lands,
-              // the double landing must be absorbed by the idempotency
-              // token below.
-              double_landed = !fault_model.StorageOpFaults(
-                  fi.run_key, pkey | kPersistHedgeBit);
-            }
             break;
-          }
-          if (hedge_persist) {
-            ++metrics->hedged_persists;
-            if (!fault_model.StorageOpFaults(fi.run_key,
-                                             pkey | kPersistHedgeBit)) {
-              // The hedge landed while the primary faulted: the persist
-              // succeeds, but the primary's fault still advances the
-              // breaker below.
-              persisted = true;
-              landed_attempt = r;
-              ++metrics->persist_hedge_wins;
-            }
           }
           ++metrics->storage_retries;
           if (breaker_on) {
@@ -983,16 +935,14 @@ Result<QaasService::ExecOutcome> QaasService::ExecuteDecision(
               break;
             }
           }
-          if (persisted) break;  // the hedge saved the round: no backoff
           if (r < retries) {
             persist_delay += backoff;
             backoff = std::min(backoff * 2.0, kPersistBackoffCap);
           }
         }
-        if (persisted && primary_ok && breaker_on) {
-          // A primary success closes the breaker (half-open probe) and
-          // resets the consecutive-fault count. A hedge win does not: it
-          // masked a primary fault, it did not disprove it.
+        if (persisted && breaker_on) {
+          // A success closes the breaker (half-open probe) and resets the
+          // consecutive-fault count.
           state_.breaker_faults = 0;
           state_.breaker_state = BreakerState::kClosed;
         }
@@ -1032,13 +982,12 @@ Result<QaasService::ExecOutcome> QaasService::ExecuteDecision(
                 PathHash(path), storage_.Generation(path) + 1, built_at,
                 sim.quantum, max_q);
           }
-          if (fi.spec.hedge_persists || JournalOn()) {
-            // Idempotency token: both landings of a hedged persist carry
-            // it, so a double landing is a no-op at the same generation.
-            // The journal sets it on *every* persist — recovery replay
-            // re-resolves in-flight persists exactly-once through it (a
-            // landing that survived the crash is acknowledged, never
-            // re-billed; one that did not is re-issued).
+          if (JournalOn()) {
+            // Idempotency token: the journal sets it on every persist —
+            // recovery replay re-resolves in-flight persists exactly-once
+            // through it (a landing that survived the crash is
+            // acknowledged, never re-billed; one that did not is
+            // re-issued).
             stamp.token =
                 PersistKey(b.index_id, b.partition, landed_attempt) | 1ULL;
           }
@@ -1048,29 +997,7 @@ Result<QaasService::ExecOutcome> QaasService::ExecuteDecision(
           // completion. Bill from the high-water mark, which is what
           // StorageService's settle clamp would do anyway, without tripping
           // the clock-regression counter.
-          Seconds persist_at = std::max(built_at, BillingClock());
-          // Cross-shard fairness gate (sharded service only): a hot shard's
-          // persists past its fair share are delayed to the next window,
-          // extending the dataflow's wall time like persist backoff does.
-          // Under the journal the gate — shared, unrestorable state — is
-          // consulted exactly once per logical persist: the first execution
-          // records each outcome, a recovery replay consumes the records.
-          if (persist_gate_ != nullptr) {
-            ++metrics->gate_puts;
-            Seconds gd = 0;
-            if (!JournalOn()) {
-              gd = persist_gate_->OnPersist(gate_shard_, persist_at);
-            } else if (!journal_.NextGateOutcome(&gd)) {
-              gd = persist_gate_->OnPersist(gate_shard_, persist_at);
-              journal_.RecordGateOutcome(gd);
-            }
-            if (gd > 0) {
-              ++metrics->gate_throttled;
-              metrics->gate_throttle_quanta += gd / sim.quantum;
-              persist_delay += gd;
-              persist_at += gd;
-            }
-          }
+          const Seconds persist_at = std::max(built_at, BillingClock());
           BumpClockMirror(persist_at);
           // Exactly-once replay accounting: a persist whose pre-crash
           // landing survives in storage dedupes by token (same generation,
@@ -1079,11 +1006,8 @@ Result<QaasService::ExecOutcome> QaasService::ExecuteDecision(
               storage_.TokenMatches(path, stamp.token)) {
             ++journal_.mutable_ledger()->persists_deduped;
           }
-          int64_t gen = storage_.Put(path, part.size, persist_at, stamp);
-          if (double_landed) {
-            storage_.Put(path, part.size, persist_at, stamp);
-            ++metrics->idempotent_replays;
-          }
+          int64_t gen =
+              storage_.Put(path, part.size, ReplayClamp(persist_at), stamp);
           (void)catalog_->SetPartitionGeneration(b.index_id, b.partition,
                                                  gen);
           last_persist = std::max(last_persist, persist_at);
@@ -1359,7 +1283,7 @@ bool QaasService::MaybeCtlCrash() {
   const uint64_t idx = static_cast<uint64_t>(ctl_boundary_counter_++);
   // Fail open: past the resume bound the run proceeds uncrashed until an
   // iteration completes, instead of crash-looping under ctl_crash_rate = 1.
-  if (resume_attempts_ >= opts_.journal.max_resume_attempts) return false;
+  if (resume_attempts_ >= kMaxResumeAttempts) return false;
   if (!provider_faults_.CtlCrashAt(idx)) return false;
   ++journal_.mutable_ledger()->ctl_crashes;
   return true;
@@ -1381,7 +1305,7 @@ void QaasService::StorageDelete(const std::string& path, Seconds at) {
 void QaasService::FlushStagedDeletes() {
   for (const auto& d : state_.staged_deletes) {
     if (storage_.Generation(d.path) == d.generation) {
-      storage_.Delete(d.path, d.at);
+      storage_.Delete(d.path, ReplayClamp(d.at));
     }
   }
   state_.staged_deletes.clear();
@@ -1428,7 +1352,6 @@ void QaasService::CommitJournal(ServiceSnapshot::Kind kind,
   // Group commit: the deferred destructive deletes apply first, so the
   // snapshot captures the post-flush storage view (staged list empty).
   FlushStagedDeletes();
-  if (kind == ServiceSnapshot::Kind::kPreExecute) journal_.ResetGateLog();
   journal_.CommitSnapshot(MakeSnapshot(kind, metrics));
 }
 
@@ -1480,7 +1403,6 @@ Result<ServiceMetrics> QaasService::Run(WorkloadClient* client) {
   DFIM_RETURN_NOT_OK(ValidateIntegrityOptions(opts_.integrity));
   DFIM_RETURN_NOT_OK(ValidateAutoscalerOptions(opts_.autoscaler));
   DFIM_RETURN_NOT_OK(ValidateBatchOptions(opts_.batch));
-  DFIM_RETURN_NOT_OK(ValidateJournalOptions(opts_.journal));
   if (opts_.faults.ctl_enabled() && !opts_.journal.enabled) {
     return Status::InvalidArgument(
         "control-plane crash injection (ctl_crash_rate / crash_at_boundary) "
@@ -1698,16 +1620,11 @@ Result<ServiceMetrics> QaasService::RunOpenLoop(WorkloadClient* client) {
       }
     }
 
-    double pressure = (start - batch.front().arrival) / quantum;
-    // The autoscaler signal when the EWMA is off.
+    // Queue pressure: the head's queue delay, read by the brownout knob
+    // here and by the autoscaler in PrepareFleet.
+    const double pressure = (start - batch.front().arrival) / quantum;
     state_.last_pressure = pressure;
-    admission_.SampleQueuePressure(static_cast<int>(queue.size()));
-    // Brownout signal: the smoothed queue length when enabled (it rises as
-    // soon as the queue grows, before any dataflow is actually delayed),
-    // the per-dequeue delay otherwise.
-    double fraction = admission_.BuildFraction(
-        opts_.brownout.queue_ewma_alpha > 0 ? admission_.queue_ewma()
-                                            : pressure);
+    double fraction = admission_.BuildFraction(pressure);
     ApplyDueUpdates(start, &metrics);
     loop.start = start;
     loop.build_fraction = fraction;

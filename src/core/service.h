@@ -1,6 +1,7 @@
 #ifndef DFIM_CORE_SERVICE_H_
 #define DFIM_CORE_SERVICE_H_
 
+#include <algorithm>
 #include <deque>
 #include <string>
 #include <vector>
@@ -71,9 +72,8 @@ Status ValidateIntegrityOptions(const IntegrityOptions& opts);
 ///
 /// Off by default: the fleet is effectively unbounded and the service's
 /// acquisition path is bit-identical to the fixed-fleet service. When on,
-/// the fleet target follows the queue-pressure signal (the smoothed queue
-/// EWMA when brownout.queue_ewma_alpha > 0, the per-dequeue delay
-/// otherwise): nearing brownout grows the fleet, slack shrinks it, and
+/// the fleet target follows the queue-pressure signal (the per-dequeue
+/// queue delay): nearing brownout grows the fleet, slack shrinks it, and
 /// containers above the target are drained — released before their lease
 /// renews idle. Requires admission.open_loop (the closed loop has no
 /// pressure signal to scale on).
@@ -85,9 +85,8 @@ struct AutoscalerOptions {
   int max_containers = 8;
   /// Starting fleet target (0 = min_containers).
   int initial_containers = 0;
-  /// Pressure at or above which the target grows by `grow_step` (read in
-  /// the same unit as the brownout thresholds: queue entries when the EWMA
-  /// signal is on, delay quanta otherwise).
+  /// Pressure at or above which the target grows by `grow_step` (queue
+  /// delay quanta, like the brownout thresholds).
   double grow_pressure = 2.0;
   int grow_step = 2;
   /// Pressure at or below which the target shrinks by one.
@@ -114,17 +113,6 @@ inline constexpr double kAcquireBackoffCapQuanta = 16.0;
 /// target outside [0, max], grow <= shrink pressure and a non-positive grow
 /// step. All checks gated on `enabled`.
 Status ValidateAutoscalerOptions(const AutoscalerOptions& opts);
-
-/// \brief Arbitration hook on the storage persist path: the sharded
-/// service's cross-shard fairness gate implements this to throttle a hot
-/// shard's puts against the shared backend. Returns the delay imposed on a
-/// persist landing at virtual time `at`. Implementations must be
-/// thread-safe across shards; calls from one shard are serialized.
-class PersistGate {
- public:
-  virtual ~PersistGate() = default;
-  virtual Seconds OnPersist(int shard, Seconds at) = 0;
-};
 
 /// \brief Service configuration (Table 3 defaults).
 struct ServiceOptions {
@@ -293,14 +281,6 @@ class QaasService {
     return state_.build_progress;
   }
 
-  /// Attaches the cross-shard fairness gate (sharded service only): every
-  /// persist this service lands is arbitrated by `gate` under `shard`'s
-  /// fair share. Null (the default) leaves the persist path untouched.
-  void set_persist_gate(PersistGate* gate, int shard) {
-    persist_gate_ = gate;
-    gate_shard_ = shard;
-  }
-
  private:
   /// Outcome of one dataflow execution (including recovery attempts).
   struct RunOutcome {
@@ -343,10 +323,9 @@ class QaasService {
 
   /// The recovery-capable execution loop of one decision: attempt 0 runs
   /// the chosen schedule, later attempts reschedule crash-lost suffixes;
-  /// persists (with retries, breaker, hedging, integrity stamps and the
-  /// cross-shard gate) land completed builds. `df` keys the fault draws
-  /// (batches use their head member) and the adaptive speculation
-  /// watermark; `initial_wait` is the fleet plan's boot/backoff wait.
+  /// persists (with retries, breaker and integrity stamps) land completed
+  /// builds. `df` keys the fault draws (batches use their head member);
+  /// `initial_wait` is the fleet plan's boot/backoff wait.
   Result<ExecOutcome> ExecuteDecision(TunerDecision* decision,
                                       const Dataflow& df, Seconds start,
                                       Seconds initial_wait,
@@ -460,6 +439,16 @@ class QaasService {
     return JournalOn() ? state_.storage_clock_mirror : storage_.last_billed();
   }
 
+  /// The instant a replayed storage call is issued at. Replay re-issues
+  /// verifies, persists and staged deletes at their journaled instants,
+  /// which lie below the surviving store's `last_billed()`; storage makes
+  /// no use of a time at or below that mark except to count a clock clamp,
+  /// so a recovering run issues them at the mark — the same rule as
+  /// SettleStorage — and reports the clamps its uncrashed twin does.
+  Seconds ReplayClamp(Seconds t) const {
+    return recovering_ ? std::max(t, storage_.last_billed()) : t;
+  }
+
   /// Advances the billing-clock mirror (monotone).
   void BumpClockMirror(Seconds t) {
     if (t > state_.storage_clock_mirror) state_.storage_clock_mirror = t;
@@ -482,7 +471,7 @@ class QaasService {
   /// Draws one control-plane crash at the current stage boundary. The
   /// boundary counter is monotone across recoveries (deliberately not
   /// restored — a directed crash fires exactly once); draws are suppressed
-  /// after max_resume_attempts consecutive resumes without a completed
+  /// after kMaxResumeAttempts consecutive resumes without a completed
   /// iteration (fail open, never a crash loop).
   bool MaybeCtlCrash();
 
@@ -528,14 +517,11 @@ class QaasService {
   /// The fleet authority: owns every container, the zero-slack acquisition
   /// ledger, and all charge/reap/release bookkeeping (DESIGN.md §13).
   Cluster fleet_;
-  /// The admission loop's policy state (shed policies, estimate EWMA,
-  /// smoothed pressure, brownout hysteresis) — the per-tenant carve-out.
+  /// The admission loop's policy state (shed policy, brownout hysteresis)
+  /// — the per-tenant carve-out.
   AdmissionController admission_;
   /// The journaled control state (see ControlState).
   ControlState state_;
-  /// Cross-shard fairness gate (null outside the sharded service).
-  PersistGate* persist_gate_ = nullptr;
-  int gate_shard_ = 0;
   /// \name Crash-consistent control-plane state (DESIGN.md §15)
   /// @{
   /// The write-ahead journal + snapshot layer (no-op when disabled).

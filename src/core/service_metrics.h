@@ -66,9 +66,6 @@ namespace dfim {
   X(int, repairs_scheduled)             \
   X(int, repairs_completed)             \
   X(int64_t, scrub_reads)               \
-  X(int, hedged_persists)               \
-  X(int, persist_hedge_wins)            \
-  X(int, idempotent_replays)            \
   X(int, containers_reaped)             \
   X(int, containers_drained)            \
   X(int, containers_preempted)          \
@@ -83,9 +80,6 @@ namespace dfim {
   X(double, boot_wait_quanta)           \
   X(int, dataflow_batches)              \
   X(int, batched_dataflows)             \
-  X(int64_t, gate_puts)                 \
-  X(int, gate_throttled)                \
-  X(double, gate_throttle_quanta)       \
   X(int64_t, ctl_crashes)               \
   X(int64_t, journal_records)           \
   X(int64_t, journal_bytes)             \
@@ -222,18 +216,6 @@ struct ServiceMetrics {
   /// member count).
   int batched_dataflows = 0;
   /// @}
-  /// \name Cross-shard fairness gate (zero without an attached gate).
-  /// Zero-slack identity: summed over every tenant of a sharded run,
-  /// gate_puts and gate_throttled equal the gate's own totals, and
-  /// gate_throttled <= gate_puts.
-  /// @{
-  /// Persists arbitrated by the cross-shard gate.
-  int64_t gate_puts = 0;
-  /// Persists the gate delayed past their landing instant.
-  int gate_throttled = 0;
-  /// Total delay (quanta) the gate imposed on this tenant's persists.
-  double gate_throttle_quanta = 0;
-  /// @}
   /// \name Integrity accounting (DESIGN.md §12; all zero with the knobs
   /// off). Zero-slack corruption ledger, harvested from the storage service
   /// at the end of the run:
@@ -270,13 +252,6 @@ struct ServiceMetrics {
   int repairs_completed = 0;
   /// Objects verified by the background scrub.
   int64_t scrub_reads = 0;
-  /// Persist attempts that issued a hedged duplicate, and how many times
-  /// the hedge landed while the primary faulted.
-  int hedged_persists = 0;
-  int persist_hedge_wins = 0;
-  /// Double-landed hedged persists absorbed by the idempotency token (the
-  /// second Put was a no-op at the same generation).
-  int idempotent_replays = 0;
   /// @}
   /// \name Elastic fleet & provider faults (DESIGN.md §13; all zero with
   /// the knobs off). The ledger-derived counters are harvested absolute

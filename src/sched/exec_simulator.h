@@ -81,21 +81,8 @@ struct SpeculationOptions {
   /// is an *extra* request, and piling duplicates onto a store that is
   /// already tripping the breaker would double-trip it.
   bool suppress_hedges = false;
-  /// Hedge the *persist* (Put) path too: a persist attempt whose primary
-  /// draw faults gets one duplicate attempt under a salted key, and both
-  /// carry the same idempotency token so a double landing is a no-op at the
-  /// same storage generation (DESIGN.md §12). Suppressed while the storage
-  /// circuit breaker is open, like read hedges.
-  bool hedge_persists = false;
-  /// Adaptive straggler watermark: scale `spec_slowdown_threshold` by the
-  /// op's app family's observed/critical-path EWMA ratio (the PR 4
-  /// admission machinery), warmup-gated like `estimate_ewma_alpha`. A
-  /// family that systematically runs slower than its critical path gets a
-  /// laxer watermark, so structural slowness stops masquerading as
-  /// straggling. Off (default) keeps the fixed threshold bit-identical.
-  bool adaptive_spec_threshold = false;
 
-  bool enabled() const { return speculate || hedge_reads || hedge_persists; }
+  bool enabled() const { return speculate || hedge_reads; }
 };
 
 /// Rejects `spec_slowdown_threshold <= 1` (speculation on) and

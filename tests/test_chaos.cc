@@ -79,16 +79,16 @@ std::vector<ControlProfile> ControlProfiles() {
   tail.admission.retry_budget = 4;
   out.push_back(tail);
 
-  ControlProfile cost;
-  cost.name = "cost-drop+brownout+breaker";
-  cost.admission.open_loop = true;
-  cost.admission.max_queue = 4;
-  cost.admission.shed = ShedPolicy::kRejectByCost;
-  cost.brownout.pressure_lo_quanta = 0.5;
-  cost.brownout.pressure_hi_quanta = 3.0;
-  cost.breaker.open_after = 3;
-  cost.breaker.open_duration = 240.0;
-  out.push_back(cost);
+  ControlProfile small;
+  small.name = "short-queue+brownout+breaker";
+  small.admission.open_loop = true;
+  small.admission.max_queue = 4;
+  small.admission.shed = ShedPolicy::kRejectNewest;
+  small.brownout.pressure_lo_quanta = 0.5;
+  small.brownout.pressure_hi_quanta = 3.0;
+  small.breaker.open_after = 3;
+  small.breaker.open_duration = 240.0;
+  out.push_back(small);
 
   ControlProfile full;
   full.name = "deadline-drop+everything";
@@ -198,7 +198,11 @@ std::vector<RecoveryProfile> RecoveryProfiles() {
   RecoveryProfile on;
   on.name = "journal+ctl-crashes";
   on.journal.enabled = true;
-  on.ctl_crash_rate = 0.02;
+  // High enough that most configs of the recovery sweep crash: crash draws
+  // are keyed by (fault seed, boundary index) only, so configs sharing a
+  // fault profile share one crash sequence and a low rate crashes only the
+  // longest runs.
+  on.ctl_crash_rate = 0.1;
   out.push_back(on);
   return out;
 }
@@ -304,9 +308,8 @@ void CheckInvariants(const ChaosRun& run, const std::string& label,
   EXPECT_LE(m.containers_drained, m.containers_reaped) << label;
   EXPECT_LE(m.containers_reaped + m.containers_preempted, m.fleet_granted)
       << label;
-  // (2d) Integrity: hedge wins are a subset of hedged persists, and with
-  // the corruption knobs at zero the whole layer is unobservable.
-  EXPECT_LE(m.persist_hedge_wins, m.hedged_persists) << label;
+  // (2d) Integrity: with the corruption knobs at zero the whole layer is
+  // unobservable.
   if (ip.torn_write_rate == 0 && ip.bitrot_rate == 0 &&
       !ip.integrity.verify_reads &&
       ip.integrity.scrub_objects_per_quantum == 0) {
@@ -432,7 +435,7 @@ TEST(ChaosTest, RecoveryAxisInvariantsHoldAcrossSweep) {
   const auto ip = IntegrityProfiles()[1];    // corruption + verify/scrub
   const auto rp = RecoveryProfiles()[1];     // journal + ctl crashes
   int configs = 0;
-  int64_t crashes = 0;
+  int crashed_configs = 0;
   for (uint64_t seed : {1u, 2u, 3u}) {
     for (const auto& fp : faults) {
       for (const auto& cp : controls) {
@@ -445,14 +448,14 @@ TEST(ChaosTest, RecoveryAxisInvariantsHoldAcrossSweep) {
         // recovery counters must also agree with each other.
         EXPECT_EQ(run.metrics.ctl_crashes, run.metrics.replayed_records)
             << label << ": every crash consumes exactly one snapshot";
-        crashes += run.metrics.ctl_crashes;
+        if (run.metrics.ctl_crashes > 0) ++crashed_configs;
         ++configs;
       }
     }
   }
   EXPECT_EQ(configs, 36);
-  // The axis is live: the hazard actually crashed some control planes.
-  EXPECT_GT(crashes, 0);
+  // The axis is live: the hazard crashed most of the control planes.
+  EXPECT_GE(crashed_configs, configs / 2);
 }
 
 TEST(ChaosTest, EachSeedReproducesBitIdentically) {
@@ -517,14 +520,11 @@ std::vector<ShardProfile> ShardProfiles() {
   batched.batch.window_quanta = 5.0;
   out.push_back(batched);
 
-  ShardProfile fair;
-  fair.name = "4-tenants-4-shards-fair";
-  fair.num_tenants = 4;
-  fair.shards.num_shards = 4;
-  fair.shards.fairness.enabled = true;
-  fair.shards.fairness.window_quanta = 4.0;
-  fair.shards.fairness.max_puts_per_window = 8;
-  out.push_back(fair);
+  ShardProfile wide;
+  wide.name = "4-tenants-4-shards";
+  wide.num_tenants = 4;
+  wide.shards.num_shards = 4;
+  out.push_back(wide);
   return out;
 }
 
@@ -594,8 +594,6 @@ TEST(ChaosTest, ShardedInvariantsHoldAcrossSweep) {
   }
           DFIM_MIRRORED_COUNTERS(DFIM_CHAOS_SUM)
 #undef DFIM_CHAOS_SUM
-          EXPECT_EQ(svc.gate() != nullptr, shp.shards.fairness.enabled)
-              << label;
           ++configs;
         }
       }

@@ -38,7 +38,7 @@ TEST(StorageIntegrityTest, GenerationBumpsAndTokenReplayIsNoOp) {
   PutStamp tok;
   tok.token = 0x5eed;
   EXPECT_EQ(s.Put("a", 10, 2.0, tok), 3);
-  // The duplicate of an already-landed hedged persist: same token, no bump,
+  // A replay of an already-landed persist: same token, no bump,
   // no billing or ledger side effects.
   EXPECT_EQ(s.Put("a", 10, 3.0, tok), 3);
   EXPECT_EQ(s.Generation("a"), 3);
@@ -367,9 +367,6 @@ TEST(ServiceIntegrityTest, ZeroKnobsLeaveEveryIntegrityCounterZero) {
   EXPECT_EQ(m.repairs_scheduled, 0);
   EXPECT_EQ(m.repairs_completed, 0);
   EXPECT_EQ(m.scrub_reads, 0);
-  EXPECT_EQ(m.hedged_persists, 0);
-  EXPECT_EQ(m.persist_hedge_wins, 0);
-  EXPECT_EQ(m.idempotent_replays, 0);
   EXPECT_TRUE(f.catalog.quarantined().empty());
 }
 
@@ -468,21 +465,6 @@ TEST(ServiceIntegrityTest, QuarantineWithoutRepairDegradesButStaysHonest) {
   // Repairs-completed can still tick: the tuner may *naturally* rebuild a
   // quarantined partition it finds beneficial; the quarantine ledger `Run`
   // checks counts any build that lifts a quarantine.
-}
-
-TEST(ServiceIntegrityTest, HedgedPersistsUseIdempotencyTokens) {
-  FaultOptions fo = CorruptionFaults(0.1, 0.0);
-  fo.storage_fault_rate = 0.3;  // make primaries fault so hedges fire
-  SpeculationOptions spec;
-  spec.hedge_persists = true;
-  IntegrityFixture f(fo, FullIntegrity(), spec);
-  ServiceMetrics m = f.RunMontage();
-  EXPECT_GT(m.dataflows_finished, 0);
-  EXPECT_GT(m.hedged_persists, 0);
-  // Hedge wins mask primary faults; replays are the double landings the
-  // token absorbed. Both are subsets of issued hedges.
-  EXPECT_LE(m.persist_hedge_wins, m.hedged_persists);
-  EXPECT_LE(m.idempotent_replays, m.hedged_persists);
 }
 
 TEST(ServiceIntegrityTest, ServiceRejectsBadKnobsAtEntry) {

@@ -119,8 +119,8 @@ TEST(OverloadTest, BoundedQueueShedsAndRespectsCapacity) {
 }
 
 TEST(OverloadTest, AllShedPoliciesKeepTheIdentity) {
-  for (ShedPolicy policy : {ShedPolicy::kRejectNewest, ShedPolicy::kRejectByCost,
-                            ShedPolicy::kDeadlineInfeasible}) {
+  for (ShedPolicy policy :
+       {ShedPolicy::kRejectNewest, ShedPolicy::kDeadlineInfeasible}) {
     ServiceOptions so = BaseOptions();
     so.admission.max_queue = 3;
     so.admission.shed = policy;
@@ -169,58 +169,6 @@ TEST(OverloadTest, BrownoutShedsBuildsUnderPressure) {
   EXPECT_LE(with.index_partitions_built, without.index_partitions_built);
 }
 
-TEST(OverloadTest, EwmaQueuePressureShedsBuildsUnderLoad) {
-  // Smoothed queue-length pressure: thresholds are read in queue entries.
-  // Under sustained overload the EWMA crosses hi and brownout sheds builds,
-  // with the accounting identity and catalog consistency intact.
-  ServiceOptions so = BaseOptions();
-  so.brownout.queue_ewma_alpha = 0.5;
-  so.brownout.pressure_lo_quanta = 0.2;  // entries, with alpha > 0
-  so.brownout.pressure_hi_quanta = 1.5;
-  OverloadFixture f(so);
-  ServiceMetrics m = f.Run(Arrivals(15.0));
-  EXPECT_GT(m.builds_shed, 0);
-}
-
-TEST(OverloadTest, EwmaQueuePressureIsDeterministic) {
-  auto run = [] {
-    ServiceOptions so = BaseOptions();
-    so.brownout.queue_ewma_alpha = 0.3;
-    so.brownout.pressure_lo_quanta = 0.2;
-    so.brownout.pressure_hi_quanta = 1.5;
-    OverloadFixture f(so);
-    return f.Run(Arrivals(15.0));
-  };
-  ServiceMetrics a = run();
-  ServiceMetrics b = run();
-  EXPECT_EQ(a.builds_shed, b.builds_shed);
-  EXPECT_EQ(a.dataflows_finished, b.dataflows_finished);
-  EXPECT_EQ(a.total_vm_quanta, b.total_vm_quanta);
-  EXPECT_EQ(a.queue_delay_quanta, b.queue_delay_quanta);  // bit-identical
-}
-
-TEST(OverloadTest, EwmaAlphaZeroBitIdenticalToDelayPressure) {
-  // alpha = 0 must leave the delay-based brownout signal untouched: the
-  // sampling hook is a no-op and every metric matches a run that never set
-  // the knob (the pre-EWMA configuration).
-  auto run = [](bool set_alpha) {
-    ServiceOptions so = BaseOptions();
-    so.brownout.pressure_lo_quanta = 0.5;
-    so.brownout.pressure_hi_quanta = 3.0;
-    if (set_alpha) so.brownout.queue_ewma_alpha = 0.0;
-    OverloadFixture f(so);
-    return f.Run(Arrivals(15.0));
-  };
-  ServiceMetrics plain = run(false);
-  ServiceMetrics zeroed = run(true);
-  EXPECT_GT(plain.builds_shed, 0);
-  EXPECT_EQ(plain.builds_shed, zeroed.builds_shed);
-  EXPECT_EQ(plain.dataflows_finished, zeroed.dataflows_finished);
-  EXPECT_EQ(plain.total_vm_quanta, zeroed.total_vm_quanta);
-  EXPECT_EQ(plain.queue_delay_quanta, zeroed.queue_delay_quanta);
-  EXPECT_EQ(plain.storage_cost, zeroed.storage_cost);  // bit-identical
-}
-
 TEST(OverloadTest, BreakerOpensAndCutsRetryTraffic) {
   // storage_fault_rate = 1.0: every Put attempt faults, so without the
   // breaker every build burns the full retry ladder (max_retries + 1 draws);
@@ -263,40 +211,6 @@ TEST(OverloadTest, RetryBudgetCapsFleetWideRecovery) {
   EXPECT_EQ(unlimited.retries_denied, 0);
   EXPECT_GT(capped.retries_denied, 0);
   EXPECT_LE(capped.recovery_quanta, unlimited.recovery_quanta);
-}
-
-TEST(OverloadTest, EwmaFeedbackCutsWrongSideAdmissions) {
-  // In this fixture the bare critical-path estimate is *conservative* in
-  // steady state: execution overlaps the transfers the critical path
-  // serializes, and built indexes shorten ops below their estimates, so
-  // observed/critical-path ratios settle around 0.9 (the cold first
-  // dataflow, with no indexes yet, is the one outlier above 1). At a tight
-  // SLO the infeasibility check therefore errs on the shed side: it rejects
-  // queued dataflows that would have met their deadline. Feeding observed
-  // makespans back (per-app-family EWMA, applied after a short warmup so
-  // the cold outlier cannot poison the loop) deflates the estimate toward
-  // reality and recovers those wrong-side sheds — strictly more dataflows
-  // finish, strictly fewer are shed as infeasible, and none of the extra
-  // admissions finish late. The deadline itself stays pinned to the raw
-  // critical path, so both runs chase the same SLO contract.
-  auto run = [](double alpha) {
-    ServiceOptions so = BaseOptions();
-    so.admission.shed = ShedPolicy::kDeadlineInfeasible;
-    so.admission.slo_factor = 1.05;
-    so.admission.estimate_ewma_alpha = alpha;
-    OverloadFixture f(so);
-    ServiceMetrics m = f.Run(Arrivals(120.0));
-    return m;
-  };
-  ServiceMetrics base = run(0);
-  ServiceMetrics ewma = run(0.5);
-  // The bare estimate leaves wrong-side decisions on the table.
-  EXPECT_GT(base.shed_infeasible, 0);
-  // Fewer wrong-side admissions: the corrected estimate admits entries the
-  // raw one shed, they finish, and deadline misses do not go up.
-  EXPECT_GT(ewma.dataflows_finished, base.dataflows_finished);
-  EXPECT_LT(ewma.shed_infeasible, base.shed_infeasible);
-  EXPECT_LE(ewma.deadlines_missed, base.deadlines_missed);
 }
 
 TEST(OverloadTest, TimelineCarriesMonotoneOverloadCounters) {

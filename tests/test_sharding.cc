@@ -96,19 +96,7 @@ TEST(ShardValidationTest, RejectsBadShardKnobs) {
   ShardOptions so;
   so.num_shards = 0;
   EXPECT_FALSE(ValidateShardOptions(so).ok());
-  so = ShardOptions{};
-  so.fairness.enabled = true;
-  so.fairness.window_quanta = 0;
-  so.fairness.max_puts_per_window = 4;
-  EXPECT_FALSE(ValidateShardOptions(so).ok());
-  so.fairness.window_quanta = 1.0;
-  so.fairness.max_puts_per_window = 0;
-  EXPECT_FALSE(ValidateShardOptions(so).ok());
-  so.fairness.max_puts_per_window = 4;
-  EXPECT_TRUE(ValidateShardOptions(so).ok());
-  // Disabled fairness never validates its sub-knobs.
-  so.fairness.enabled = false;
-  so.fairness.window_quanta = 0;
+  so.num_shards = 4;
   EXPECT_TRUE(ValidateShardOptions(so).ok());
 }
 
@@ -213,7 +201,7 @@ TEST(ShardingTest, SingleTenantSingleShardMatchesMonolithicService) {
   auto mono_client = mono.Client(30.0, 1);
   auto mm = svc.Run(&mono_client);
   ASSERT_TRUE(mm.ok()) << mm.status().ToString();
-  // Sharded arm: one tenant, one shard, fairness off, batch off.
+  // Sharded arm: one tenant, one shard, batch off.
   ShardFixture sharded(1);
   ShardedQaasService ssvc(sharded.catalogs, so, ShardOptions{});
   auto shard_client = sharded.Client(30.0, 1);
@@ -225,11 +213,9 @@ TEST(ShardingTest, SingleTenantSingleShardMatchesMonolithicService) {
   EXPECT_GT(mm->dataflows_finished, 0);
 }
 
-std::vector<ServiceMetrics> RunSharded(int num_tenants, int num_shards,
-                                       const ShardOptions& base =
-                                           ShardOptions{}) {
+std::vector<ServiceMetrics> RunSharded(int num_tenants, int num_shards) {
   ShardFixture f(num_tenants);
-  ShardOptions so = base;
+  ShardOptions so;
   so.num_shards = num_shards;
   ShardedQaasService svc(f.catalogs, BaseOptions(), so);
   auto client = f.Client(20.0, num_tenants);
@@ -257,13 +243,9 @@ TEST(ShardingTest, ShardCountInvariancePerTenantMetrics) {
   EXPECT_GT(finished, 0);
 }
 
-TEST(ShardingTest, RerunReproducibilityWithThreadsAndFairness) {
-  ShardOptions so;
-  so.fairness.enabled = true;
-  so.fairness.window_quanta = 4.0;
-  so.fairness.max_puts_per_window = 8;
-  auto a = RunSharded(4, 4, so);
-  auto b = RunSharded(4, 4, so);
+TEST(ShardingTest, RerunReproducibilityWithThreads) {
+  auto a = RunSharded(4, 4);
+  auto b = RunSharded(4, 4);
   ASSERT_EQ(a.size(), b.size());
   for (size_t t = 0; t < a.size(); ++t) ExpectMetricsIdentical(a[t], b[t]);
 }
@@ -365,69 +347,6 @@ TEST(BatchingTest, BatchedServiceKeepsUpAtLeastAsWell) {
   ASSERT_TRUE(mb.ok());
   EXPECT_GE(mb->dataflows_finished + mb->dataflows_overran,
             ma->dataflows_finished + ma->dataflows_overran);
-}
-
-// ---------------------------------------------------------------------------
-// Cross-shard fairness gate (tentpole b).
-
-TEST(FairnessGateTest, GateOffLeavesCountersZeroAndNoGate) {
-  ShardFixture f(2);
-  ShardOptions shards;
-  shards.num_shards = 2;
-  ShardedQaasService svc(f.catalogs, BaseOptions(), shards);
-  auto client = f.Client(20.0, 2);
-  auto m = svc.Run(&client);
-  ASSERT_TRUE(m.ok());
-  EXPECT_EQ(svc.gate(), nullptr);
-  EXPECT_EQ(m->gate_puts, 0);
-  EXPECT_EQ(m->gate_throttled, 0);
-  EXPECT_EQ(m->gate_throttle_quanta, 0);
-}
-
-TEST(FairnessGateTest, GateArbitratesEveryPersistZeroSlack) {
-  ShardFixture f(4);
-  ShardOptions shards;
-  shards.num_shards = 2;
-  shards.fairness.enabled = true;
-  shards.fairness.window_quanta = 50.0;
-  shards.fairness.max_puts_per_window = 2;  // share = 1 per shard: tight
-  ShardedQaasService svc(f.catalogs, BaseOptions(), shards);
-  auto client = f.Client(20.0, 4);
-  auto m = svc.Run(&client);
-  ASSERT_TRUE(m.ok()) << m.status().ToString();
-  ASSERT_NE(svc.gate(), nullptr);
-  EXPECT_EQ(svc.gate()->share(), 1);
-  // `Run` checked zero slack on the gate lanes: every persist any tenant
-  // issued was arbitrated, and the throttle counts agree.
-  EXPECT_GT(m->gate_puts, 0);
-  EXPECT_NEAR(m->gate_throttle_quanta, svc.gate()->throttle_quanta(), 1e-6);
-  // A share of 1 per 50-quanta window under a build-heavy policy throttles.
-  EXPECT_GT(m->gate_throttled, 0);
-  EXPECT_GT(m->gate_throttle_quanta, 0);
-  EXPECT_LE(m->gate_throttled, m->gate_puts);
-}
-
-TEST(FairnessGateTest, DeficitCarryoverDelaysBursts) {
-  FairnessOptions fo;
-  fo.enabled = true;
-  fo.window_quanta = 1.0;
-  fo.max_puts_per_window = 4;  // 2 shards -> share 2
-  CrossShardGate gate(fo, 2, 60.0);
-  // Shard 0, window 0 (t in [0, 60)): first two persists free.
-  EXPECT_EQ(gate.OnPersist(0, 0.0), 0.0);
-  EXPECT_EQ(gate.OnPersist(0, 10.0), 0.0);
-  // Third overflows into window 1 -> released at t=60.
-  EXPECT_EQ(gate.OnPersist(0, 20.0), 40.0);
-  // Fourth shares window 1's budget -> same release instant.
-  EXPECT_EQ(gate.OnPersist(0, 30.0), 30.0);
-  // Fifth overflows window 1 too -> window 2, released at t=120.
-  EXPECT_EQ(gate.OnPersist(0, 30.0), 90.0);
-  // Shard 1 is unaffected by shard 0's burst.
-  EXPECT_EQ(gate.OnPersist(1, 20.0), 0.0);
-  // A fresh window resets shard 0's budget.
-  EXPECT_EQ(gate.OnPersist(0, 130.0), 0.0);
-  EXPECT_EQ(gate.puts(), 7);
-  EXPECT_EQ(gate.throttled(), 3);
 }
 
 }  // namespace

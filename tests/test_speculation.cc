@@ -544,78 +544,5 @@ TEST(ServiceSpecTest, OpenLoopZeroSlackIdentityHoldsWithSpeculation) {
   EXPECT_GT(m->ops_speculated, 0);
 }
 
-// ---- Adaptive straggler watermark (rides the PR 4 admission EWMA) ----------
-
-ServiceMetrics RunAdaptive(bool adaptive, double ewma_alpha,
-                           double straggler_rate = 0.0) {
-  FileDatabaseOptions fdo;
-  fdo.montage_files = 4;
-  fdo.ligo_files = 4;
-  fdo.cybershake_files = 4;
-  Catalog catalog;
-  FileDatabase db(&catalog, fdo);
-  EXPECT_TRUE(db.Populate().ok());
-  DataflowGenerator gen(&db, 5);
-  ServiceOptions so;
-  so.policy = IndexPolicy::kGain;
-  so.total_time = 60.0 * 60.0;
-  so.tuner.sched.max_containers = 12;
-  so.tuner.sched.skyline_cap = 3;
-  so.sim.time_error = 0.1;
-  so.sim.data_error = 0.1;
-  so.faults.straggler_rate = straggler_rate;
-  so.faults.straggler_slowdown_min = 2.5;
-  so.faults.straggler_slowdown_max = 4.0;
-  so.faults.seed = 21;
-  so.speculation = SpecOn();
-  so.speculation.adaptive_spec_threshold = adaptive;
-  // The makespan EWMA is fed by the admission queue (open-loop) path; the
-  // adaptive watermark consumes it, so the fixture runs open-loop.
-  so.admission.open_loop = true;
-  so.admission.max_queue = 6;
-  so.admission.shed = ShedPolicy::kRejectNewest;
-  so.admission.estimate_ewma_alpha = ewma_alpha;
-  so.seed = 5;
-  QaasService service(&catalog, so);
-  PhaseWorkloadClient client(&gen, 60.0, {{AppType::kMontage, 1e9}}, 5);
-  auto m = service.Run(&client);
-  EXPECT_TRUE(m.ok()) << m.status().ToString();
-  return m.ok() ? *m : ServiceMetrics{};
-}
-
-TEST(ServiceSpecTest, AdaptiveThresholdWithoutEwmaFeedbackBitIdentical) {
-  // The adaptive watermark consumes the admission EWMA ratio; with the
-  // feedback loop off (alpha 0) there is no signal and the knob must be
-  // arithmetically invisible.
-  ServiceMetrics fixed = RunAdaptive(false, 0.0, 0.4);
-  ServiceMetrics adaptive = RunAdaptive(true, 0.0, 0.4);
-  EXPECT_EQ(fixed.ops_speculated, adaptive.ops_speculated);
-  EXPECT_EQ(fixed.spec_wins, adaptive.spec_wins);
-  EXPECT_EQ(fixed.spec_cancelled, adaptive.spec_cancelled);
-  EXPECT_EQ(fixed.total_vm_quanta, adaptive.total_vm_quanta);
-  EXPECT_EQ(fixed.total_time_quanta, adaptive.total_time_quanta);
-  EXPECT_EQ(fixed.storage_cost, adaptive.storage_cost);  // bit-identical
-}
-
-TEST(ServiceSpecTest, AdaptiveThresholdStaysAccountedAndReproducible) {
-  // With the feedback loop on, a family that systematically overruns its
-  // critical path earns a laxer watermark. The structural guarantees are
-  // unchanged: every clone resolves exactly one way, and the run is
-  // deterministic per seed.
-  ServiceMetrics a = RunAdaptive(true, 0.3, 0.4);
-  ServiceMetrics b = RunAdaptive(true, 0.3, 0.4);
-  EXPECT_GT(a.dataflows_finished, 0);
-  EXPECT_EQ(a.ops_speculated, b.ops_speculated);
-  EXPECT_EQ(a.spec_wins, b.spec_wins);
-  EXPECT_EQ(a.total_vm_quanta, b.total_vm_quanta);
-  EXPECT_EQ(a.total_time_quanta, b.total_time_quanta);  // bit-identical
-
-  // Speculation stays confined to already-paid idle slots either way, so
-  // the fixed-watermark run obeys the same zero-slack identity and can only
-  // speculate at least as eagerly (its threshold is never raised).
-  ServiceMetrics fixed = RunAdaptive(false, 0.3, 0.4);
-  EXPECT_GE(fixed.ops_speculated, a.ops_speculated);
-}
-
 }  // namespace
 }  // namespace dfim
