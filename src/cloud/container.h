@@ -14,12 +14,11 @@ namespace dfim {
 /// \brief Fixed hardware capacity of one VM/container (paper §3, §6.1).
 ///
 /// The paper assumes homogeneous containers: 1 CPU, one local disk of
-/// 100 GB at 250 MB/s (typical SSD), and 1 Gbps network (= 125 MB/s).
+/// 100 GB at 250 MB/s (typical SSD), and 1 Gbps network (= 125 MB/s). The
+/// simulator models the disk's capacity (the local cache) and the network
+/// rate; CPU and disk speed are folded into the operator cost model.
 struct ContainerSpec {
-  double cpu_cores = 1.0;
-  MegaBytes memory = 8192;
   MegaBytes disk = 100.0 * 1024.0;
-  double disk_mb_per_sec = 250.0;
   double net_mb_per_sec = 125.0;
 };
 

@@ -62,7 +62,8 @@ int64_t StorageService::Put(const std::string& path, MegaBytes size,
   } else {
     StoredObject obj;
     obj.size = size;
-    obj.generation = 1;
+    obj.generation = NextGeneration(path);
+    retired_generation_.erase(path);
     obj.token = stamp.token;
     obj.corrupt = stamp.torn;
     obj.rot_at = stamp.rot_at;
@@ -82,7 +83,15 @@ void StorageService::Delete(const std::string& path, Seconds now) {
   if (it == objects_.end()) return;
   if (it->second.corrupt && !it->second.detected) ++corruptions_dead_;
   used_ -= it->second.size;
+  retired_generation_[path] = it->second.generation;
   objects_.erase(it);
+}
+
+int64_t StorageService::NextGeneration(const std::string& path) const {
+  auto it = objects_.find(path);
+  if (it != objects_.end()) return it->second.generation + 1;
+  auto retired = retired_generation_.find(path);
+  return retired == retired_generation_.end() ? 1 : retired->second + 1;
 }
 
 bool StorageService::Exists(const std::string& path) const {

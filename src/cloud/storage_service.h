@@ -65,10 +65,11 @@ enum class VerifyResult {
 /// \brief One stored object with its integrity stamps.
 struct StoredObject {
   MegaBytes size = 0;
-  /// Monotone per-path write counter, bumped by every non-replay Put. The
-  /// catalog records the generation it expects for each built index
-  /// partition, so a stale overwrite (generation mismatch) is caught even
-  /// when both contents checksum clean.
+  /// Monotone per-path write counter, bumped by every non-replay Put and
+  /// continued across a Delete (a re-created path never reuses a
+  /// generation). The catalog records the generation it expects for each
+  /// built index partition, so a stale overwrite (generation mismatch) is
+  /// caught even when both contents checksum clean.
   int64_t generation = 0;
   /// Idempotency token of the last write (0 = none).
   uint64_t token = 0;
@@ -116,6 +117,10 @@ class StorageService {
 
   /// Generation of an object, or 0 when absent.
   int64_t Generation(const std::string& path) const;
+
+  /// The generation the next real Put at `path` will create. Keys the
+  /// bit-rot draw, so no two writes of one path share a draw.
+  int64_t NextGeneration(const std::string& path) const;
 
   /// \brief Verifies an object's checksum at `now` (latent rot due by then
   /// is realized first). A corrupt object is marked detected so the ledger
@@ -229,6 +234,10 @@ class StorageService {
 
   PricingModel pricing_;
   std::map<std::string, StoredObject> objects_;
+  /// Last generation of each deleted path, so a re-created object continues
+  /// the count: its rot draw is fresh, and a rot event pending for the
+  /// deleted object can never match it.
+  std::map<std::string, int64_t> retired_generation_;
   std::priority_queue<RotEvent, std::vector<RotEvent>, std::greater<RotEvent>>
       rot_queue_;
   MegaBytes used_ = 0;

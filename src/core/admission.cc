@@ -49,18 +49,19 @@ void AdmissionController::Admit(Dataflow df,
       std::max(metrics->peak_queue_len, static_cast<int>(queue->size()));
 }
 
-double AdmissionController::BuildFraction(double pressure_quanta) {
+double AdmissionController::BuildFraction(double pressure_quanta,
+                                          bool* brownout_off) const {
   const BrownoutOptions& b = brownout_;
   if (b.pressure_hi_quanta <= 0) return 1.0;
-  if (brownout_off_) {
+  if (*brownout_off) {
     if (pressure_quanta < b.pressure_lo_quanta * kBrownoutResumeFraction) {
-      brownout_off_ = false;  // hysteretic re-enable
+      *brownout_off = false;  // hysteretic re-enable
     } else {
       return 0;
     }
   }
   if (pressure_quanta >= b.pressure_hi_quanta) {
-    brownout_off_ = true;
+    *brownout_off = true;
     return 0;
   }
   if (pressure_quanta <= b.pressure_lo_quanta) return 1.0;

@@ -35,7 +35,7 @@ struct AdmissionOptions {
   double slo_factor = 0;
   /// Fleet-wide cap on recovery attempts across all dataflows; once spent,
   /// crash-lost dataflows fail immediately instead of rescheduling their
-  /// suffix. -1 = unlimited (the per-dataflow max_recovery_attempts still
+  /// suffix. -1 = unlimited (the per-dataflow kMaxRecoveryAttempts still
   /// applies either way).
   int retry_budget = -1;
 };
@@ -104,10 +104,11 @@ struct PendingDataflow {
   Seconds deadline = 0;
 };
 
-/// \brief The admission loop's policy state, carved out of the service:
-/// the bounded pending queue with its shed policy and the brownout
-/// hysteresis. One controller per tenant — its state is part of the
-/// tenant's isolation unit in the sharded service.
+/// \brief The admission loop's policy, carved out of the service: the
+/// bounded pending queue's shed policy and the brownout curve. It holds no
+/// mutable state — the brownout hysteresis bit is the caller's (the
+/// service journals it in ControlState), so a crash rolls it back with the
+/// rest of the control state.
 class AdmissionController {
  public:
   AdmissionController(const AdmissionOptions& admission,
@@ -118,15 +119,15 @@ class AdmissionController {
   void Admit(Dataflow df, std::deque<PendingDataflow>* queue,
              ServiceMetrics* metrics);
 
-  /// Brownout knob from queue pressure (quanta), with hysteresis.
-  double BuildFraction(double pressure_quanta);
+  /// Brownout knob from queue pressure (quanta), with hysteresis:
+  /// `*brownout_off` turns true once pressure crosses pressure_hi_quanta and
+  /// false again once it falls below pressure_lo_quanta x
+  /// kBrownoutResumeFraction.
+  double BuildFraction(double pressure_quanta, bool* brownout_off) const;
 
  private:
   AdmissionOptions admission_;
   BrownoutOptions brownout_;
-  /// Brownout hysteresis: true once pressure crossed pressure_hi_quanta,
-  /// until it falls below pressure_lo_quanta x kBrownoutResumeFraction.
-  bool brownout_off_ = false;
 };
 
 }  // namespace dfim

@@ -39,7 +39,6 @@ int64_t EstimateSnapshotBytes(const ServiceSnapshot& s) {
   b += 24 * static_cast<int64_t>(s.catalog.quarantined.size());
   b += 48 * static_cast<int64_t>(s.control.build_progress.size());
   b += 24 * static_cast<int64_t>(s.control.repair_queue.size());
-  b += 40 * static_cast<int64_t>(s.control.staged_deletes.size());
   b += 120 * static_cast<int64_t>(s.loop.queue.size());
   b += 120 * static_cast<int64_t>(s.loop.batch.size());
   b += static_cast<int64_t>(s.control.scrub_cursor.size());

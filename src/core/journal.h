@@ -161,6 +161,9 @@ struct ControlState {
   double last_pressure = 0;
 
   // --- overload ---
+  /// Brownout hysteresis (AdmissionController::BuildFraction): tuning is
+  /// off until queue pressure falls below the resume threshold.
+  bool brownout_off = false;
   /// Remaining fleet-wide recovery attempts (admission.retry_budget >= 0).
   int retry_budget_left = -1;
   BreakerState breaker_state = BreakerState::kClosed;
@@ -213,9 +216,6 @@ struct ServiceSnapshot {
   Kind kind = Kind::kIterStart;
   Catalog::RuntimeState catalog;
   Cluster::State fleet;
-  /// Optional only because AdmissionController has no default constructor;
-  /// always engaged in a committed snapshot.
-  std::optional<AdmissionController> admission;
   ControlState control;
   /// Detection-log watermark; recovery rewinds storage detections past it
   /// so replayed verifies return kCorrupt again identically.

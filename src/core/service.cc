@@ -208,7 +208,7 @@ Result<TunerDecision> QaasService::BaselineDecision(const Dataflow& df,
     // assigns them to containers to be built".
     std::vector<std::string> cands = catalog_->IndexIds();
     state_.rng.Shuffle(&cands);
-    int take = std::min<int>(opts_.random_indexes_per_dataflow,
+    int take = std::min<int>(kRandomIndexesPerDataflow,
                              static_cast<int>(cands.size()));
     int next_id = static_cast<int>(d.combined.num_ops());
     for (int i = 0; i < take; ++i) {
@@ -497,6 +497,15 @@ void QaasService::ScheduleRepairs(TunerDecision* decision,
                                   ServiceMetrics* metrics) {
   if (state_.repair_queue.empty()) return;
   const double net = opts_.tuner.sched.net_mb_per_sec;
+  // Partitions this decision already builds: the tuner sees a quarantined
+  // partition as unbuilt and may pick it, and the queue may hold one
+  // partition twice. A second build of a partition would persist it twice.
+  std::set<std::pair<std::string, int>> building;
+  for (const auto& op : decision->combined.ops()) {
+    if (op.optional && op.kind == OpKind::kBuildIndex) {
+      building.emplace(op.index_id, op.index_partition);
+    }
+  }
   std::vector<int> repair_ids;
   int budget = kMaxRepairsPerDataflow;
   size_t scan = state_.repair_queue.size();
@@ -505,6 +514,10 @@ void QaasService::ScheduleRepairs(TunerDecision* decision,
     state_.repair_queue.pop_front();
     // Evicted meanwhile (index drop / batch update): the repair is moot.
     if (!catalog_->IsQuarantined(e.index_id, e.partition)) continue;
+    if (!building.emplace(e.index_id, e.partition).second) {
+      state_.repair_queue.push_back(std::move(e));  // built this time anyway
+      continue;
+    }
     auto def = catalog_->GetIndexDef(e.index_id);
     if (!def.ok()) continue;
     auto table = catalog_->GetTable((*def)->table);
@@ -674,14 +687,7 @@ Result<QaasService::RunOutcome> QaasService::FinishRun(
   const Seconds quantum = opts_.tuner.sched.quantum;
   const Seconds finish = start + exec.elapsed;
   if (!exec.failed) {
-    // Per-member history: members share the realized makespan (they ran as
-    // one merged schedule) and split the VM bill into equal shares, so the
-    // batch's total money matches the one-at-a-time accounting identity
-    // (a batch of one keeps the whole bill: x / 1.0 == x).
-    const double share = static_cast<double>(exec.total_leased) / batch.size();
-    for (const auto& p : batch) {
-      RecordHistory(p.df, finish, exec.elapsed / quantum, share);
-    }
+    for (const auto& p : batch) RecordHistory(p.df, finish);
   }
   if (JournalOn()) {
     journal_.AppendStage(StageBoundary::kRecordHistory, finish,
@@ -701,7 +707,6 @@ Result<QaasService::RunOutcome> QaasService::FinishRun(
     ++metrics->dataflow_batches;
     metrics->batched_dataflows += static_cast<int>(batch.size());
   }
-  HarvestFleet(metrics);
   if (JournalOn()) {
     journal_.AppendStage(StageBoundary::kApplyDeletions, finish,
                          static_cast<int64_t>(fl.decision.to_delete.size()));
@@ -709,12 +714,13 @@ Result<QaasService::RunOutcome> QaasService::FinishRun(
   // b4: pre-StampTimeline
   if (MaybeCtlCrash()) return RunOutcome{.crashed = true};
 
-  if (JournalOn()) HarvestJournal(metrics);
-  // Per-member finish accounting, ahead of the stamps so each point counts
-  // its own dataflow. Closed-loop members have no queue delay, estimate or
-  // deadline, so only finished/overran move for them.
+  // Per-member finish accounting and one timeline point per member.
+  // Closed-loop members have no queue delay, estimate or deadline, so only
+  // finished/overran move for them.
   for (const auto& m : batch) {
-    metrics->queue_delay_quanta += (start - m.arrival) / quantum;
+    const double queue_delay = (start - m.arrival) / quantum;
+    metrics->queue_delay_quanta += queue_delay;
+    StampTimeline(finish, queue_delay, exec.elapsed / quantum, metrics);
     if (exec.failed) continue;
     if (finish <= opts_.total_time) {
       ++metrics->dataflows_finished;
@@ -722,13 +728,6 @@ Result<QaasService::RunOutcome> QaasService::FinishRun(
       ++metrics->dataflows_overran;
     }
     if (m.deadline > 0 && finish > m.deadline) ++metrics->deadlines_missed;
-  }
-  // One timeline point per member, stamped with the queue state.
-  for (const auto& m : batch) {
-    StampTimeline(finish, exec.elapsed / quantum, metrics);
-    TimelinePoint& pt = metrics->timeline.back();
-    pt.queue_len = static_cast<int>(loop_->queue.size());
-    pt.queue_delay_quanta = (start - m.arrival) / quantum;
   }
   if (JournalOn()) {
     journal_.AppendStage(StageBoundary::kStampTimeline, finish,
@@ -979,7 +978,7 @@ Result<QaasService::ExecOutcome> QaasService::ExecuteDecision(
                            sim.quantum) +
                 8;
             stamp.rot_at = fault_model.BitRotOnset(
-                PathHash(path), storage_.Generation(path) + 1, built_at,
+                PathHash(path), storage_.NextGeneration(path), built_at,
                 sim.quantum, max_q);
           }
           if (JournalOn()) {
@@ -1054,7 +1053,7 @@ Result<QaasService::ExecOutcome> QaasService::ExecuteDecision(
     if (exec.complete) break;
 
     // ---- Recovery: compute the unfinished suffix (combined-id space). ----
-    if (attempt >= opts_.max_recovery_attempts) {
+    if (attempt >= kMaxRecoveryAttempts) {
       failed = true;
       ++metrics->dataflows_failed;
       break;
@@ -1172,23 +1171,17 @@ Result<QaasService::ExecOutcome> QaasService::ExecuteDecision(
   return ExecOutcome{elapsed, total_leased, failed, last_persist};
 }
 
-void QaasService::RecordHistory(const Dataflow& df, Seconds finish,
-                                double time_quanta, double money_quanta) {
+void QaasService::RecordHistory(const Dataflow& df, Seconds finish) {
   // Record history: what-if gains of every candidate index (the paper's
   // Hd stores each dataflow with its specified indexes and their gains).
   // Failed dataflows record nothing — they produced no result. The gains
   // loop refreshes state_.last_useful, so this must run before ApplyDeletions.
   DataflowRecord rec;
-  rec.dataflow_id = df.id;
-  rec.app = df.app;
   rec.finished_at = finish;
-  rec.time_quanta = time_quanta;
-  rec.money_quanta = money_quanta;
   for (const auto& idx : df.candidate_indexes) {
     double g = tuner_.EstimateDataflowGain(df, idx);
     if (g > 0) {
-      rec.time_gain[idx] = g;
-      rec.money_gain[idx] = g;
+      rec.gain[idx] = g;
       state_.last_useful[idx] = finish;
     }
   }
@@ -1215,19 +1208,15 @@ void QaasService::ApplyDeletions(const std::vector<std::string>& to_delete,
   }
 }
 
-void QaasService::StampTimeline(Seconds finish, double makespan_quanta,
+void QaasService::StampTimeline(Seconds finish, double queue_delay_quanta,
+                                double makespan_quanta,
                                 ServiceMetrics* metrics) {
-  // The Fig. 13 timeline. Every mirrored cumulative counter is stamped
-  // mechanically (DFIM_MIRRORED_COUNTERS keeps the mirror total); the
-  // caller harvests the fleet ledger first so its counters are current.
+  // The Fig. 13 timeline.
   TimelinePoint pt;
   pt.t = finish;
   pt.storage_cost = storage_.accrued_cost();
+  pt.queue_delay_quanta = queue_delay_quanta;
   pt.makespan_quanta = makespan_quanta;
-  pt.corruptions_injected = storage_.corruptions_injected();
-#define DFIM_STAMP_COUNTER(type, name) pt.name = metrics->name;
-  DFIM_MIRRORED_COUNTERS(DFIM_STAMP_COUNTER)
-#undef DFIM_STAMP_COUNTER
   for (const auto& idx : catalog_->IndexIds()) {
     auto st = catalog_->GetIndexState(idx);
     if (st.ok() && (*st)->NumBuilt() > 0) {
@@ -1245,14 +1234,14 @@ void QaasService::ApplyDueUpdates(Seconds now, ServiceMetrics* metrics) {
   auto tables = catalog_->TableNames();
   if (tables.empty()) return;
   while (state_.next_update <= now) {
-    for (int t = 0; t < opts_.update_tables_per_batch; ++t) {
+    for (int t = 0; t < kUpdateTablesPerBatch; ++t) {
       const std::string& name = tables[static_cast<size_t>(
           state_.rng.UniformInt(0, static_cast<int64_t>(tables.size()) - 1))];
       auto table = catalog_->GetTable(name);
       if (!table.ok()) continue;
       int nparts = static_cast<int>((*table)->num_partitions());
       int touch = std::max(
-          1, static_cast<int>(opts_.update_fraction * nparts + 0.5));
+          1, static_cast<int>(kUpdateFraction * nparts + 0.5));
       std::vector<int> ids;
       for (int i = 0; i < touch; ++i) {
         ids.push_back(static_cast<int>(state_.rng.UniformInt(0, nparts - 1)));
@@ -1313,9 +1302,7 @@ void QaasService::FlushStagedDeletes() {
 
 void QaasService::SettleStorage(Seconds t) {
   BumpClockMirror(t);
-  // A replayed settle may lag the storage high-water mark; clamp silently
-  // (journal off keeps AdvanceTo's regression warning path bit-identical).
-  storage_.AdvanceTo(JournalOn() ? std::max(t, storage_.last_billed()) : t);
+  storage_.AdvanceTo(ReplayClamp(t));
 }
 
 ServiceSnapshot QaasService::MakeSnapshot(ServiceSnapshot::Kind kind,
@@ -1324,7 +1311,6 @@ ServiceSnapshot QaasService::MakeSnapshot(ServiceSnapshot::Kind kind,
   s.kind = kind;
   s.catalog = catalog_->SaveState();
   s.fleet = fleet_.SaveState();
-  s.admission = admission_;
   s.control = state_;
   s.detection_watermark = storage_.detection_seq();
   s.loop = *loop_;
@@ -1337,7 +1323,6 @@ void QaasService::RestoreSnapshot(const ServiceSnapshot& s,
                                   ServiceMetrics* metrics) {
   catalog_->RestoreState(s.catalog);
   fleet_.RestoreState(s.fleet);
-  admission_ = *s.admission;
   state_ = s.control;
   // Un-detect every storage detection logged after the snapshot, so the
   // replayed verifies return kCorrupt again identically.
@@ -1624,7 +1609,8 @@ Result<ServiceMetrics> QaasService::RunOpenLoop(WorkloadClient* client) {
     // here and by the autoscaler in PrepareFleet.
     const double pressure = (start - batch.front().arrival) / quantum;
     state_.last_pressure = pressure;
-    double fraction = admission_.BuildFraction(pressure);
+    double fraction =
+        admission_.BuildFraction(pressure, &state_.brownout_off);
     ApplyDueUpdates(start, &metrics);
     loop.start = start;
     loop.build_fraction = fraction;

@@ -64,6 +64,21 @@ struct IntegrityOptions {
 /// a single decision absorbs; the rest stay queued).
 inline constexpr int kMaxRepairsPerDataflow = 2;
 
+/// kRandom: indexes sampled from the whole catalog per dataflow.
+inline constexpr int kRandomIndexesPerDataflow = 2;
+
+/// Batch updates (ServiceOptions::update_interval_quanta): tables touched
+/// per batch, and the fraction of each touched table's partitions updated.
+inline constexpr int kUpdateTablesPerBatch = 1;
+inline constexpr double kUpdateFraction = 0.05;
+
+/// Bounded retry: an execution attempt that loses mandatory (dataflow)
+/// operators to container crashes is followed by up to this many recovery
+/// attempts, each rescheduling the unfinished DAG suffix onto
+/// fresh/surviving containers and re-paying the quanta. When exhausted the
+/// dataflow is recorded as failed instead of wedging the horizon loop.
+inline constexpr int kMaxRecoveryAttempts = 3;
+
 /// Rejects negative budgets/latencies and a zero verify_latency while
 /// verification is on (a free verify would silently skip the charge path).
 Status ValidateIntegrityOptions(const IntegrityOptions& opts);
@@ -124,8 +139,6 @@ struct ServiceOptions {
   ContainerSpec container;
   /// Experiment horizon (Table 3: 720 quanta).
   Seconds total_time = 720.0 * 60.0;
-  /// kRandom: indexes sampled per dataflow.
-  int random_indexes_per_dataflow = 2;
   /// An index flagged non-beneficial is only deleted when no dataflow has
   /// credited it with a positive gain for this many quanta. This stands in
   /// for two effects the bare Eq. 4-5 miss under closed-loop issuing:
@@ -150,24 +163,17 @@ struct ServiceOptions {
   /// them; the paper argues the update rate is much lower than the
   /// processing rate).
   /// @{
-  /// Simulated time between update batches, in quanta (0 = off).
+  /// Simulated time between update batches, in quanta (0 = off). Each
+  /// batch touches kUpdateTablesPerBatch tables and kUpdateFraction of
+  /// each one's partitions.
   double update_interval_quanta = 0;
-  /// Fraction of each touched table's partitions updated per batch.
-  double update_fraction = 0.05;
-  /// Tables touched per batch.
-  int update_tables_per_batch = 1;
   /// @}
   /// \name Fault injection & recovery
   /// @{
   /// Fault rates (all zero by default — injection disabled, and the whole
   /// execution path is bit-identical to a service without fault support).
+  /// Crash losses are retried up to kMaxRecoveryAttempts times.
   FaultOptions faults;
-  /// Bounded retry: an execution attempt that loses mandatory (dataflow)
-  /// operators to container crashes is followed by up to this many recovery
-  /// attempts, each rescheduling the unfinished DAG suffix onto
-  /// fresh/surviving containers and re-paying the quanta. When exhausted
-  /// the dataflow is recorded as failed instead of wedging the horizon loop.
-  int max_recovery_attempts = 3;
   /// @}
   /// \name Overload robustness (all defaults keep the closed-loop paths
   /// bit-identical to a service without overload support).
@@ -331,20 +337,20 @@ class QaasService {
                                       Seconds initial_wait,
                                       ServiceMetrics* metrics);
 
-  /// Appends the dataflow's history record (what-if gains, realized
-  /// time/money) and refreshes the last-useful clocks of its gainful
+  /// Appends the dataflow's history record (its what-if gain per
+  /// candidate index) and refreshes the last-useful clocks of its gainful
   /// candidates.
-  void RecordHistory(const Dataflow& df, Seconds finish, double time_quanta,
-                     double money_quanta);
+  void RecordHistory(const Dataflow& df, Seconds finish);
 
   /// Applies grace-gated index deletions (Gain policy decisions only).
   void ApplyDeletions(const std::vector<std::string>& to_delete,
                       Seconds finish, ServiceMetrics* metrics);
 
-  /// Appends one timeline point at `finish` with every mirrored counter
-  /// stamped and the catalog's built-index state sampled.
-  void StampTimeline(Seconds finish, double makespan_quanta,
-                     ServiceMetrics* metrics);
+  /// Appends one timeline point at `finish`: the storage bill and the
+  /// catalog's built-index state sampled, with this dataflow's queue delay
+  /// and makespan.
+  void StampTimeline(Seconds finish, double queue_delay_quanta,
+                     double makespan_quanta, ServiceMetrics* metrics);
 
   /// The arrival-driven service loop (admission.open_loop). It stays a
   /// separate driver from the closed loop in `Run` because the pull
@@ -417,7 +423,7 @@ class QaasService {
   FleetPlan PrepareFleet(Seconds now, ServiceMetrics* metrics);
 
   /// Copies the fleet ledger into the metrics counters (absolute values;
-  /// called after every execution and at the end of the run).
+  /// called once, at the end of the run).
   void HarvestFleet(ServiceMetrics* metrics) const;
   /// @}
 
@@ -430,14 +436,12 @@ class QaasService {
 
   bool JournalOn() const { return opts_.journal.enabled; }
 
-  /// The control-plane view of the storage billing clock. Journal off:
-  /// the storage service's own high-water mark (bit-identical to today).
-  /// Journal on: the journaled mirror — replay must not see the inflated
-  /// post-crash `last_billed()`, which would shift rot realization and
-  /// verify verdicts one iteration early.
-  Seconds BillingClock() const {
-    return JournalOn() ? state_.storage_clock_mirror : storage_.last_billed();
-  }
+  /// The control-plane view of the storage billing clock: the journaled
+  /// mirror. Every storage call goes through BumpClockMirror, so it equals
+  /// `last_billed()` in an uncrashed run; after a crash, replay must not see
+  /// the inflated post-crash `last_billed()`, which would shift rot
+  /// realization and verify verdicts one iteration early.
+  Seconds BillingClock() const { return state_.storage_clock_mirror; }
 
   /// The instant a replayed storage call is issued at. Replay re-issues
   /// verifies, persists and staged deletes at their journaled instants,
@@ -463,9 +467,8 @@ class QaasService {
   /// since staging; called at each group-commit point.
   void FlushStagedDeletes();
 
-  /// Settles storage through `t` and bumps the mirror. Under the journal
-  /// a replayed settle may lag the storage high-water mark; the clamp is
-  /// silent (journal off keeps the warning path bit-identical).
+  /// Settles storage through `t` and bumps the mirror. A replayed settle
+  /// may lag the storage high-water mark; ReplayClamp makes it silent.
   void SettleStorage(Seconds t);
 
   /// Draws one control-plane crash at the current stage boundary. The
@@ -489,9 +492,9 @@ class QaasService {
   void CommitJournal(ServiceSnapshot::Kind kind, const ServiceMetrics& metrics);
 
   /// The B-phase of one iteration: execute the in-flight decision, record
-  /// history, apply deletions, settle, harvest, count each member's finish,
-  /// stamp — with the b2..b4 crash boundaries between stages. Reads
-  /// `in_flight_` and the driver loop's batch/start/queue via `loop_`.
+  /// history, apply deletions, settle, count each member's finish, stamp —
+  /// with the b2..b4 crash boundaries between stages. Reads `in_flight_`
+  /// and the driver loop's batch and start via `loop_`.
   Result<RunOutcome> FinishRun(ServiceMetrics* metrics);
 
   /// Runs the current iteration (loop_->batch/start/fraction) to
@@ -503,7 +506,8 @@ class QaasService {
   Status RunIteration(ServiceMetrics* metrics);
 
   /// Copies the journal ledger's recovery counters into the metrics
-  /// (absolute values; the ledger, like storage, survives crashes).
+  /// (absolute values, once at the end of the run; the ledger, like
+  /// storage, survives crashes).
   void HarvestJournal(ServiceMetrics* metrics) const;
   /// @}
 
@@ -517,8 +521,8 @@ class QaasService {
   /// The fleet authority: owns every container, the zero-slack acquisition
   /// ledger, and all charge/reap/release bookkeeping (DESIGN.md §13).
   Cluster fleet_;
-  /// The admission loop's policy state (shed policy, brownout hysteresis)
-  /// — the per-tenant carve-out.
+  /// The admission loop's policy (shed policy, brownout curve); its one
+  /// piece of mutable state, the brownout hysteresis, lives in `state_`.
   AdmissionController admission_;
   /// The journaled control state (see ControlState).
   ControlState state_;

@@ -9,20 +9,19 @@
 
 namespace dfim {
 
-/// \brief Every cumulative ServiceMetrics counter mirrored 1:1 into
-/// TimelinePoint, as an X-macro of (type, name) pairs.
+/// \brief The cumulative ServiceMetrics counters that sum across tenants
+/// and that a recovered run must reproduce, as an X-macro of (type, name)
+/// pairs.
 ///
-/// The service stamps each timeline point with the aggregate value of every
-/// entry, so any counter listed here is readable as a time series and the
-/// metrics-audit test can verify the mirror mechanically. Adding a counter
-/// to ServiceMetrics? Add it here too unless it belongs to the deliberate
-/// exclusions: `storage_cost` (TimelinePoint has its own point-in-time
-/// copy), `queue_delay_quanta` (the timeline field is this dataflow's
-/// delay, not the cumulative sum), `corruptions_injected` (live-stamped
-/// from the storage service mid-run; the metrics copy is only harvested at
-/// the end), and the end-of-run-harvest-only ledger terms
-/// (`corruptions_dead`, `corruptions_latent`, `quarantine_evicted`,
-/// `storage_clock_clamps`).
+/// AggregateMetrics sums every entry, and the recovery and chaos tests
+/// compare every entry of a crashed run against its uncrashed twin (all but
+/// the six control-plane recovery counters, which only a crash moves).
+/// Adding a counter to ServiceMetrics? Add it here too unless it belongs to
+/// the deliberate exclusions: `storage_cost` and `queue_delay_quanta`
+/// (floating-point sums compared on their own), and the storage-side
+/// ledger terms harvested once at the end of the run
+/// (`corruptions_injected`, `corruptions_dead`, `corruptions_latent`,
+/// `quarantine_evicted`, `storage_clock_clamps`).
 #define DFIM_MIRRORED_COUNTERS(X)       \
   X(int, dataflows_arrived)             \
   X(int, dataflows_finished)            \
@@ -87,11 +86,8 @@ namespace dfim {
   X(int64_t, persists_deduped)          \
   X(double, recovery_replay_quanta)
 
-/// \brief One sample of the service state over time (Fig. 13 series).
-///
-/// Point-in-time fields are declared explicitly below; every cumulative
-/// counter is generated from DFIM_MIRRORED_COUNTERS and stamped with the
-/// aggregate ServiceMetrics value at this point.
+/// \brief One sample of the service state over time (Fig. 13 series),
+/// taken when a dataflow finishes.
 struct TimelinePoint {
   Seconds t = 0;
   /// Indexes with at least one built partition.
@@ -100,22 +96,12 @@ struct TimelinePoint {
   MegaBytes index_mb = 0;
   /// Storage dollars accrued so far.
   Dollars storage_cost = 0;
-  /// Pending dataflows right after this one was dequeued and executed
-  /// (open-loop runs; zero otherwise).
-  int queue_len = 0;
   /// Queue delay (quanta) this dataflow suffered before starting.
   double queue_delay_quanta = 0;
   /// This dataflow's realized makespan (execution + recovery + persist
   /// backoff), in quanta — the tail-latency series the speculation bench
   /// reads p50/p99 from.
   double makespan_quanta = 0;
-  /// Corruptions realized in storage so far (live from the storage ledger;
-  /// deliberately not in the mirror macro — see its comment).
-  int64_t corruptions_injected = 0;
-  /// Cumulative ServiceMetrics mirrors (see DFIM_MIRRORED_COUNTERS).
-#define DFIM_DECLARE_COUNTER(type, name) type name = 0;
-  DFIM_MIRRORED_COUNTERS(DFIM_DECLARE_COUNTER)
-#undef DFIM_DECLARE_COUNTER
 };
 
 /// \brief Aggregated service metrics (Fig. 12/14, Table 7).
@@ -147,7 +133,7 @@ struct ServiceMetrics {
   int ops_reexecuted = 0;
   /// VM quanta charged for recovery attempts (subset of total_vm_quanta).
   int64_t recovery_quanta = 0;
-  /// Dataflows abandoned after max_recovery_attempts.
+  /// Dataflows abandoned after kMaxRecoveryAttempts.
   int dataflows_failed = 0;
   /// Transient storage-Put failures that triggered a backoff retry.
   int storage_retries = 0;
@@ -327,17 +313,16 @@ struct ServiceMetrics {
   }
 };
 
-/// \brief Component-wise sum over per-tenant metrics: every mirrored
-/// counter plus the non-mirrored numeric fields (storage cost, queue delay,
-/// the harvest-only corruption/fleet ledger terms).
+/// \brief Component-wise sum over per-tenant metrics: every counter in
+/// DFIM_MIRRORED_COUNTERS plus the numeric fields it excludes (storage
+/// cost, queue delay and the end-of-run storage ledger terms).
 ///
-/// The zero-slack aggregation identity — for every mirrored counter,
-/// sum over tenants == aggregate — holds by construction and is what the
-/// sharding tests verify shard-count invariance against. `peak_queue_len`
-/// is summed like everything else (an upper bound on any instantaneous
-/// global queue, since tenant queues are disjoint). The aggregate carries
-/// no timeline (per-tenant cumulative series do not concatenate into one
-/// globally cumulative series) and tenant = -1.
+/// A sharded run's counters are the sum over its tenants by construction;
+/// the sharding tests check shard-count invariance against this sum.
+/// `peak_queue_len` is summed like everything else (an upper bound on any
+/// instantaneous global queue, since tenant queues are disjoint). The
+/// aggregate carries no timeline (per-tenant series do not merge into one
+/// ordered series) and tenant = -1.
 ServiceMetrics AggregateMetrics(const std::vector<ServiceMetrics>& per_tenant);
 
 }  // namespace dfim

@@ -148,12 +148,11 @@ IndexGains OnlineIndexTuner::EvaluateIndex(
   std::vector<GainContribution> uses;
   std::vector<double> reference_times;  // quanta, for adaptive fading
   for (const auto& rec : history) {
-    auto it = rec.time_gain.find(index_id);
-    if (it == rec.time_gain.end()) continue;
+    auto it = rec.gain.find(index_id);
+    if (it == rec.gain.end()) continue;
     GainContribution c;
     c.gtd_quanta = it->second;
-    auto im = rec.money_gain.find(index_id);
-    c.gmd_quanta = im == rec.money_gain.end() ? it->second : im->second;
+    c.gmd_quanta = it->second;
     c.delta_t_quanta = (now - rec.finished_at) / opts_.sched.quantum;
     if (c.delta_t_quanta < 0) c.delta_t_quanta = 0;
     uses.push_back(c);
@@ -192,7 +191,7 @@ Result<TunerDecision> OnlineIndexTuner::OnDataflow(
   std::set<std::string> potential(df.candidate_indexes.begin(),
                                   df.candidate_indexes.end());
   for (const auto& rec : history) {
-    for (const auto& [idx, _] : rec.time_gain) potential.insert(idx);
+    for (const auto& [idx, _] : rec.gain) potential.insert(idx);
   }
   std::vector<std::string> available;  // Ai: indexes with built partitions
   for (const auto& idx : catalog_->IndexIds()) {

@@ -47,18 +47,13 @@ struct Dataflow {
 
 /// \brief Execution record kept in the history list Hd (paper §3/§4).
 ///
-/// Stores the per-index realized gains used by Equations 4-5.
+/// Stores the per-index gains used by Equations 4-5.
 struct DataflowRecord {
-  int dataflow_id = 0;
-  AppType app = AppType::kMontage;
   /// Time the dataflow finished executing.
   Seconds finished_at = 0;
-  /// Realized makespan and money (in quanta) of the executed schedule.
-  double time_quanta = 0;
-  double money_quanta = 0;
-  /// Per-index gains: gtd(idx, d) and gmd(idx, d), both in quanta.
-  std::map<std::string, double> time_gain;
-  std::map<std::string, double> money_gain;
+  /// Per-index what-if gain in quanta, used as both gtd(idx, d) and
+  /// gmd(idx, d): the service estimates one value for time and money.
+  std::map<std::string, double> gain;
 };
 
 }  // namespace dfim

@@ -7,13 +7,13 @@
 ///      identities, the journal, catalog ⊆ storage). `Run` enforces these
 ///      itself, so every run here checks them by returning OK.
 ///   2. Counter sanity: sheds decompose, bounded queues never overflow,
-///      storage settles in order, cumulative timeline series never
-///      decrease.
+///      storage settles in order.
 ///   3. Determinism spot check: one config per seed re-runs bit-identically.
 
 #include <gtest/gtest.h>
 
 #include <memory>
+#include <set>
 #include <string>
 #include <vector>
 
@@ -278,31 +278,10 @@ void CheckInvariants(const ChaosRun& run, const std::string& label,
   if (cp.admission.max_queue > 0) {
     EXPECT_LE(m.peak_queue_len, cp.admission.max_queue) << label;
   }
-  for (size_t i = 1; i < m.timeline.size(); ++i) {
-    EXPECT_GE(m.timeline[i].dataflows_shed, m.timeline[i - 1].dataflows_shed)
-        << label;
-    EXPECT_GE(m.timeline[i].builds_shed, m.timeline[i - 1].builds_shed)
-        << label;
-    EXPECT_GE(m.timeline[i].breaker_opens, m.timeline[i - 1].breaker_opens)
-        << label;
-    EXPECT_GE(m.timeline[i].containers_failed,
-              m.timeline[i - 1].containers_failed)
-        << label;
-  }
-  // (2b) Tail-tolerance counters: hedge wins are a subset of hedges,
-  // cumulative series never decrease.
+  // (2b) Tail-tolerance counters: hedge wins are a subset of hedges.
   EXPECT_LE(m.hedge_wins, m.hedged_reads) << label;
   EXPECT_GE(m.spec_cancelled_quanta, 0.0) << label;
   EXPECT_LE(m.storage_faults, m.storage_reads + m.storage_retries) << label;
-  for (size_t i = 1; i < m.timeline.size(); ++i) {
-    EXPECT_GE(m.timeline[i].ops_speculated, m.timeline[i - 1].ops_speculated)
-        << label;
-    EXPECT_GE(m.timeline[i].spec_wins, m.timeline[i - 1].spec_wins) << label;
-    EXPECT_GE(m.timeline[i].hedged_reads, m.timeline[i - 1].hedged_reads)
-        << label;
-    EXPECT_GE(m.timeline[i].hedge_wins, m.timeline[i - 1].hedge_wins)
-        << label;
-  }
   // (2c) Fleet: drains are a subset of idle releases, and no container
   // exits the fleet more than once.
   EXPECT_LE(m.containers_drained, m.containers_reaped) << label;
@@ -319,17 +298,6 @@ void CheckInvariants(const ChaosRun& run, const std::string& label,
     EXPECT_EQ(m.degraded_reads, 0) << label;
     EXPECT_EQ(m.scrub_reads, 0) << label;
     EXPECT_EQ(m.stale_reads, 0) << label;
-  }
-  for (size_t i = 1; i < m.timeline.size(); ++i) {
-    EXPECT_GE(m.timeline[i].corruptions_injected,
-              m.timeline[i - 1].corruptions_injected)
-        << label;
-    EXPECT_GE(m.timeline[i].partitions_quarantined,
-              m.timeline[i - 1].partitions_quarantined)
-        << label;
-    EXPECT_GE(m.timeline[i].repairs_completed,
-              m.timeline[i - 1].repairs_completed)
-        << label;
   }
 }
 
@@ -428,12 +396,17 @@ TEST(ChaosTest, RecoveryAxisInvariantsHoldAcrossSweep) {
   // The control-plane crash axis (DESIGN.md §15): journaled runs that crash
   // and recover mid-iteration must uphold every structural invariant the
   // uncrashed lattice does — the accounting identities are over the final
-  // metrics, which replay reconstructs exactly-once.
+  // metrics, which replay reconstructs exactly-once — and must equal their
+  // journal-off twin on everything but the six recovery counters.
   const auto faults = FaultProfiles();
   const auto controls = ControlProfiles();
   const auto ap = ArrivalProfiles()[0];      // poisson
   const auto ip = IntegrityProfiles()[1];    // corruption + verify/scrub
   const auto rp = RecoveryProfiles()[1];     // journal + ctl crashes
+  const auto twin_rp = RecoveryProfiles()[0];  // journal off
+  const std::set<std::string> recovery_counters = {
+      "ctl_crashes",      "journal_records",  "journal_bytes",
+      "replayed_records", "persists_deduped", "recovery_replay_quanta"};
   int configs = 0;
   int crashed_configs = 0;
   for (uint64_t seed : {1u, 2u, 3u}) {
@@ -448,6 +421,21 @@ TEST(ChaosTest, RecoveryAxisInvariantsHoldAcrossSweep) {
         // recovery counters must also agree with each other.
         EXPECT_EQ(run.metrics.ctl_crashes, run.metrics.replayed_records)
             << label << ": every crash consumes exactly one snapshot";
+        const ChaosRun twin = RunConfig(seed, fp, cp, ap, SpecProfile{}, ip,
+                                        FleetProfile{}, twin_rp);
+        const ServiceMetrics& a = twin.metrics;
+        const ServiceMetrics& b = run.metrics;
+#define DFIM_CHAOS_TWIN(type, name)                       \
+  if (recovery_counters.count(#name) == 0) {              \
+    EXPECT_EQ(a.name, b.name) << label << " " << #name;   \
+  }
+        DFIM_MIRRORED_COUNTERS(DFIM_CHAOS_TWIN)
+#undef DFIM_CHAOS_TWIN
+        EXPECT_EQ(a.storage_cost, b.storage_cost) << label;
+        EXPECT_EQ(a.queue_delay_quanta, b.queue_delay_quanta) << label;
+        EXPECT_EQ(a.corruptions_injected, b.corruptions_injected) << label;
+        EXPECT_EQ(a.corruptions_dead, b.corruptions_dead) << label;
+        EXPECT_EQ(a.corruptions_latent, b.corruptions_latent) << label;
         if (run.metrics.ctl_crashes > 0) ++crashed_configs;
         ++configs;
       }

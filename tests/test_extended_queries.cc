@@ -102,15 +102,13 @@ TEST(ServiceUpdateTest, BatchUpdatesInvalidateAndRebuild) {
   so.tuner.sched.max_containers = 10;
   so.tuner.sched.skyline_cap = 3;
   so.update_interval_quanta = 10.0;  // aggressive: every 10 quanta
-  so.update_fraction = 0.5;
-  so.update_tables_per_batch = 2;
   so.seed = 11;
   QaasService service(&catalog, so);
   auto m = service.Run(&client);
   ASSERT_TRUE(m.ok());
   EXPECT_GT(m->update_batches, 2);
   EXPECT_GT(m->index_partitions_built, 0);
-  // With half of two tables updated every 10 quanta, some built index
+  // With 5% of one table updated every 10 quanta, some built index
   // partitions must have been invalidated.
   EXPECT_GT(m->index_partitions_invalidated, 0);
 }

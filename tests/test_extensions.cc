@@ -123,11 +123,9 @@ class AdaptiveFadingTest : public ::testing::Test {
     std::deque<DataflowRecord> h;
     for (int i = 0; i < n; ++i) {
       DataflowRecord r;
-      r.dataflow_id = i;
       r.finished_at =
           now - 60.0 * (last_gap + gap_quanta * (n - 1 - i));
-      r.time_gain["idx"] = 3.0;
-      r.money_gain["idx"] = 3.0;
+      r.gain["idx"] = 3.0;
       h.push_back(r);
     }
     return h;

@@ -370,8 +370,7 @@ TEST(ExecSimFaultTest, CrashKilledBuildLeavesNoResumableProgress) {
 // ---- QaasService: recovery loop end-to-end ---------------------------------
 
 struct FaultServiceFixture {
-  explicit FaultServiceFixture(const FaultOptions& faults,
-                               int max_recovery = 3, uint64_t seed = 5,
+  explicit FaultServiceFixture(const FaultOptions& faults, uint64_t seed = 5,
                                Seconds horizon = 60.0 * 60.0) {
     FileDatabaseOptions fdo;
     fdo.montage_files = 4;
@@ -389,7 +388,6 @@ struct FaultServiceFixture {
     so.sim.time_error = 0.1;
     so.sim.data_error = 0.1;
     so.faults = faults;
-    so.max_recovery_attempts = max_recovery;
     so.seed = seed;
     service = std::make_unique<QaasService>(&catalog, so);
   }
@@ -441,13 +439,6 @@ TEST(ServiceFaultTest, SurvivesContainerCrashes) {
   // Every crash was answered: either work was re-executed on a recovery
   // attempt or the dataflow was counted as failed.
   EXPECT_TRUE(m.ops_reexecuted > 0 || m.dataflows_failed > 0);
-  // Cumulative timeline counters never decrease.
-  for (size_t i = 1; i < m.timeline.size(); ++i) {
-    EXPECT_GE(m.timeline[i].containers_failed,
-              m.timeline[i - 1].containers_failed);
-    EXPECT_GE(m.timeline[i].dataflows_failed,
-              m.timeline[i - 1].dataflows_failed);
-  }
 }
 
 TEST(ServiceFaultTest, ReproducibleUnderFaults) {
@@ -479,7 +470,7 @@ TEST(ServiceFaultTest, ExhaustedRecoveryFailsDataflowsWithoutWedging) {
   FaultOptions fo;
   fo.crash_rate = 0.6;  // near-certain crash within a handful of quanta
   fo.seed = 9;
-  FaultServiceFixture f(fo, /*max_recovery=*/1);
+  FaultServiceFixture f(fo);
   ServiceMetrics m = f.RunMontage();
   EXPECT_GT(m.dataflows_failed, 0);
   EXPECT_GT(m.containers_failed, 0);

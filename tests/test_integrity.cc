@@ -92,6 +92,24 @@ TEST(StorageIntegrityTest, OverwriteInvalidatesPendingRot) {
   EXPECT_EQ(s.corruptions_dead(), 0);  // was never corrupt when replaced
 }
 
+TEST(StorageIntegrityTest, DeleteThenPutContinuesTheGeneration) {
+  StorageService s{PricingModel{}};
+  PutStamp rot;
+  rot.rot_at = 100.0;
+  EXPECT_EQ(s.NextGeneration("a"), 1);
+  EXPECT_EQ(s.Put("a", 10, 0.0, rot), 1);
+  EXPECT_EQ(s.NextGeneration("a"), 2);
+  // Deleted before its onset, then re-created: the new object is a new
+  // generation, so it draws fresh rot and the old event cannot fire on it.
+  s.Delete("a", 50.0);
+  EXPECT_EQ(s.Generation("a"), 0);
+  EXPECT_EQ(s.NextGeneration("a"), 2);
+  EXPECT_EQ(s.Put("a", 10, 60.0), 2);
+  s.AdvanceTo(200.0);
+  EXPECT_EQ(s.VerifyRead("a", 200.0), VerifyResult::kClean);
+  EXPECT_EQ(s.corruptions_injected(), 0);
+}
+
 TEST(StorageIntegrityTest, UndetectedCorruptionDiesOnOverwriteOrDelete) {
   StorageService s{PricingModel{}};
   PutStamp torn;
@@ -415,22 +433,6 @@ TEST(ServiceIntegrityTest, TornWritesAreDetectedQuarantinedAndRepaired) {
   // partition inside idle slots.
   EXPECT_GT(m.repairs_scheduled, 0);
   EXPECT_GT(m.repairs_completed, 0);
-  // Cumulative timeline series never decrease; the final point agrees with
-  // the end-of-run detection totals.
-  for (size_t i = 1; i < m.timeline.size(); ++i) {
-    EXPECT_GE(m.timeline[i].corruptions_injected,
-              m.timeline[i - 1].corruptions_injected);
-    EXPECT_GE(m.timeline[i].partitions_quarantined,
-              m.timeline[i - 1].partitions_quarantined);
-    EXPECT_GE(m.timeline[i].repairs_completed,
-              m.timeline[i - 1].repairs_completed);
-    EXPECT_GE(m.timeline[i].scrub_reads, m.timeline[i - 1].scrub_reads);
-  }
-  if (!m.timeline.empty()) {
-    EXPECT_LE(m.timeline.back().partitions_quarantined,
-              m.partitions_quarantined);
-    EXPECT_LE(m.timeline.back().repairs_completed, m.repairs_completed);
-  }
 }
 
 TEST(ServiceIntegrityTest, ScrubCatchesLatentRotBeforeReadersDo) {

@@ -99,13 +99,13 @@ TEST(RandomPolicyTest, SamplesFromGlobalPotentialSet) {
   so.total_time = 40.0 * 60.0;
   so.tuner.sched.max_containers = 8;
   so.tuner.sched.skyline_cap = 2;
-  so.random_indexes_per_dataflow = 4;
   so.seed = 13;
   QaasService service(&catalog, so);
   auto m = service.Run(&client);
   ASSERT_TRUE(m.ok());
-  // With 32 of 32 indexes sampled uniformly and only 8 belonging to the
-  // montage tables, some non-montage index almost surely got build ops.
+  // With two of 32 indexes sampled uniformly per dataflow and only 8
+  // belonging to the montage tables, some non-montage index almost surely
+  // got build ops.
   bool non_montage_built = false;
   for (const auto& idx : catalog.IndexIds()) {
     auto st = catalog.GetIndexState(idx);

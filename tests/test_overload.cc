@@ -74,10 +74,6 @@ TEST(OverloadTest, ClosedLoopDefaultsKeepOverloadCountersZero) {
   EXPECT_EQ(m->queue_delay_quanta, 0);
   EXPECT_EQ(m->peak_queue_len, 0);
   EXPECT_EQ(m->storage_clock_clamps, 0);
-  for (const auto& pt : m->timeline) {
-    EXPECT_EQ(pt.queue_len, 0);
-    EXPECT_EQ(pt.builds_shed, 0);
-  }
 }
 
 TEST(OverloadTest, OpenLoopAccountsEveryArrivalExactly) {
@@ -211,29 +207,6 @@ TEST(OverloadTest, RetryBudgetCapsFleetWideRecovery) {
   EXPECT_EQ(unlimited.retries_denied, 0);
   EXPECT_GT(capped.retries_denied, 0);
   EXPECT_LE(capped.recovery_quanta, unlimited.recovery_quanta);
-}
-
-TEST(OverloadTest, TimelineCarriesMonotoneOverloadCounters) {
-  ServiceOptions so = BaseOptions();
-  so.admission.max_queue = 4;
-  so.admission.slo_factor = 2.0;
-  so.brownout.pressure_lo_quanta = 0.5;
-  so.brownout.pressure_hi_quanta = 3.0;
-  OverloadFixture f(so);
-  ServiceMetrics m = f.Run(Arrivals(12.0));
-  ASSERT_FALSE(m.timeline.empty());
-  for (size_t i = 1; i < m.timeline.size(); ++i) {
-    EXPECT_GE(m.timeline[i].dataflows_shed, m.timeline[i - 1].dataflows_shed);
-    EXPECT_GE(m.timeline[i].deadlines_missed,
-              m.timeline[i - 1].deadlines_missed);
-    EXPECT_GE(m.timeline[i].builds_shed, m.timeline[i - 1].builds_shed);
-    EXPECT_GE(m.timeline[i].breaker_opens, m.timeline[i - 1].breaker_opens);
-    EXPECT_GE(m.timeline[i].queue_len, 0);
-  }
-  // Sheds can still happen after the last executed dataflow (stranded
-  // queue entries at the horizon), so the last point is a lower bound.
-  EXPECT_LE(m.timeline.back().dataflows_shed, m.dataflows_shed);
-  EXPECT_EQ(m.timeline.back().builds_shed, m.builds_shed);
 }
 
 }  // namespace

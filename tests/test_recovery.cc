@@ -189,6 +189,24 @@ TEST(RecoveryTest, UncrashedJournalBalancesAndReproduces) {
   EXPECT_EQ(a.metrics.name, b.metrics.name) << #name;
   DFIM_MIRRORED_COUNTERS(DFIM_RECOVERY_SAME)
 #undef DFIM_RECOVERY_SAME
+  // Transparency: an uncrashed journaled run equals its journal-off twin on
+  // everything but the journal's own record and byte counts.
+  for (uint64_t seed : {3u, 5u, 7u}) {
+    for (bool open_loop : {true, false}) {
+      const std::string label = "seed=" + std::to_string(seed) +
+                                (open_loop ? " open" : " closed");
+      ServiceOptions off = StressedOptions(seed, open_loop);
+      ServiceOptions on = off;
+      on.journal.enabled = true;
+      RecoveryRun journal_off = RunWith(off, seed);
+      RecoveryRun journal_on = RunWith(on, seed);
+      ExpectEquivalent(journal_off, journal_on, label);
+      EXPECT_EQ(journal_on.metrics.ctl_crashes, 0) << label;
+      EXPECT_EQ(journal_on.metrics.replayed_records, 0) << label;
+      EXPECT_EQ(journal_on.metrics.persists_deduped, 0) << label;
+      EXPECT_EQ(journal_on.metrics.recovery_replay_quanta, 0.0) << label;
+    }
+  }
 }
 
 // ---- The acceptance sweep: crash at EVERY boundary -------------------------

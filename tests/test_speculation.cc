@@ -459,14 +459,6 @@ TEST(ServiceSpecTest, StragglersSpeculatedAndFullyAccounted) {
   // that cancelled clones leave no catalog/storage trace.
   EXPECT_GE(m.spec_cancelled_quanta, 0.0);
   EXPECT_EQ(m.dataflows_failed, 0);  // stragglers slow, never kill
-  // Cumulative timeline counters never decrease and end at the totals.
-  for (size_t i = 1; i < m.timeline.size(); ++i) {
-    EXPECT_GE(m.timeline[i].ops_speculated,
-              m.timeline[i - 1].ops_speculated);
-    EXPECT_GE(m.timeline[i].spec_wins, m.timeline[i - 1].spec_wins);
-  }
-  ASSERT_FALSE(m.timeline.empty());
-  EXPECT_EQ(m.timeline.back().ops_speculated, m.ops_speculated);
 }
 
 TEST(ServiceSpecTest, ReproducibleUnderSpeculation) {

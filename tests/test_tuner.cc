@@ -28,10 +28,8 @@ class TunerTest : public ::testing::Test {
     std::deque<DataflowRecord> h;
     for (int i = 0; i < n; ++i) {
       DataflowRecord r;
-      r.dataflow_id = i;
       r.finished_at = last - 60.0 * (n - 1 - i);
-      r.time_gain[idx] = g;
-      r.money_gain[idx] = g;
+      r.gain[idx] = g;
       h.push_back(r);
     }
     return h;
