@@ -116,9 +116,6 @@ FleetArmResult RunFleetArm(const FleetArm& arm, int fleet_n, Seconds horizon,
     so.autoscaler.min_containers = 1;
     so.autoscaler.max_containers = 2 * fleet_n - 1;
     so.autoscaler.initial_containers = fleet_n;
-    so.autoscaler.grow_pressure = 1.0;
-    so.autoscaler.shrink_pressure = 0.5;
-    so.autoscaler.grow_step = 2;
   } else {
     so.autoscaler.min_containers = fleet_n;
     so.autoscaler.max_containers = fleet_n;

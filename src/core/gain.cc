@@ -10,7 +10,6 @@ IndexGains GainModel::Evaluate(const std::vector<GainContribution>& uses,
   double gt_sum = 0;
   double gm_sum = 0;
   for (const auto& u : uses) {
-    if (u.delta_t_quanta > opts_.history_window_quanta) continue;  // δ = 0
     double w = Fade(u.delta_t_quanta, fade_d_override);
     gt_sum += w * u.gtd_quanta;
     gm_sum += w * u.gmd_quanta;

@@ -2,7 +2,6 @@
 #define DFIM_CORE_GAIN_H_
 
 #include <cmath>
-#include <limits>
 #include <string>
 #include <vector>
 
@@ -20,11 +19,6 @@ struct GainOptions {
   /// W: storage window charged when assessing an index, in quanta
   /// (paper §4: "a time window of predefined size W (e.g., two quanta)").
   double storage_window_quanta = 2.0;
-  /// Horizon beyond which historical dataflows stop contributing. The
-  /// paper's Fig. 3 example uses an unbounded horizon with fading doing the
-  /// decay; with D = 1 quantum the contribution is ~0 after a few quanta
-  /// anyway.
-  double history_window_quanta = std::numeric_limits<double>::infinity();
   /// Paper future work ("automatic learning of the index gain fading
   /// controller... for each individual index"): when true, the tuner fits
   /// each index's D to its observed inter-reference gap, so sparsely but

@@ -38,27 +38,6 @@ struct JournalOptions {
 /// instead of crash-looping forever under ctl_crash_rate = 1).
 inline constexpr int kMaxResumeAttempts = 8;
 
-/// \brief What a journal record describes.
-enum class JournalRecordType {
-  /// A full control-plane snapshot (group commit point).
-  kSnapshot,
-  /// A stage of the decision pipeline completed.
-  kStage,
-  /// A dataflow was pulled from the workload client.
-  kArrival,
-};
-
-/// \brief The five crash boundaries of one service iteration, in pipeline
-/// order. `MaybeCtlCrash` draws at each; stage records are stamped with the
-/// stage that just completed.
-enum class StageBoundary {
-  kDecide = 0,
-  kExecute = 1,
-  kRecordHistory = 2,
-  kApplyDeletions = 3,
-  kStampTimeline = 4,
-};
-
 /// \brief Zero-slack accounting of every journal record ever written
 /// (DESIGN.md §15).
 ///
@@ -226,57 +205,37 @@ struct ServiceSnapshot {
   std::optional<InFlightDecision> in_flight;
 };
 
-/// \brief One record header: generation-stamped, checksummed, byte-sized.
-///
-/// The simulator journals logically (records live in memory), but each
-/// record carries the metadata a physical log would: a monotone LSN, the
-/// journal generation it was written under (bumped per recovery), a
-/// deterministic canonical-encoding size estimate, and an FNV-1a checksum
-/// over the header fields and a payload digest. Recovery re-verifies the
-/// snapshot checksum before trusting it.
-struct JournalRecord {
-  int64_t lsn = 0;
-  JournalRecordType type = JournalRecordType::kStage;
-  StageBoundary stage = StageBoundary::kDecide;
-  int64_t generation = 0;
-  int64_t bytes = 0;
-  uint64_t checksum = 0;
-};
-
 /// \brief The write-ahead journal + snapshot layer (DESIGN.md §15).
 ///
-/// Group-commit batching: stage and arrival records appended since the
-/// last snapshot form the open segment; the next `CommitSnapshot` bakes
-/// them into the snapshot (they move to `truncated_by_snapshot`). A crash
-/// discards the open segment (`tail_discarded`) and `Recover` consumes the
-/// latest snapshot (`replayed`), re-seating the restored state as a fresh
-/// snapshot under a bumped generation so a second crash during replay
-/// recovers from the same point.
+/// The journal keeps one snapshot and counts records: a stage or arrival
+/// record is only a count and a byte estimate in the open segment. Group-
+/// commit batching: the records appended since the last snapshot form the
+/// open segment; the next `CommitSnapshot` bakes them into the snapshot
+/// (they move to `truncated_by_snapshot`). A crash discards the open segment
+/// (`tail_discarded`) and `Recover` consumes the latest snapshot
+/// (`replayed`), re-seating the restored state as a fresh snapshot under a
+/// bumped generation so a second crash during replay recovers from the same
+/// point. While disabled, appends count nothing.
 class Journal {
  public:
-  explicit Journal(const JournalOptions& opts) : opts_(opts) {}
+  explicit Journal(const JournalOptions& opts) : enabled_(opts.enabled) {}
 
-  bool enabled() const { return opts_.enabled; }
-  const JournalOptions& options() const { return opts_; }
-
-  /// Appends one stage-completion record to the open segment. `items` is
+  /// Counts one stage-completion record into the open segment. `items` is
   /// the payload cardinality (history rows, deleted paths, stamps...) and
-  /// only feeds the deterministic byte estimate.
-  void AppendStage(StageBoundary stage, Seconds at, int64_t items);
+  /// only feeds the byte estimate.
+  void AppendStage(int64_t items) { Append(32 + 8 * items); }
 
-  /// Appends one arrival record (a dataflow pulled from the client).
-  void AppendArrival(int dataflow_id, Seconds at);
+  /// Counts one arrival record (a dataflow pulled from the client).
+  void AppendArrival() { Append(48); }
 
   /// Group commit: writes a snapshot record; the open segment and the
   /// previous snapshot are superseded (truncated) by it.
   void CommitSnapshot(ServiceSnapshot snap);
 
-  bool HasSnapshot() const { return snapshot_ != nullptr; }
-
-  /// Crash recovery: discards the open segment, checksum-verifies and
-  /// consumes the latest snapshot, bumps the generation, and re-seats the
-  /// restored state as a fresh snapshot. Returns the consumed snapshot, or
-  /// null when there is nothing to recover from (or the checksum fails).
+  /// Crash recovery: discards the open segment, consumes the latest
+  /// snapshot, bumps the generation, and re-seats the restored state as a
+  /// fresh snapshot. Returns the consumed snapshot, or null when there is
+  /// no snapshot to recover from.
   std::shared_ptr<const ServiceSnapshot> Recover();
 
   const JournalLedger& ledger() const { return ledger_; }
@@ -293,23 +252,16 @@ class Journal {
   /// Journal generation (recoveries survived).
   int64_t generation() const { return generation_; }
 
-  /// Retained record headers: the live segment only (records superseded
-  /// by a snapshot are compacted away). Inspection/testing.
-  const std::vector<JournalRecord>& records() const { return records_; }
-
  private:
-  JournalRecord MakeRecord(JournalRecordType type, StageBoundary stage,
-                           int64_t bytes, uint64_t payload_digest);
+  /// Counts one open-segment record of `bytes` (nothing while disabled).
+  void Append(int64_t bytes);
 
-  JournalOptions opts_;
+  bool enabled_;
   JournalLedger ledger_;
-  int64_t next_lsn_ = 1;
   int64_t generation_ = 0;
   /// Records appended since the latest snapshot (the open segment).
   int64_t open_records_ = 0;
   std::shared_ptr<const ServiceSnapshot> snapshot_;
-  JournalRecord snapshot_record_;
-  std::vector<JournalRecord> records_;
 };
 
 }  // namespace dfim

@@ -40,13 +40,6 @@ Status ValidateAutoscalerOptions(const AutoscalerOptions& opts) {
     return Status::InvalidArgument(
         "autoscaler initial_containers must be in [0, max_containers]");
   }
-  if (!(opts.grow_pressure > opts.shrink_pressure)) {
-    return Status::InvalidArgument(
-        "autoscaler grow_pressure must exceed shrink_pressure");
-  }
-  if (opts.grow_step < 1) {
-    return Status::InvalidArgument("autoscaler grow_step must be >= 1");
-  }
   return Status::OK();
 }
 
@@ -75,7 +68,7 @@ QaasService::QaasService(Catalog* catalog, ServiceOptions options)
         return t;
       }()),
       storage_(options.tuner.pricing),
-      provider_faults_(options.faults),
+      faults_(options.faults),
       fleet_(options.container, options.tuner.pricing,
              options.autoscaler.enabled ? options.autoscaler.max_containers
                                         : std::numeric_limits<int>::max()),
@@ -94,7 +87,7 @@ QaasService::QaasService(Catalog* catalog, ServiceOptions options)
         QuantaCeil(std::max(opts_.total_time, opts_.tuner.sched.quantum),
                    opts_.tuner.sched.quantum) +
         8;
-    fleet_.SetFaultModel(&provider_faults_, max_q);
+    fleet_.SetFaultModel(&faults_, max_q);
   }
   state_.fleet_target = opts_.autoscaler.initial_containers > 0
                             ? opts_.autoscaler.initial_containers
@@ -118,12 +111,11 @@ QaasService::FleetPlan QaasService::PrepareFleet(Seconds now,
     // head's queue delay at the latest dequeue).
     const double signal = state_.last_pressure;
     const int prev = state_.fleet_target;
-    if (signal >= opts_.autoscaler.grow_pressure) {
-      state_.fleet_target =
-          std::min(opts_.autoscaler.max_containers,
-                   state_.fleet_target + opts_.autoscaler.grow_step);
+    if (signal >= kAutoscaleGrowPressure) {
+      state_.fleet_target = std::min(opts_.autoscaler.max_containers,
+                                     state_.fleet_target + kAutoscaleGrowStep);
       if (state_.fleet_target > prev) ++metrics->fleet_grow_events;
-    } else if (signal <= opts_.autoscaler.shrink_pressure) {
+    } else if (signal <= kAutoscaleShrinkPressure) {
       state_.fleet_target =
           std::max(opts_.autoscaler.min_containers, state_.fleet_target - 1);
       if (state_.fleet_target < prev) ++metrics->fleet_shrink_events;
@@ -228,10 +220,8 @@ Result<TunerDecision> QaasService::BaselineDecision(const Dataflow& df,
   }
   SkylineScheduler scheduler(sched);
   DFIM_ASSIGN_OR_RETURN(
-      d.skyline,
-      scheduler.ScheduleDag(d.combined, d.durations, /*place_optional=*/false));
-  if (d.skyline.empty()) return Status::Internal("empty skyline");
-  d.chosen = d.skyline.front();
+      d.chosen, FastestSchedule(scheduler.ScheduleDag(
+                    d.combined, d.durations, /*place_optional=*/false)));
 
   if (opts_.policy == IndexPolicy::kRandom) {
     // Random assignment: each build op goes to the tail of a random
@@ -344,12 +334,10 @@ Result<TunerDecision> MergeDecisions(
   // regardless of the tuner's interleave mode — the members' own packings
   // were discarded with their schedules; a deliberate simplification).
   SkylineScheduler scheduler(sched);
-  DFIM_ASSIGN_OR_RETURN(merged.skyline,
-                        scheduler.ScheduleDag(merged.combined,
-                                              merged.durations,
-                                              /*place_optional=*/false));
-  if (merged.skyline.empty()) return Status::Internal("empty batch skyline");
-  merged.chosen = merged.skyline.front();
+  DFIM_ASSIGN_OR_RETURN(
+      merged.chosen,
+      FastestSchedule(scheduler.ScheduleDag(merged.combined, merged.durations,
+                                            /*place_optional=*/false)));
   if (!build_ids.empty() && build_fraction > 0) {
     Interleaver interleaver(sched, InterleaveMode::kLp);
     merged.chosen = interleaver.PackIntoIdleSlots(
@@ -649,12 +637,9 @@ Result<QaasService::RunOutcome> QaasService::StartRun(
   // execution covers the whole batch (the head member keys the fault draws
   // in FinishRun).
   in_flight_ = InFlightDecision{std::move(decision), fleet_plan.wait};
-  if (JournalOn()) {
-    journal_.AppendStage(
-        StageBoundary::kDecide, start,
-        static_cast<int64_t>(in_flight_->decision.combined.num_ops()));
-    CommitJournal(ServiceSnapshot::Kind::kPreExecute, *metrics);
-  }
+  journal_.AppendStage(
+      static_cast<int64_t>(in_flight_->decision.combined.num_ops()));
+  CommitJournal(ServiceSnapshot::Kind::kPreExecute, *metrics);
   if (MaybeCtlCrash()) return RunOutcome{.crashed = true};  // b1: pre-Execute
   return FinishRun(metrics);
 }
@@ -673,10 +658,7 @@ Result<QaasService::RunOutcome> QaasService::FinishRun(
     journal_.mutable_ledger()->recovery_replay_quanta +=
         exec.elapsed / opts_.tuner.sched.quantum;
   }
-  if (JournalOn()) {
-    journal_.AppendStage(StageBoundary::kExecute, start + exec.elapsed,
-                         static_cast<int64_t>(exec.total_leased));
-  }
+  journal_.AppendStage(static_cast<int64_t>(exec.total_leased));
   // b2: pre-RecordHistory
   if (MaybeCtlCrash()) return RunOutcome{.crashed = true};
 
@@ -689,10 +671,7 @@ Result<QaasService::RunOutcome> QaasService::FinishRun(
   if (!exec.failed) {
     for (const auto& p : batch) RecordHistory(p.df, finish);
   }
-  if (JournalOn()) {
-    journal_.AppendStage(StageBoundary::kRecordHistory, finish,
-                         static_cast<int64_t>(batch.size()));
-  }
+  journal_.AppendStage(static_cast<int64_t>(batch.size()));
   // b3: pre-ApplyDeletions
   if (MaybeCtlCrash()) return RunOutcome{.crashed = true};
 
@@ -707,10 +686,7 @@ Result<QaasService::RunOutcome> QaasService::FinishRun(
     ++metrics->dataflow_batches;
     metrics->batched_dataflows += static_cast<int>(batch.size());
   }
-  if (JournalOn()) {
-    journal_.AppendStage(StageBoundary::kApplyDeletions, finish,
-                         static_cast<int64_t>(fl.decision.to_delete.size()));
-  }
+  journal_.AppendStage(static_cast<int64_t>(fl.decision.to_delete.size()));
   // b4: pre-StampTimeline
   if (MaybeCtlCrash()) return RunOutcome{.crashed = true};
 
@@ -729,10 +705,7 @@ Result<QaasService::RunOutcome> QaasService::FinishRun(
     }
     if (m.deadline > 0 && finish > m.deadline) ++metrics->deadlines_missed;
   }
-  if (JournalOn()) {
-    journal_.AppendStage(StageBoundary::kStampTimeline, finish,
-                         static_cast<int64_t>(batch.size()));
-  }
+  journal_.AppendStage(static_cast<int64_t>(batch.size()));
   RunOutcome out;
   out.finish = finish;
   out.settled = settled;
@@ -742,8 +715,7 @@ Result<QaasService::RunOutcome> QaasService::FinishRun(
 Result<QaasService::ExecOutcome> QaasService::ExecuteDecision(
     TunerDecision* decision, const Dataflow& df, Seconds start,
     Seconds initial_wait, ServiceMetrics* metrics) {
-  FaultModel fault_model(opts_.faults);
-  const bool inject = fault_model.enabled();
+  const bool inject = faults_.enabled();
 
   SimOptions sim = opts_.sim;
   sim.quantum = opts_.tuner.sched.quantum;
@@ -804,10 +776,10 @@ Result<QaasService::ExecOutcome> QaasService::ExecuteDecision(
     const FaultInjection* fip = nullptr;
     if (inject || opts_.speculation.enabled() ||
         opts_.faults.preempt_rate > 0) {
-      fi.model = inject ? &fault_model : nullptr;
+      fi.model = inject ? &faults_ : nullptr;
       fi.run_key = static_cast<uint64_t>(df.id) * 0x100000001b3ULL +
                    static_cast<uint64_t>(attempt);
-      fi.trace = fault_model.DrawTrace(fi.run_key, nc, cur_plan->TotalSpan(),
+      fi.trace = faults_.DrawTrace(fi.run_key, nc, cur_plan->TotalSpan(),
                                        sim.quantum);
       // Translate each acquired container's absolute provider-reclaim
       // instant into the schedule-relative trace: the simulator drains the
@@ -914,7 +886,7 @@ Result<QaasService::ExecOutcome> QaasService::ExecuteDecision(
         bool persisted = false;
         Seconds backoff = kPersistBackoffInitial;
         for (int r = 0; r <= retries; ++r) {
-          if (!fault_model.StorageOpFaults(
+          if (!faults_.StorageOpFaults(
                   fi.run_key, PersistKey(b.index_id, b.partition, r))) {
             persisted = true;
             landed_attempt = r;
@@ -969,7 +941,7 @@ Result<QaasService::ExecOutcome> QaasService::ExecuteDecision(
             // landed: a crash-interrupted persist (dead container) is
             // likelier torn; latent rot is pre-drawn against the
             // generation this Put will create.
-            stamp.torn = fault_model.TornWrite(
+            stamp.torn = faults_.TornWrite(
                 fi.run_key,
                 PersistKey(b.index_id, b.partition, landed_attempt),
                 container_died);
@@ -977,7 +949,7 @@ Result<QaasService::ExecOutcome> QaasService::ExecuteDecision(
                 QuantaCeil(std::max(opts_.total_time - built_at, sim.quantum),
                            sim.quantum) +
                 8;
-            stamp.rot_at = fault_model.BitRotOnset(
+            stamp.rot_at = faults_.BitRotOnset(
                 PathHash(path), storage_.NextGeneration(path), built_at,
                 sim.quantum, max_q);
           }
@@ -1158,11 +1130,10 @@ Result<QaasService::ExecOutcome> QaasService::ExecuteDecision(
       recovery_sched.max_containers = recovery_plan.bound;
     }
     SkylineScheduler rescheduler(recovery_sched);
-    DFIM_ASSIGN_OR_RETURN(std::vector<Schedule> sky,
-                          rescheduler.ScheduleDag(suffix_dag, suffix_durations,
-                                                  /*place_optional=*/false));
-    if (sky.empty()) return Status::Internal("empty recovery skyline");
-    suffix_plan = std::move(sky.front());
+    DFIM_ASSIGN_OR_RETURN(
+        suffix_plan,
+        FastestSchedule(rescheduler.ScheduleDag(suffix_dag, suffix_durations,
+                                                /*place_optional=*/false)));
     cur_dag = &suffix_dag;
     cur_plan = &suffix_plan;
     cur_costs = &suffix_costs;
@@ -1273,7 +1244,7 @@ bool QaasService::MaybeCtlCrash() {
   // Fail open: past the resume bound the run proceeds uncrashed until an
   // iteration completes, instead of crash-looping under ctl_crash_rate = 1.
   if (resume_attempts_ >= kMaxResumeAttempts) return false;
-  if (!provider_faults_.CtlCrashAt(idx)) return false;
+  if (!faults_.CtlCrashAt(idx)) return false;
   ++journal_.mutable_ledger()->ctl_crashes;
   return true;
 }
@@ -1334,6 +1305,7 @@ void QaasService::RestoreSnapshot(const ServiceSnapshot& s,
 
 void QaasService::CommitJournal(ServiceSnapshot::Kind kind,
                                 const ServiceMetrics& metrics) {
+  if (!JournalOn()) return;
   // Group commit: the deferred destructive deletes apply first, so the
   // snapshot captures the post-flush storage view (staged list empty).
   FlushStagedDeletes();
@@ -1411,7 +1383,7 @@ Result<ServiceMetrics> QaasService::Run(WorkloadClient* client) {
   while (true) {
     std::optional<Dataflow> df = client->Next(loop.clock, opts_.total_time);
     if (!df.has_value()) break;
-    if (JournalOn()) journal_.AppendArrival(df->id, df->issued_at);
+    journal_.AppendArrival();
     ++metrics.dataflows_arrived;
     Seconds start = std::max(df->issued_at, loop.clock);
     if (start >= opts_.total_time) {
@@ -1430,7 +1402,7 @@ Result<ServiceMetrics> QaasService::Run(WorkloadClient* client) {
     loop.build_fraction = 1.0;
     // C0: all of this iteration's inputs (the arrival, due updates) are in;
     // a crash anywhere past this point re-runs from here.
-    if (JournalOn()) CommitJournal(ServiceSnapshot::Kind::kIterStart, metrics);
+    CommitJournal(ServiceSnapshot::Kind::kIterStart, metrics);
     DFIM_RETURN_NOT_OK(RunIteration(&metrics));
   }
   SettleRun(&metrics);
@@ -1466,7 +1438,7 @@ void QaasService::SettleRun(ServiceMetrics* metrics) {
   }
   fleet_.ReapExpired(std::max(final_t, opts_.total_time));
   HarvestFleet(metrics);
-  if (JournalOn()) HarvestJournal(metrics);
+  HarvestJournal(metrics);
   loop_ = nullptr;
 }
 
@@ -1539,10 +1511,7 @@ Result<ServiceMetrics> QaasService::RunOpenLoop(WorkloadClient* client) {
   ServiceSnapshot::LoopState loop;  // clock: when the front door is next free
   loop_ = &loop;
   loop.pending_arrival = client->Next(0, opts_.total_time);
-  if (JournalOn() && loop.pending_arrival.has_value()) {
-    journal_.AppendArrival(loop.pending_arrival->id,
-                           loop.pending_arrival->issued_at);
-  }
+  if (loop.pending_arrival.has_value()) journal_.AppendArrival();
   std::deque<PendingDataflow>& queue = loop.queue;
   std::optional<Dataflow>& next_df = loop.pending_arrival;
 
@@ -1557,9 +1526,7 @@ Result<ServiceMetrics> QaasService::RunOpenLoop(WorkloadClient* client) {
     if (next_df.has_value() && next_df->issued_at <= dequeue_at) {
       admission_.Admit(std::move(*next_df), &queue, &metrics);
       next_df = client->Next(0, opts_.total_time);
-      if (JournalOn() && next_df.has_value()) {
-        journal_.AppendArrival(next_df->id, next_df->issued_at);
-      }
+      if (next_df.has_value()) journal_.AppendArrival();
       continue;
     }
 
@@ -1616,7 +1583,7 @@ Result<ServiceMetrics> QaasService::RunOpenLoop(WorkloadClient* client) {
     loop.build_fraction = fraction;
     // C0: arrivals pulled, batch formed, due updates applied; a crash
     // anywhere in the iteration below re-runs from here.
-    if (JournalOn()) CommitJournal(ServiceSnapshot::Kind::kIterStart, metrics);
+    CommitJournal(ServiceSnapshot::Kind::kIterStart, metrics);
     DFIM_RETURN_NOT_OK(RunIteration(&metrics));
   }
 

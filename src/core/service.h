@@ -100,12 +100,6 @@ struct AutoscalerOptions {
   int max_containers = 8;
   /// Starting fleet target (0 = min_containers).
   int initial_containers = 0;
-  /// Pressure at or above which the target grows by `grow_step` (queue
-  /// delay quanta, like the brownout thresholds).
-  double grow_pressure = 2.0;
-  int grow_step = 2;
-  /// Pressure at or below which the target shrinks by one.
-  double shrink_pressure = 0.5;
   /// Statically provisioned always-on fleet: every alive container's lease
   /// is extended through the present at each fleet-preparation step and
   /// through the horizon at the end of the run, so idle gaps are billed
@@ -114,6 +108,13 @@ struct AutoscalerOptions {
   /// are never revived.
   bool keep_alive = false;
 };
+
+/// Queue pressure (queue delay quanta, like the brownout thresholds) at or
+/// above which the autoscaler grows the fleet target by kAutoscaleGrowStep,
+/// and at or below which it shrinks the target by one.
+inline constexpr double kAutoscaleGrowPressure = 1.0;
+inline constexpr double kAutoscaleShrinkPressure = 0.5;
+inline constexpr int kAutoscaleGrowStep = 2;
 
 /// Capped exponential backoff after a provider-denied acquire: the first
 /// denial pauses fresh requests for kAcquireBackoffInitialQuanta, doubling
@@ -124,9 +125,8 @@ struct AutoscalerOptions {
 inline constexpr double kAcquireBackoffInitialQuanta = 1.0;
 inline constexpr double kAcquireBackoffCapQuanta = 16.0;
 
-/// Rejects a non-positive floor, a ceiling below the floor, an initial
-/// target outside [0, max], grow <= shrink pressure and a non-positive grow
-/// step. All checks gated on `enabled`.
+/// Rejects a non-positive floor, a ceiling below the floor and an initial
+/// target outside [0, max]. All checks gated on `enabled`.
 Status ValidateAutoscalerOptions(const AutoscalerOptions& opts);
 
 /// \brief Service configuration (Table 3 defaults).
@@ -488,7 +488,7 @@ class QaasService {
   void RestoreSnapshot(const ServiceSnapshot& s, ServiceMetrics* metrics);
 
   /// Flushes staged deletes and group-commits a snapshot of the current
-  /// state into the journal.
+  /// state into the journal. Does nothing while the journal is off.
   void CommitJournal(ServiceSnapshot::Kind kind, const ServiceMetrics& metrics);
 
   /// The B-phase of one iteration: execute the in-flight decision, record
@@ -507,7 +507,7 @@ class QaasService {
 
   /// Copies the journal ledger's recovery counters into the metrics
   /// (absolute values, once at the end of the run; the ledger, like
-  /// storage, survives crashes).
+  /// storage, survives crashes). All zero while the journal is off.
   void HarvestJournal(ServiceMetrics* metrics) const;
   /// @}
 
@@ -515,9 +515,10 @@ class QaasService {
   ServiceOptions opts_;
   OnlineIndexTuner tuner_;
   StorageService storage_;
-  /// Provider fault draws for the fleet (attached to fleet_ when any
-  /// provider rate is nonzero; kept as a member for pointer stability).
-  FaultModel provider_faults_;
+  /// Every fault draw of the run. Stateless, so one model serves every
+  /// execution; attached to fleet_ when any provider rate is nonzero (a
+  /// member for pointer stability).
+  FaultModel faults_;
   /// The fleet authority: owns every container, the zero-slack acquisition
   /// ledger, and all charge/reap/release bookkeeping (DESIGN.md §13).
   Cluster fleet_;

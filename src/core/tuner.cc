@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <set>
+#include <utility>
 
 #include "dataflow/build_index_ops.h"
 
@@ -24,6 +25,12 @@ std::string CacheKeyFor(const Operator& op, const EffectiveCost& cost,
 }
 
 }  // namespace
+
+Result<Schedule> FastestSchedule(Result<std::vector<Schedule>> skyline) {
+  if (!skyline.ok()) return skyline.status();
+  if (skyline->empty()) return Status::Internal("empty schedule skyline");
+  return std::move(skyline->front());
+}
 
 void BuildDataflowCosts(const Dag& dag, const Dataflow& df,
                         const Catalog& catalog, double net_mb_per_sec,
@@ -251,14 +258,13 @@ Result<TunerDecision> OnlineIndexTuner::OnDataflow(
     bounded.max_containers = max_containers;
     Interleaver scoped(bounded, opts_.mode);
     DFIM_ASSIGN_OR_RETURN(
-        d.skyline, scoped.Interleave(d.combined, d.durations, build_fraction));
+        d.chosen, FastestSchedule(scoped.Interleave(d.combined, d.durations,
+                                                    build_fraction)));
   } else {
     DFIM_ASSIGN_OR_RETURN(
-        d.skyline,
-        interleaver_.Interleave(d.combined, d.durations, build_fraction));
+        d.chosen, FastestSchedule(interleaver_.Interleave(
+                      d.combined, d.durations, build_fraction)));
   }
-  if (d.skyline.empty()) return Status::Internal("empty schedule skyline");
-  d.chosen = d.skyline.front();
   for (const auto& a : d.chosen.assignments()) {
     if (a.optional) ++d.build_ops_scheduled;
   }

@@ -36,9 +36,8 @@ struct TunerDecision {
   std::vector<Seconds> durations;
   /// Execution-simulator costs per combined op id.
   std::vector<SimOpCost> costs;
-  /// The skyline of interleaved schedules (Sdf + SBI).
-  std::vector<Schedule> skyline;
-  /// The selected schedule — the fastest, per §5.2.
+  /// The selected schedule: the fastest of the interleaved skyline
+  /// (Sdf + SBI), per §5.2.
   Schedule chosen;
   /// Indexes to delete (DI).
   std::vector<std::string> to_delete;
@@ -50,6 +49,10 @@ struct TunerDecision {
   /// ops were never appended to `combined`).
   int builds_shed = 0;
 };
+
+/// The fastest schedule of `skyline`, its front (§5.2). Internal when the
+/// skyline is empty; passes a scheduling error through.
+Result<Schedule> FastestSchedule(Result<std::vector<Schedule>> skyline);
 
 /// \brief Algorithm 1: Online Index Tuning.
 ///

@@ -25,10 +25,6 @@ void IndexState::MarkNotBuilt(size_t i) {
   parts_[i] = IndexPartitionState{};
 }
 
-void IndexState::MarkAllNotBuilt() {
-  for (auto& p : parts_) p = IndexPartitionState{};
-}
-
 bool IndexState::IsCurrent(size_t i, int64_t current_version) const {
   assert(i < parts_.size());
   return parts_[i].built && parts_[i].built_version == current_version;

@@ -59,7 +59,6 @@ class IndexState {
   /// (known only after the Put returns; 0 = unknown).
   void SetGeneration(size_t i, int64_t generation);
   void MarkNotBuilt(size_t i);
-  void MarkAllNotBuilt();
 
   /// True when partition `i` is built against `current_version`.
   bool IsCurrent(size_t i, int64_t current_version) const;

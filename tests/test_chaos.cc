@@ -174,9 +174,6 @@ std::vector<FleetProfile> FleetProfiles() {
   elastic.autoscaler.min_containers = 1;
   elastic.autoscaler.max_containers = 8;
   elastic.autoscaler.initial_containers = 4;
-  elastic.autoscaler.grow_pressure = 1.0;
-  elastic.autoscaler.shrink_pressure = 0.25;
-  elastic.autoscaler.grow_step = 2;
   elastic.acquire_fail_rate = 0.2;
   elastic.boot_delay_max = 20.0;
   elastic.preempt_rate = 0.05;

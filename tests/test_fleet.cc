@@ -203,14 +203,6 @@ TEST(AutoscalerOptionsTest, ValidationRejectsBadKnobs) {
   bad.initial_containers = bad.max_containers + 1;
   EXPECT_FALSE(ValidateAutoscalerOptions(bad).ok());
 
-  bad = ok;
-  bad.grow_pressure = bad.shrink_pressure;
-  EXPECT_FALSE(ValidateAutoscalerOptions(bad).ok());
-
-  bad = ok;
-  bad.grow_step = 0;
-  EXPECT_FALSE(ValidateAutoscalerOptions(bad).ok());
-
   // Disabled autoscalers are never validated: the knobs are inert.
   bad.enabled = false;
   EXPECT_TRUE(ValidateAutoscalerOptions(bad).ok());
@@ -270,9 +262,6 @@ ServiceOptions ElasticOptions() {
   so.autoscaler.min_containers = 2;
   so.autoscaler.max_containers = 8;
   so.autoscaler.initial_containers = 6;
-  so.autoscaler.grow_pressure = 1.0;
-  so.autoscaler.shrink_pressure = 0.1;
-  so.autoscaler.grow_step = 2;
   so.faults.acquire_fail_rate = 0.25;
   so.faults.boot_delay_max = 30.0;
   so.faults.preempt_rate = 0.1;

@@ -58,16 +58,6 @@ TEST(GainModelTest, OldUsesFadeAway) {
   EXPECT_LT(stale.gt, fresh.gt);
 }
 
-TEST(GainModelTest, HistoryWindowCutsOff) {
-  GainOptions o;
-  o.history_window_quanta = 5.0;
-  GainModel m(o, PricingModel{});
-  IndexGains inside = m.Evaluate({{5, 5, 4.0}}, 0, 0, 0);
-  IndexGains outside = m.Evaluate({{5, 5, 6.0}}, 0, 0, 0);
-  EXPECT_GT(inside.gt, 0);
-  EXPECT_DOUBLE_EQ(outside.gt, 0);
-}
-
 TEST(GainModelTest, MixedStateNeitherBeneficialNorDeletable) {
   GainModel m = Model();
   // Positive time gain but storage cost sinks the money side.

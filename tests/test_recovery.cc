@@ -165,7 +165,7 @@ TEST(RecoveryTest, JournalOffWritesNothing) {
   EXPECT_EQ(run.metrics.persists_deduped, 0);
   EXPECT_DOUBLE_EQ(run.metrics.recovery_replay_quanta, 0.0);
   EXPECT_EQ(run.service->journal().ledger().records_written, 0);
-  EXPECT_TRUE(run.service->journal().records().empty());
+  EXPECT_EQ(run.service->journal().live_records(), 0);
 }
 
 // ---- Journal on, no crashes: overhead visible, ledger exact ----------------

@@ -77,10 +77,15 @@ TEST_F(TunerTest, OnDataflowProducesValidDecision) {
   EXPECT_GE(decision->combined.num_ops(), df.dag.num_ops());
   EXPECT_EQ(decision->durations.size(), decision->combined.num_ops());
   EXPECT_EQ(decision->costs.size(), decision->combined.num_ops());
-  EXPECT_FALSE(decision->skyline.empty());
   EXPECT_TRUE(decision->chosen.CheckNoOverlap());
-  // Fastest-first selection.
-  for (const auto& s : decision->skyline) {
+  // Fastest-first selection: no schedule of the interleaved skyline beats
+  // the chosen one.
+  Interleaver interleaver(opts_.sched, opts_.mode);
+  auto skyline = interleaver.Interleave(decision->combined,
+                                        decision->durations, 1.0);
+  ASSERT_TRUE(skyline.ok());
+  ASSERT_FALSE(skyline->empty());
+  for (const auto& s : *skyline) {
     EXPECT_LE(decision->chosen.makespan(), s.makespan() + 1e-9);
   }
   // All mandatory ops scheduled.
@@ -89,6 +94,20 @@ TEST_F(TunerTest, OnDataflowProducesValidDecision) {
     if (!a.optional) ++mandatory;
   }
   EXPECT_EQ(mandatory, df.dag.num_ops());
+}
+
+TEST(FastestScheduleTest, TakesTheFrontAndRejectsAnEmptySkyline) {
+  Schedule fast;
+  fast.Add(Assignment{.op_id = 0, .container = 0, .start = 0, .end = 10});
+  Schedule slow;
+  slow.Add(Assignment{.op_id = 0, .container = 0, .start = 0, .end = 20});
+  auto chosen = FastestSchedule(std::vector<Schedule>{fast, slow});
+  ASSERT_TRUE(chosen.ok());
+  EXPECT_DOUBLE_EQ(chosen->makespan(), 10);
+  EXPECT_TRUE(FastestSchedule(std::vector<Schedule>{}).status().IsInternal());
+  EXPECT_TRUE(FastestSchedule(Status::InvalidArgument("bad dag"))
+                  .status()
+                  .IsInvalidArgument());
 }
 
 TEST_F(TunerTest, StrongHistoryTriggersBuildOps) {
