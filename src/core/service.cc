@@ -1149,8 +1149,9 @@ void QaasService::RecordHistory(const Dataflow& df, Seconds finish) {
   // loop refreshes state_.last_useful, so this must run before ApplyDeletions.
   DataflowRecord rec;
   rec.finished_at = finish;
+  const WhatIfTable what_if = tuner_.WhatIf(df);
   for (const auto& idx : df.candidate_indexes) {
-    double g = tuner_.EstimateDataflowGain(df, idx);
+    double g = what_if.Gain(idx);
     if (g > 0) {
       rec.gain[idx] = g;
       state_.last_useful[idx] = finish;

@@ -1,7 +1,6 @@
 #include "core/tuner.h"
 
 #include <algorithm>
-#include <set>
 #include <utility>
 
 #include "dataflow/build_index_ops.h"
@@ -24,6 +23,32 @@ std::string CacheKeyFor(const Operator& op, const EffectiveCost& cost,
   return key;
 }
 
+/// BuildDataflowCosts with the dataflow's what-if table already built.
+void FillCosts(const Dag& dag, const WhatIfTable& what_if,
+               const Catalog& catalog, double net_mb_per_sec,
+               std::vector<Seconds>* durations, std::vector<SimOpCost>* costs) {
+  durations->assign(dag.num_ops(), 0);
+  costs->assign(dag.num_ops(), SimOpCost{});
+  for (const auto& op : dag.ops()) {
+    auto i = static_cast<size_t>(op.id);
+    if (op.optional) {
+      // Build ops: the cost model's build time already includes their IO.
+      (*durations)[i] = op.time;
+      (*costs)[i] = SimOpCost{op.time, 0, ""};
+      continue;
+    }
+    EffectiveCost c = what_if.Current(op.id);
+    (*durations)[i] = c.cpu_time + c.input_mb / net_mb_per_sec;
+    SimOpCost& sc = (*costs)[i];
+    sc.cpu_time = c.cpu_time;
+    sc.input_mb = c.input_mb;
+    sc.cache_key = CacheKeyFor(op, c, catalog);
+    // Which index backs the read — the integrity layer binds verification
+    // verdicts per distinct index (empty = base scan, nothing to verify).
+    sc.index_used = c.index_used;
+  }
+}
+
 }  // namespace
 
 Result<Schedule> FastestSchedule(Result<std::vector<Schedule>> skyline) {
@@ -36,26 +61,9 @@ void BuildDataflowCosts(const Dag& dag, const Dataflow& df,
                         const Catalog& catalog, double net_mb_per_sec,
                         std::vector<Seconds>* durations,
                         std::vector<SimOpCost>* costs) {
-  durations->assign(dag.num_ops(), 0);
-  costs->assign(dag.num_ops(), SimOpCost{});
-  for (const auto& op : dag.ops()) {
-    auto i = static_cast<size_t>(op.id);
-    if (op.optional) {
-      // Build ops: the cost model's build time already includes their IO.
-      (*durations)[i] = op.time;
-      (*costs)[i] = SimOpCost{op.time, 0, ""};
-      continue;
-    }
-    EffectiveCost c = EffectiveOpCost(op, df, catalog);
-    (*durations)[i] = c.cpu_time + c.input_mb / net_mb_per_sec;
-    SimOpCost& sc = (*costs)[i];
-    sc.cpu_time = c.cpu_time;
-    sc.input_mb = c.input_mb;
-    sc.cache_key = CacheKeyFor(op, c, catalog);
-    // Which index backs the read — the integrity layer binds verification
-    // verdicts per distinct index (empty = base scan, nothing to verify).
-    sc.index_used = c.index_used;
-  }
+  // Only the per-op costs are read, so the quantum is immaterial.
+  FillCosts(dag, WhatIfTable(df, catalog, net_mb_per_sec, /*quantum=*/1.0),
+            catalog, net_mb_per_sec, durations, costs);
 }
 
 namespace {
@@ -77,30 +85,15 @@ OnlineIndexTuner::OnlineIndexTuner(Catalog* catalog, TunerOptions options)
   opts_.sched = NormalizedSched(opts_.sched);
 }
 
+WhatIfTable OnlineIndexTuner::WhatIf(const Dataflow& df) const {
+  return WhatIfTable(df, *catalog_, opts_.sched.net_mb_per_sec,
+                     opts_.sched.quantum);
+}
+
 double OnlineIndexTuner::MarginalGainQuanta(const Dataflow& df,
                                             const std::string& index_id,
                                             bool built) const {
-  auto def = catalog_->GetIndexDef(index_id);
-  if (!def.ok()) return 0;
-  double net = opts_.sched.net_mb_per_sec;
-  double saving = 0;
-  for (const auto& op : df.dag.ops()) {
-    if (op.optional || op.input_table != (*def)->table) continue;
-    EffectiveCost a, b;
-    if (built) {
-      // Retention value: how much slower the dataflow gets without it.
-      a = EffectiveOpCostFiltered(op, df, *catalog_, index_id, "");
-      b = EffectiveOpCostFiltered(op, df, *catalog_, "", "");
-    } else {
-      // Build value: improvement over the currently built indexes.
-      a = EffectiveOpCostFiltered(op, df, *catalog_, "", "");
-      b = EffectiveOpCostFiltered(op, df, *catalog_, "", index_id);
-    }
-    double delta =
-        (a.cpu_time + a.input_mb / net) - (b.cpu_time + b.input_mb / net);
-    if (delta > 0) saving += delta;
-  }
-  return saving / opts_.sched.quantum;
+  return WhatIf(df).Marginal(index_id, built);
 }
 
 bool OnlineIndexTuner::IsBuilt(const std::string& index_id) const {
@@ -110,34 +103,7 @@ bool OnlineIndexTuner::IsBuilt(const std::string& index_id) const {
 
 double OnlineIndexTuner::EstimateDataflowGain(const Dataflow& df,
                                               const std::string& index_id) const {
-  auto def = catalog_->GetIndexDef(index_id);
-  if (!def.ok()) return 0;
-  if (IsBuilt(index_id)) {
-    return MarginalGainQuanta(df, index_id, /*built=*/true);
-  }
-  // Unbuilt candidates compete: only the one with the best marginal
-  // improvement for this dataflow's table earns the gain, because an
-  // operator reads at most one index (crediting runners-up would build
-  // redundant indexes — the index-interaction issue the paper defers,
-  // §2: "delete indexes that become obsolete when index interactions...
-  // are identified").
-  double my = MarginalGainQuanta(df, index_id, /*built=*/false);
-  if (my <= 0) return 0;
-  auto my_size = catalog_->FullSize(index_id);
-  for (const auto& other : df.candidate_indexes) {
-    if (other == index_id || IsBuilt(other)) continue;
-    auto odef = catalog_->GetIndexDef(other);
-    if (!odef.ok() || (*odef)->table != (*def)->table) continue;
-    double others = MarginalGainQuanta(df, other, /*built=*/false);
-    if (others > my) return 0;
-    if (others == my) {
-      auto osize = catalog_->FullSize(other);
-      MegaBytes mine = my_size.ok() ? *my_size : 0;
-      MegaBytes theirs = osize.ok() ? *osize : 0;
-      if (theirs < mine || (theirs == mine && other < index_id)) return 0;
-    }
-  }
-  return my;
+  return WhatIf(df).Gain(index_id);
 }
 
 double OnlineIndexTuner::FullBuildQuanta(const std::string& index_id) const {
@@ -149,25 +115,49 @@ double OnlineIndexTuner::FullBuildQuanta(const std::string& index_id) const {
   return t.ok() ? *t / opts_.sched.quantum : 0;
 }
 
+OnlineIndexTuner::HistoryUses OnlineIndexTuner::IndexHistory(
+    const std::deque<DataflowRecord>& history) {
+  HistoryUses out;
+  for (const auto& rec : history) {
+    for (const auto& [idx, gain] : rec.gain) {
+      out[idx].push_back(HistoryUse{gain, rec.finished_at});
+    }
+  }
+  return out;
+}
+
+const std::vector<OnlineIndexTuner::HistoryUse>& OnlineIndexTuner::UsesOf(
+    const HistoryUses& uses, const std::string& index_id) {
+  static const std::vector<HistoryUse> kNone;
+  auto it = uses.find(index_id);
+  return it != uses.end() ? it->second : kNone;
+}
+
 IndexGains OnlineIndexTuner::EvaluateIndex(
     const std::string& index_id, const std::deque<DataflowRecord>& history,
     const Dataflow* current, Seconds now) const {
-  std::vector<GainContribution> uses;
+  double est = current != nullptr ? WhatIf(*current).Gain(index_id) : 0;
+  return Evaluate(index_id, UsesOf(IndexHistory(history), index_id), est, now);
+}
+
+IndexGains OnlineIndexTuner::Evaluate(const std::string& index_id,
+                                      const std::vector<HistoryUse>& uses,
+                                      double current_gain, Seconds now) const {
+  std::vector<GainContribution> contributions;
   std::vector<double> reference_times;  // quanta, for adaptive fading
-  for (const auto& rec : history) {
-    auto it = rec.gain.find(index_id);
-    if (it == rec.gain.end()) continue;
+  contributions.reserve(uses.size() + 1);
+  reference_times.reserve(uses.size());
+  for (const HistoryUse& use : uses) {
     GainContribution c;
-    c.gtd_quanta = it->second;
-    c.gmd_quanta = it->second;
-    c.delta_t_quanta = (now - rec.finished_at) / opts_.sched.quantum;
+    c.gtd_quanta = use.gain_quanta;
+    c.gmd_quanta = use.gain_quanta;
+    c.delta_t_quanta = (now - use.finished_at) / opts_.sched.quantum;
     if (c.delta_t_quanta < 0) c.delta_t_quanta = 0;
-    uses.push_back(c);
-    reference_times.push_back(rec.finished_at / opts_.sched.quantum);
+    contributions.push_back(c);
+    reference_times.push_back(use.finished_at / opts_.sched.quantum);
   }
-  if (current != nullptr) {
-    double est = EstimateDataflowGain(*current, index_id);
-    if (est > 0) uses.push_back(GainContribution{est, est, 0});
+  if (current_gain > 0) {
+    contributions.push_back(GainContribution{current_gain, current_gain, 0});
   }
   double ti = FullBuildQuanta(index_id);
   auto size = catalog_->FullSize(index_id);
@@ -183,7 +173,7 @@ IndexGains OnlineIndexTuner::EvaluateIndex(
     d_override = std::clamp(mean_gap, opts_.gain.fade_d_quanta,
                             kAdaptiveFadingMaxQuanta);
   }
-  return gain_model_.Evaluate(uses, ti, /*build_cost_quanta=*/ti,
+  return gain_model_.Evaluate(contributions, ti, /*build_cost_quanta=*/ti,
                               size.ok() ? *size : 0, d_override);
 }
 
@@ -193,26 +183,24 @@ Result<TunerDecision> OnlineIndexTuner::OnDataflow(
     int max_containers) const {
   TunerDecision d;
 
-  // The potential set Pi: the dataflow's candidates plus indexes seen in
-  // the history window plus everything currently built.
-  std::set<std::string> potential(df.candidate_indexes.begin(),
-                                  df.candidate_indexes.end());
-  for (const auto& rec : history) {
-    for (const auto& [idx, _] : rec.gain) potential.insert(idx);
-  }
+  // The potential set Pi: the indexes seen in the history window (with
+  // their uses) plus the dataflow's candidates plus everything built.
+  HistoryUses potential = IndexHistory(history);
+  for (const auto& idx : df.candidate_indexes) potential[idx];
   std::vector<std::string> available;  // Ai: indexes with built partitions
   for (const auto& idx : catalog_->IndexIds()) {
     auto st = catalog_->GetIndexState(idx);
     if (st.ok() && (*st)->NumBuilt() > 0) {
       available.push_back(idx);
-      potential.insert(idx);
+      potential[idx];
     }
   }
 
   // Lines 2-9: evaluate gains, collect beneficial indexes.
+  const WhatIfTable what_if = WhatIf(df);
   std::vector<std::pair<std::string, double>> beneficial;  // (idx, g)
-  for (const auto& idx : potential) {
-    IndexGains g = EvaluateIndex(idx, history, &df, now);
+  for (const auto& [idx, uses] : potential) {
+    IndexGains g = Evaluate(idx, uses, what_if.Gain(idx), now);
     d.gains[idx] = g;
     if (g.beneficial) beneficial.emplace_back(idx, g.g);
   }
@@ -245,9 +233,8 @@ Result<TunerDecision> OnlineIndexTuner::OnDataflow(
       d.combined.AddOperator(std::move(op));
     }
   }
-  // Recompute next ids after AddOperator reassigned them densely.
-  BuildDataflowCosts(d.combined, df, *catalog_, opts_.sched.net_mb_per_sec,
-                     &d.durations, &d.costs);
+  FillCosts(d.combined, what_if, *catalog_, opts_.sched.net_mb_per_sec,
+            &d.durations, &d.costs);
 
   // Lines 10-11: interleave and select the fastest schedule. An elastic
   // fleet bound below the configured cap swaps in a one-shot interleaver so
@@ -285,10 +272,11 @@ Result<std::vector<std::string>> OnlineIndexTuner::EvaluateDeletions(
     const std::deque<DataflowRecord>& history, Seconds now) const {
   std::vector<std::string> out;
   if (!opts_.delete_nonbeneficial) return out;
+  const HistoryUses uses = IndexHistory(history);
   for (const auto& idx : catalog_->IndexIds()) {
     auto st = catalog_->GetIndexState(idx);
     if (!st.ok() || (*st)->NumBuilt() == 0) continue;
-    IndexGains g = EvaluateIndex(idx, history, nullptr, now);
+    IndexGains g = Evaluate(idx, UsesOf(uses, idx), 0, now);
     if (g.deletable) out.push_back(idx);
   }
   return out;

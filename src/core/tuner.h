@@ -8,6 +8,7 @@
 
 #include "core/gain.h"
 #include "core/interleave.h"
+#include "core/what_if.h"
 #include "data/catalog.h"
 #include "dataflow/build_index_ops.h"
 #include "dataflow/cost.h"
@@ -88,19 +89,16 @@ class OnlineIndexTuner {
   Result<std::vector<std::string>> EvaluateDeletions(
       const std::deque<DataflowRecord>& history, Seconds now) const;
 
-  /// \brief What-if time gain (quanta) of `index_id` for dataflow `df`
-  /// (feeds Eq. 4-5 at δT = 0).
-  ///
-  /// Built indexes earn their retention value (how much the dataflow would
-  /// slow down without them); unbuilt candidates compete and only the best
-  /// marginal improvement per table earns a gain — an operator reads at
-  /// most one index, so crediting runners-up would build redundant indexes.
+  /// The what-if table of `df` under the catalog as it stands now.
+  WhatIfTable WhatIf(const Dataflow& df) const;
+
+  /// `WhatIf(df).Gain(index_id)`: the what-if time gain (quanta) of one
+  /// index for `df`.
   double EstimateDataflowGain(const Dataflow& df,
                               const std::string& index_id) const;
 
-  /// Marginal what-if gain (quanta) of one index for `df`: retention value
-  /// when `built` (cost without it minus cost with it), build value
-  /// otherwise (cost now minus cost with it fully built).
+  /// `WhatIf(df).Marginal(index_id, built)`: retention value when `built`,
+  /// build value otherwise.
   double MarginalGainQuanta(const Dataflow& df, const std::string& index_id,
                             bool built) const;
 
@@ -120,6 +118,24 @@ class OnlineIndexTuner {
   /// index, charged in Eq. 4-5 whether or not partitions are already built.
   double FullBuildQuanta(const std::string& index_id) const;
 
+  /// One history record's gain for an index.
+  struct HistoryUse {
+    double gain_quanta = 0;
+    Seconds finished_at = 0;
+  };
+  /// Each index named in `history`, with its uses in history order.
+  using HistoryUses = std::map<std::string, std::vector<HistoryUse>>;
+  static HistoryUses IndexHistory(const std::deque<DataflowRecord>& history);
+  /// `index_id`'s uses in `uses`; empty when the history never names it.
+  static const std::vector<HistoryUse>& UsesOf(const HistoryUses& uses,
+                                               const std::string& index_id);
+
+  /// Eq. 3-5 over `uses` plus the issued dataflow's what-if gain
+  /// (`current_gain`, counted when positive).
+  IndexGains Evaluate(const std::string& index_id,
+                      const std::vector<HistoryUse>& uses,
+                      double current_gain, Seconds now) const;
+
   Catalog* catalog_;
   TunerOptions opts_;
   GainModel gain_model_;
@@ -128,6 +144,8 @@ class OnlineIndexTuner {
 
 /// \brief Builds the simulator costs + durations for a dataflow DAG under
 /// the current catalog state (shared by the tuner and the baselines).
+/// `dag`'s non-optional ops are `df.dag`'s, with the same ids; optional
+/// (build) ops may follow them.
 void BuildDataflowCosts(const Dag& dag, const Dataflow& df,
                         const Catalog& catalog, double net_mb_per_sec,
                         std::vector<Seconds>* durations,

@@ -1,51 +1,6 @@
 #include "dataflow/cost.h"
 
-#include <algorithm>
-
 namespace dfim {
-namespace {
-
-/// Scales cost for an index with speedup `s` covering fraction `phi`.
-double Scale(double phi, double s) { return (1.0 - phi) + phi / s; }
-
-EffectiveCost CostWith(const Operator& op, const Dataflow& df,
-                       const Catalog& catalog, const std::string& index_id,
-                       double forced_fraction) {
-  EffectiveCost base;
-  base.cpu_time = op.time;
-  base.input_mb = 0;
-  if (op.input_table.empty()) return base;
-  auto table = catalog.GetTable(op.input_table);
-  if (!table.ok()) return base;
-  MegaBytes file_mb = (*table)->TotalSize();
-  base.input_mb = file_mb;
-  if (index_id.empty()) return base;
-
-  double phi = forced_fraction;
-  MegaBytes idx_mb = 0;
-  if (phi < 0) {  // use the real catalog state
-    auto frac = catalog.BuiltFraction(index_id);
-    if (!frac.ok()) return base;
-    phi = *frac;
-    auto built = catalog.BuiltSize(index_id);
-    idx_mb = built.ok() ? *built : 0;
-  } else {
-    auto full = catalog.FullSize(index_id);
-    idx_mb = full.ok() ? *full * phi : 0;
-  }
-  if (phi <= 0) return base;
-
-  double s = df.SpeedupOf(index_id);
-  if (s <= 1.0) return base;
-  EffectiveCost out;
-  out.cpu_time = op.time * Scale(phi, s);
-  out.input_mb = file_mb * Scale(phi, s) + idx_mb;
-  out.index_used = index_id;
-  out.index_fraction = phi;
-  return out;
-}
-
-}  // namespace
 
 EffectiveCost BaseOpCost(const Operator& op, const Catalog& catalog) {
   EffectiveCost c;
@@ -55,37 +10,6 @@ EffectiveCost BaseOpCost(const Operator& op, const Catalog& catalog) {
     if (table.ok()) c.input_mb = (*table)->TotalSize();
   }
   return c;
-}
-
-EffectiveCost EffectiveOpCost(const Operator& op, const Dataflow& df,
-                              const Catalog& catalog) {
-  return EffectiveOpCostFiltered(op, df, catalog, "", "");
-}
-
-EffectiveCost EffectiveOpCostFiltered(const Operator& op, const Dataflow& df,
-                                      const Catalog& catalog,
-                                      const std::string& exclude,
-                                      const std::string& include) {
-  EffectiveCost best = BaseOpCost(op, catalog);
-  if (op.input_table.empty()) return best;
-  for (const auto& idx : df.candidate_indexes) {
-    if (idx == exclude) continue;
-    auto def = catalog.GetIndexDef(idx);
-    if (!def.ok() || (*def)->table != op.input_table) continue;
-    EffectiveCost c = CostWith(op, df, catalog, idx, idx == include ? 1.0 : -1.0);
-    if (c.cpu_time < best.cpu_time) best = c;
-  }
-  return best;
-}
-
-EffectiveCost EffectiveOpCostWithIndex(const Operator& op, const Dataflow& df,
-                                       const Catalog& catalog,
-                                       const std::string& forced_index) {
-  auto def = catalog.GetIndexDef(forced_index);
-  if (!def.ok() || (*def)->table != op.input_table) {
-    return BaseOpCost(op, catalog);
-  }
-  return CostWith(op, df, catalog, forced_index, 1.0);
 }
 
 }  // namespace dfim

@@ -8,7 +8,8 @@
 
 namespace dfim {
 
-/// \brief Effective resource needs of an operator given available indexes.
+/// \brief Effective resource needs of an operator given available indexes
+/// (`WhatIfTable::Current` in `core/what_if.h` picks the index).
 struct EffectiveCost {
   /// CPU runtime in seconds after index speedup.
   Seconds cpu_time = 0;
@@ -19,36 +20,6 @@ struct EffectiveCost {
   /// Built-and-current fraction of that index at evaluation time.
   double index_fraction = 0;
 };
-
-/// \brief Computes an operator's effective cost under the currently built
-/// indexes (Algorithm 2, lines 1-5: "update op runtimes based on the
-/// available index partitions").
-///
-/// An entry operator reading table F with a candidate index i (speedup s,
-/// built-and-current fraction φ) runs in `t·((1-φ) + φ/s)` and reads
-/// `|F|·((1-φ) + φ/s) + φ·|i|` MB — the indexed part of the input is
-/// located via the index instead of scanned (paper §1 categories), at the
-/// price of also reading the index partitions (paper §6.1: "the container
-/// reads the index in addition to the input of the operator"). The best
-/// candidate (minimum cpu_time) is chosen. Non-entry operators are
-/// unaffected.
-EffectiveCost EffectiveOpCost(const Operator& op, const Dataflow& df,
-                              const Catalog& catalog);
-
-/// \brief Same, but pretending index `forced_index` is fully built
-/// (fraction 1). Used for what-if gain estimation (Eq. 4-5 inputs).
-EffectiveCost EffectiveOpCostWithIndex(const Operator& op, const Dataflow& df,
-                                       const Catalog& catalog,
-                                       const std::string& forced_index);
-
-/// \brief What-if variant for marginal gain estimation: evaluates the op
-/// under the currently built indexes, optionally excluding one candidate
-/// (`exclude`, as if it were dropped) and/or treating one candidate as
-/// fully built (`include`). Pass empty strings for no-ops.
-EffectiveCost EffectiveOpCostFiltered(const Operator& op, const Dataflow& df,
-                                      const Catalog& catalog,
-                                      const std::string& exclude,
-                                      const std::string& include);
 
 /// \brief Baseline cost with no indexes at all.
 EffectiveCost BaseOpCost(const Operator& op, const Catalog& catalog);

@@ -2,8 +2,21 @@
 
 #include <gtest/gtest.h>
 
+#include "core/what_if.h"
+
 namespace dfim {
 namespace {
+
+/// `op`'s cost under the built indexes, read from the what-if table of a
+/// one-op copy of `df`.
+EffectiveCost EffectiveOpCost(const Operator& op, const Dataflow& df,
+                              const Catalog& catalog) {
+  Dataflow one = df;
+  one.dag = Dag();
+  one.dag.AddOperator(op);
+  return WhatIfTable(one, catalog, /*net_mb_per_sec=*/125.0, /*quantum=*/60.0)
+      .Current(0);
+}
 
 class CostTest : public ::testing::Test {
  protected:
@@ -93,16 +106,26 @@ TEST_F(CostTest, BestOfMultipleIndexesChosen) {
   EXPECT_NEAR(c.cpu_time, 1.0, 1e-9);
 }
 
+// The fully built what-if cost shows in the build value: the op drops from
+// its base cost to t/s, reading |F|/s plus the whole index.
 TEST_F(CostTest, WhatIfForcesFullBuild) {
-  EffectiveCost c = EffectiveOpCostWithIndex(op_, df_, catalog_, "idx");
-  EXPECT_NEAR(c.cpu_time, 10.0, 1e-9);
-  EXPECT_DOUBLE_EQ(c.index_fraction, 1.0);
-  // Unrelated index falls back to base.
+  const double net = 125.0;
+  const double quantum = 60.0;
+  Dataflow df = df_;
+  df.dag.AddOperator(op_);
+  const MegaBytes file = (*catalog_.GetTable("f"))->TotalSize();
+  const MegaBytes index = *catalog_.FullSize("idx");
+  const double base = 100.0 + file / net;
+  const double forced = 10.0 + (file / 10.0 + index) / net;
+  EXPECT_NEAR(WhatIfTable(df, catalog_, net, quantum).Marginal("idx", false),
+              (base - forced) / quantum, 1e-9);
+  // An op on another table gains nothing from the index.
   ASSERT_TRUE(catalog_.AddTable(Table("g", Schema({Column::Int32("x")}))).ok());
   Operator other = op_;
   other.input_table = "g";
-  EffectiveCost base = EffectiveOpCostWithIndex(other, df_, catalog_, "idx");
-  EXPECT_DOUBLE_EQ(base.cpu_time, 100.0);
+  df.dag = Dag();
+  df.dag.AddOperator(other);
+  EXPECT_EQ(WhatIfTable(df, catalog_, net, quantum).Marginal("idx", false), 0);
 }
 
 TEST_F(CostTest, SpeedupOfOneIsNoOp) {

@@ -4,6 +4,7 @@
 #include <gtest/gtest.h>
 
 #include "core/tuner.h"
+#include "what_if_oracle.h"
 
 namespace dfim {
 namespace {
@@ -100,10 +101,17 @@ TEST_F(MarginalGainTest, IsBuiltReflectsCatalog) {
   EXPECT_TRUE(tuner_->IsBuilt("idx_k"));
 }
 
+// The exclude/include costs behind both marginal directions, through the
+// per-query oracle; the table's current cost must equal the oracle's.
 TEST_F(MarginalGainTest, FilteredCostExcludeAndInclude) {
+  using oracle::EffectiveOpCostFiltered;
   BuildFully("idx_k");
   const Operator& op = df_.dag.op(0);
   EffectiveCost with = EffectiveOpCostFiltered(op, df_, catalog_, "", "");
+  EffectiveCost current = tuner_->WhatIf(df_).Current(0);
+  EXPECT_EQ(current.cpu_time, with.cpu_time);
+  EXPECT_EQ(current.input_mb, with.input_mb);
+  EXPECT_EQ(current.index_used, with.index_used);
   EffectiveCost without =
       EffectiveOpCostFiltered(op, df_, catalog_, "idx_k", "");
   EffectiveCost forced =
