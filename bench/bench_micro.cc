@@ -10,6 +10,7 @@
 #include "index/bplus_tree.h"
 #include "sched/load_balance_scheduler.h"
 #include "sched/skyline_scheduler.h"
+#include "skyline_oracle.h"
 
 namespace dfim {
 namespace {
@@ -152,9 +153,9 @@ void BM_SkylineScheduler(benchmark::State& state) {
 }
 BENCHMARK(BM_SkylineScheduler)->Arg(2)->Arg(4)->Arg(8);
 
-/// Naive vs incremental skyline engines on the same generated dataflow
-/// (arg = engine: 0 naive, 1 incremental), optional build ops included so
-/// the keep-base path is exercised.
+/// The naive test oracle (tests/skyline_oracle.h) vs SkylineScheduler on
+/// the same generated dataflow (arg = engine: 0 naive, 1 incremental),
+/// optional build ops included so the keep-base path is exercised.
 void BM_SkylineSchedule(benchmark::State& state) {
   bench::PaperSetup setup(7);
   Dataflow df = setup.generator->Generate(AppType::kMontage, 0, 0);
@@ -163,12 +164,14 @@ void BM_SkylineSchedule(benchmark::State& state) {
   SchedulerOptions so = bench::PaperSchedulerOptions();
   so.skyline_cap = 8;
   so.max_containers = 16;
-  so.use_naive_expansion = state.range(0) == 0;
+  const bool naive = state.range(0) == 0;
   BuildDataflowCosts(df.dag, df, setup.catalog, so.net_mb_per_sec, &durations,
                      &costs);
   SkylineScheduler sched(so);
   for (auto _ : state) {
-    auto skyline = sched.ScheduleDag(df.dag, durations, true);
+    auto skyline =
+        naive ? oracle::NaiveSkylineSchedule(df.dag, durations, so, true)
+              : sched.ScheduleDag(df.dag, durations, true);
     benchmark::DoNotOptimize(skyline.ok());
   }
 }

@@ -1,5 +1,6 @@
 // Skyline-scheduler scaling bench: sweeps DAG width/depth x container count
-// x skyline cap, timing the retained naive engine against the incremental
+// x skyline cap, timing the copy-everything test oracle
+// (tests/skyline_oracle.h) against SkylineScheduler's incremental
 // probe/commit engine on identical inputs, and writes
 // BENCH_sched.json (min/median runtime per config, generate_stats style) so
 // successive PRs have a recorded perf trajectory.
@@ -24,6 +25,7 @@
 
 #include "common/rng.h"
 #include "sched/skyline_scheduler.h"
+#include "skyline_oracle.h"
 
 namespace dfim {
 namespace {
@@ -83,15 +85,19 @@ Stats MakeStats(std::vector<double> runtimes) {
   return s;
 }
 
+/// Times the naive oracle when `naive`, SkylineScheduler otherwise.
 Stats TimeEngine(const Dag& g, const std::vector<Seconds>& durations,
-                 const SchedulerOptions& opts, int reps,
+                 const SchedulerOptions& opts, bool naive, int reps,
                  std::vector<Schedule>* last_skyline) {
   SkylineScheduler sched(opts);
   std::vector<double> runtimes;
   runtimes.reserve(static_cast<size_t>(reps));
   for (int r = 0; r < reps; ++r) {
     auto t0 = std::chrono::steady_clock::now();
-    auto skyline = sched.ScheduleDag(g, durations, /*place_optional=*/true);
+    auto skyline =
+        naive ? oracle::NaiveSkylineSchedule(g, durations, opts,
+                                             /*place_optional=*/true)
+              : sched.ScheduleDag(g, durations, /*place_optional=*/true);
     auto t1 = std::chrono::steady_clock::now();
     if (!skyline.ok()) {
       std::fprintf(stderr, "schedule failed: %s\n",
@@ -314,16 +320,14 @@ int main(int argc, char** argv) {
     Dag g = RandomLayeredDag(cfg.width, cfg.depth, cfg.optional_ops, 42);
     auto durations = Durations(g);
 
-    SchedulerOptions naive_opts;
-    naive_opts.max_containers = cfg.containers;
-    naive_opts.skyline_cap = cfg.cap;
-    naive_opts.use_naive_expansion = true;
-    SchedulerOptions inc_opts = naive_opts;
-    inc_opts.use_naive_expansion = false;
+    SchedulerOptions opts;
+    opts.max_containers = cfg.containers;
+    opts.skyline_cap = cfg.cap;
 
     std::vector<Schedule> naive_sky, inc_sky;
-    Stats naive = TimeEngine(g, durations, naive_opts, reps, &naive_sky);
-    Stats inc = TimeEngine(g, durations, inc_opts, reps, &inc_sky);
+    Stats naive =
+        TimeEngine(g, durations, opts, /*naive=*/true, reps, &naive_sky);
+    Stats inc = TimeEngine(g, durations, opts, /*naive=*/false, reps, &inc_sky);
 
     bool identical = SameSkylines(naive_sky, inc_sky);
     double speedup = inc.median_ms > 0 ? naive.median_ms / inc.median_ms : 0;

@@ -1,7 +1,6 @@
 #include "core/knapsack.h"
 
 #include <algorithm>
-#include <cassert>
 
 namespace dfim {
 namespace {
@@ -142,32 +141,6 @@ KnapsackResult SolveKnapsackGreedy(const std::vector<KnapsackItem>& items,
     }
   }
   return r;
-}
-
-KnapsackResult SolveKnapsackBruteForce(const std::vector<KnapsackItem>& items,
-                                       double capacity) {
-  assert(items.size() <= 24);
-  size_t n = items.size();
-  KnapsackResult best;
-  for (uint64_t mask = 0; mask < (1ULL << n); ++mask) {
-    double size = 0;
-    double gain = 0;
-    for (size_t i = 0; i < n; ++i) {
-      if (mask & (1ULL << i)) {
-        size += items[i].size;
-        gain += items[i].gain;
-      }
-    }
-    if (size <= capacity + kEps && gain > best.total_gain + kEps) {
-      best.total_gain = gain;
-      best.total_size = size;
-      best.chosen.clear();
-      for (size_t i = 0; i < n; ++i) {
-        if (mask & (1ULL << i)) best.chosen.push_back(items[i].id);
-      }
-    }
-  }
-  return best;
 }
 
 MultiSlotPacking PackSlotsLp(const std::vector<KnapsackItem>& items,

@@ -41,10 +41,6 @@ KnapsackResult SolveKnapsackBranchAndBound(const std::vector<KnapsackItem>& item
 KnapsackResult SolveKnapsackGreedy(const std::vector<KnapsackItem>& items,
                                    double capacity);
 
-/// \brief Exhaustive solver for testing (n <= 24).
-KnapsackResult SolveKnapsackBruteForce(const std::vector<KnapsackItem>& items,
-                                       double capacity);
-
 /// \brief The LP-relaxation optimum: fractional items allowed. Upper bounds
 /// every 0/1 solution.
 double KnapsackFractionalBound(const std::vector<KnapsackItem>& items,

@@ -214,11 +214,7 @@ Result<TunerDecision> QaasService::BaselineDecision(const Dataflow& df,
   BuildDataflowCosts(d.combined, df, *catalog_, opts_.tuner.sched.net_mb_per_sec,
                      &d.durations, &d.costs);
 
-  SchedulerOptions sched = opts_.tuner.sched;
-  if (max_containers > 0 && max_containers < sched.max_containers) {
-    sched.max_containers = max_containers;
-  }
-  SkylineScheduler scheduler(sched);
+  SkylineScheduler scheduler(WithinFleet(opts_.tuner.sched, max_containers));
   DFIM_ASSIGN_OR_RETURN(
       d.chosen, FastestSchedule(scheduler.ScheduleDag(
                     d.combined, d.durations, /*place_optional=*/false)));
@@ -589,9 +585,7 @@ Result<QaasService::RunOutcome> QaasService::StartRun(
   // Background scrub first (DESIGN.md §12): latent rot caught here is
   // quarantined before the tuner consults the catalog, so this very
   // decision already plans around (and can repair) the loss.
-  if (opts_.integrity.scrub_objects_per_quantum > 0) {
-    RunScrub(start, metrics);
-  }
+  RunScrub(start, metrics);
   // Elastic fleet (DESIGN.md §13): settle what the fleet can actually serve
   // *before* planning, so the tuner's build knapsack and the schedulers see
   // the real, smaller fleet. Inert (configured cap, zero wait) when the
@@ -612,12 +606,11 @@ Result<QaasService::RunOutcome> QaasService::StartRun(
   if (decisions.size() == 1) {
     decision = std::move(decisions.front());
   } else {
-    SchedulerOptions sched = opts_.tuner.sched;
-    if (fleet_plan.bound > 0 && fleet_plan.bound < sched.max_containers) {
-      sched.max_containers = fleet_plan.bound;
-    }
-    DFIM_ASSIGN_OR_RETURN(decision,
-                          MergeDecisions(decisions, sched, build_fraction));
+    DFIM_ASSIGN_OR_RETURN(
+        decision,
+        MergeDecisions(decisions,
+                       WithinFleet(opts_.tuner.sched, fleet_plan.bound),
+                       build_fraction));
   }
 
   // Bind-time verification and repair packing (DESIGN.md §12; both no-ops
@@ -627,9 +620,7 @@ Result<QaasService::RunOutcome> QaasService::StartRun(
   if (opts_.integrity.verify_reads) {
     VerifyIndexBindings(&decision, start, metrics);
   }
-  if (opts_.integrity.repair && build_fraction > 0) {
-    ScheduleRepairs(&decision, metrics);
-  }
+  if (build_fraction > 0) ScheduleRepairs(&decision, metrics);
 
   // The decision is final: commit it as the in-flight B-phase state. A
   // crash past this point resumes from here — the A-phase (whose scrub
@@ -715,8 +706,6 @@ Result<QaasService::RunOutcome> QaasService::FinishRun(
 Result<QaasService::ExecOutcome> QaasService::ExecuteDecision(
     TunerDecision* decision, const Dataflow& df, Seconds start,
     Seconds initial_wait, ServiceMetrics* metrics) {
-  const bool inject = faults_.enabled();
-
   SimOptions sim = opts_.sim;
   sim.quantum = opts_.tuner.sched.quantum;
   sim.net_mb_per_sec = opts_.tuner.sched.net_mb_per_sec;
@@ -772,45 +761,41 @@ Result<QaasService::ExecOutcome> QaasService::ExecuteDecision(
       sim.seed ^= static_cast<uint64_t>(attempt) * 0x517cc1b727220a95ULL;
     }
     ExecSimulator simulator(sim);
+    // The fault model rides every attempt: at zero rates its draws are the
+    // identity and the simulator's result is the fault-free one.
     FaultInjection fi;
-    const FaultInjection* fip = nullptr;
-    if (inject || opts_.speculation.enabled() ||
-        opts_.faults.preempt_rate > 0) {
-      fi.model = inject ? &faults_ : nullptr;
-      fi.run_key = static_cast<uint64_t>(df.id) * 0x100000001b3ULL +
-                   static_cast<uint64_t>(attempt);
-      fi.trace = faults_.DrawTrace(fi.run_key, nc, cur_plan->TotalSpan(),
-                                       sim.quantum);
-      // Translate each acquired container's absolute provider-reclaim
-      // instant into the schedule-relative trace: the simulator drains the
-      // doomed container through its notice window and charges nothing past
-      // the reclaim (DESIGN.md §13).
-      if (opts_.faults.preempt_rate > 0) {
-        const Seconds t0 = start + elapsed;
-        for (int c = 0; c < nc && c < static_cast<int>(containers.size());
-             ++c) {
-          const Seconds at = containers[static_cast<size_t>(c)]->preempt_at();
-          if (at >= kNeverFails) continue;
-          ContainerFaults& cf = fi.trace.containers[static_cast<size_t>(c)];
-          cf.reclaim_at = at - t0;
-          cf.notice_at =
-              std::max<Seconds>(0, cf.reclaim_at - opts_.faults.preempt_notice);
-        }
+    fi.model = &faults_;
+    fi.run_key = static_cast<uint64_t>(df.id) * 0x100000001b3ULL +
+                 static_cast<uint64_t>(attempt);
+    fi.trace =
+        faults_.DrawTrace(fi.run_key, nc, cur_plan->TotalSpan(), sim.quantum);
+    // Translate each acquired container's absolute provider-reclaim
+    // instant into the schedule-relative trace: the simulator drains the
+    // doomed container through its notice window and charges nothing past
+    // the reclaim (DESIGN.md §13).
+    if (opts_.faults.preempt_rate > 0) {
+      const Seconds t0 = start + elapsed;
+      for (int c = 0; c < nc && c < static_cast<int>(containers.size()); ++c) {
+        const Seconds at = containers[static_cast<size_t>(c)]->preempt_at();
+        if (at >= kNeverFails) continue;
+        ContainerFaults& cf = fi.trace.containers[static_cast<size_t>(c)];
+        cf.reclaim_at = at - t0;
+        cf.notice_at =
+            std::max<Seconds>(0, cf.reclaim_at - opts_.faults.preempt_notice);
       }
-      fi.spec = opts_.speculation;
-      // Breaker coordination: a hedge is an extra storage request, and
-      // piling duplicates onto a store that already tripped the breaker
-      // would double-trip it — suppress hedging while the breaker is open.
-      if (fi.spec.hedge_reads && opts_.breaker.open_after > 0 &&
-          state_.breaker_state == BreakerState::kOpen &&
-          start + elapsed < state_.breaker_open_until) {
-        fi.spec.suppress_hedges = true;
-      }
-      fip = &fi;
+    }
+    fi.spec = opts_.speculation;
+    // Breaker coordination: a hedge is an extra storage request, and
+    // piling duplicates onto a store that already tripped the breaker
+    // would double-trip it — suppress hedging while the breaker is open.
+    if (fi.spec.hedge_reads && opts_.breaker.open_after > 0 &&
+        state_.breaker_state == BreakerState::kOpen &&
+        start + elapsed < state_.breaker_open_until) {
+      fi.spec.suppress_hedges = true;
     }
     DFIM_ASSIGN_OR_RETURN(ExecResult exec,
                           simulator.Run(*cur_dag, *cur_plan, *cur_costs,
-                                        &containers, fip));
+                                        &containers, &fi));
 
     // Lease bookkeeping: extend each container through its realized end
     // (Timeline::last_end() is the per-container high-water mark).
@@ -862,67 +847,63 @@ Result<QaasService::ExecOutcome> QaasService::ExecuteDecision(
       for (int c : exec.failed_containers) {
         container_died |= c == b.container;
       }
+      const Seconds built_at = start + elapsed + b.finish;
       // Which retry round landed the persist (its draws key the integrity
       // stamps).
       int landed_attempt = 0;
-      if (inject) {
-        const bool breaker_on = opts_.breaker.open_after > 0;
-        Seconds persist_at = start + elapsed + b.finish;
-        if (breaker_on && state_.breaker_state == BreakerState::kOpen) {
-          if (persist_at >= state_.breaker_open_until) {
-            state_.breaker_state = BreakerState::kHalfOpen;
-          } else {
-            // Breaker open: the persist path is known-bad; skip the Put
-            // outright instead of burning retries and backoff delay.
-            ++metrics->builds_discarded;
-            continue;
-          }
-        }
-        int retries = container_died ? 0 : kPersistMaxRetries;
-        // A half-open breaker allows exactly one probe attempt.
-        if (breaker_on && state_.breaker_state == BreakerState::kHalfOpen) {
-          retries = 0;
-        }
-        bool persisted = false;
-        Seconds backoff = kPersistBackoffInitial;
-        for (int r = 0; r <= retries; ++r) {
-          if (!faults_.StorageOpFaults(
-                  fi.run_key, PersistKey(b.index_id, b.partition, r))) {
-            persisted = true;
-            landed_attempt = r;
-            break;
-          }
-          ++metrics->storage_retries;
-          if (breaker_on) {
-            ++state_.breaker_faults;
-            if (state_.breaker_state == BreakerState::kHalfOpen ||
-                state_.breaker_faults >= opts_.breaker.open_after) {
-              // Trip (or re-trip after a failed half-open probe).
-              state_.breaker_state = BreakerState::kOpen;
-              state_.breaker_open_until =
-                  persist_at + opts_.breaker.open_duration;
-              state_.breaker_faults = 0;
-              ++metrics->breaker_opens;
-              break;
-            }
-          }
-          if (r < retries) {
-            persist_delay += backoff;
-            backoff = std::min(backoff * 2.0, kPersistBackoffCap);
-          }
-        }
-        if (persisted && breaker_on) {
-          // A success closes the breaker (half-open probe) and resets the
-          // consecutive-fault count.
-          state_.breaker_faults = 0;
-          state_.breaker_state = BreakerState::kClosed;
-        }
-        if (!persisted) {
+      const bool breaker_on = opts_.breaker.open_after > 0;
+      if (breaker_on && state_.breaker_state == BreakerState::kOpen) {
+        if (built_at >= state_.breaker_open_until) {
+          state_.breaker_state = BreakerState::kHalfOpen;
+        } else {
+          // Breaker open: the persist path is known-bad; skip the Put
+          // outright instead of burning retries and backoff delay.
           ++metrics->builds_discarded;
           continue;
         }
       }
-      Seconds built_at = start + elapsed + b.finish;
+      int retries = container_died ? 0 : kPersistMaxRetries;
+      // A half-open breaker allows exactly one probe attempt.
+      if (breaker_on && state_.breaker_state == BreakerState::kHalfOpen) {
+        retries = 0;
+      }
+      bool persisted = false;
+      Seconds backoff = kPersistBackoffInitial;
+      for (int r = 0; r <= retries; ++r) {
+        if (!faults_.StorageOpFaults(
+                fi.run_key, PersistKey(b.index_id, b.partition, r))) {
+          persisted = true;
+          landed_attempt = r;
+          break;
+        }
+        ++metrics->storage_retries;
+        if (breaker_on) {
+          ++state_.breaker_faults;
+          if (state_.breaker_state == BreakerState::kHalfOpen ||
+              state_.breaker_faults >= opts_.breaker.open_after) {
+            // Trip (or re-trip after a failed half-open probe).
+            state_.breaker_state = BreakerState::kOpen;
+            state_.breaker_open_until = built_at + opts_.breaker.open_duration;
+            state_.breaker_faults = 0;
+            ++metrics->breaker_opens;
+            break;
+          }
+        }
+        if (r < retries) {
+          persist_delay += backoff;
+          backoff = std::min(backoff * 2.0, kPersistBackoffCap);
+        }
+      }
+      if (persisted && breaker_on) {
+        // A success closes the breaker (half-open probe) and resets the
+        // consecutive-fault count.
+        state_.breaker_faults = 0;
+        state_.breaker_state = BreakerState::kClosed;
+      }
+      if (!persisted) {
+        ++metrics->builds_discarded;
+        continue;
+      }
       // A build landing on a quarantined partition is the repair arriving
       // (MarkIndexPartitionBuilt lifts the quarantine).
       const bool was_quarantined =
@@ -936,7 +917,7 @@ Result<QaasService::ExecOutcome> QaasService::ExecuteDecision(
           const auto& part = (*state)->part(static_cast<size_t>(b.partition));
           const std::string path = (*def)->PartitionPath(b.partition);
           PutStamp stamp;
-          if (inject && opts_.faults.corruption_enabled()) {
+          if (opts_.faults.corruption_enabled()) {
             // Integrity stamps (DESIGN.md §12), keyed by the attempt that
             // landed: a crash-interrupted persist (dead container) is
             // likelier torn; latent rot is pre-drawn against the
@@ -1125,11 +1106,8 @@ Result<QaasService::ExecOutcome> QaasService::ExecuteDecision(
     // boot or a denial backoff before a usable container exists again.
     const FleetPlan recovery_plan = PrepareFleet(start + elapsed, metrics);
     elapsed += recovery_plan.wait;
-    SchedulerOptions recovery_sched = opts_.tuner.sched;
-    if (recovery_plan.bound < recovery_sched.max_containers) {
-      recovery_sched.max_containers = recovery_plan.bound;
-    }
-    SkylineScheduler rescheduler(recovery_sched);
+    SkylineScheduler rescheduler(
+        WithinFleet(opts_.tuner.sched, recovery_plan.bound));
     DFIM_ASSIGN_OR_RETURN(
         suffix_plan,
         FastestSchedule(rescheduler.ScheduleDag(suffix_dag, suffix_durations,
@@ -1419,9 +1397,7 @@ void QaasService::SettleRun(ServiceMetrics* metrics) {
       std::max({opts_.total_time, loop_->clock, loop_->settled});
   // A final scrub pass spends whatever budget the idle horizon tail
   // accrued, so end-of-run rot is detected rather than silently latent.
-  if (opts_.integrity.scrub_objects_per_quantum > 0) {
-    RunScrub(final_t, metrics);
-  }
+  RunScrub(final_t, metrics);
   SettleStorage(final_t);
   metrics->storage_cost = storage_.accrued_cost();
   metrics->storage_clock_clamps = storage_.clock_clamps();

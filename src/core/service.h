@@ -380,7 +380,8 @@ class QaasService {
 
   /// Background scrub: spends the credit accrued since the last call
   /// (scrub_objects_per_quantum per elapsed quantum) verifying stored
-  /// objects in path order from a persistent cursor.
+  /// objects in path order from a persistent cursor. A no-op with scrub
+  /// off.
   void RunScrub(Seconds now, ServiceMetrics* metrics);
 
   /// Quarantines a built partition (idempotent), drops its storage object,
@@ -390,7 +391,8 @@ class QaasService {
 
   /// Appends up to kMaxRepairsPerDataflow queued repair builds to the
   /// decision and packs them into its idle slots (marginal-cost-zero).
-  /// Unpacked entries return to the queue.
+  /// Unpacked entries return to the queue. A no-op on an empty queue,
+  /// which only repair-on runs fill.
   void ScheduleRepairs(TunerDecision* decision, ServiceMetrics* metrics);
   /// @}
 

@@ -66,23 +66,12 @@ void BuildDataflowCosts(const Dag& dag, const Dataflow& df,
             catalog, net_mb_per_sec, durations, costs);
 }
 
-namespace {
-
-// Normalizes the scheduler knobs before they reach the interleaver's
-// SkylineScheduler: the skyline must keep at least one survivor per round.
-SchedulerOptions NormalizedSched(SchedulerOptions s) {
-  s.skyline_cap = std::max(1, s.skyline_cap);
-  return s;
-}
-
-}  // namespace
-
 OnlineIndexTuner::OnlineIndexTuner(Catalog* catalog, TunerOptions options)
     : catalog_(catalog),
       opts_(options),
-      gain_model_(options.gain, options.pricing),
-      interleaver_(NormalizedSched(options.sched), options.mode) {
-  opts_.sched = NormalizedSched(opts_.sched);
+      gain_model_(options.gain, options.pricing) {
+  // The interleaver's skyline must keep at least one survivor per round.
+  opts_.sched.skyline_cap = std::max(1, opts_.sched.skyline_cap);
 }
 
 WhatIfTable OnlineIndexTuner::WhatIf(const Dataflow& df) const {
@@ -90,20 +79,9 @@ WhatIfTable OnlineIndexTuner::WhatIf(const Dataflow& df) const {
                      opts_.sched.quantum);
 }
 
-double OnlineIndexTuner::MarginalGainQuanta(const Dataflow& df,
-                                            const std::string& index_id,
-                                            bool built) const {
-  return WhatIf(df).Marginal(index_id, built);
-}
-
 bool OnlineIndexTuner::IsBuilt(const std::string& index_id) const {
   auto st = catalog_->GetIndexState(index_id);
   return st.ok() && (*st)->NumBuilt() > 0;
-}
-
-double OnlineIndexTuner::EstimateDataflowGain(const Dataflow& df,
-                                              const std::string& index_id) const {
-  return WhatIf(df).Gain(index_id);
 }
 
 double OnlineIndexTuner::FullBuildQuanta(const std::string& index_id) const {
@@ -124,20 +102,6 @@ OnlineIndexTuner::HistoryUses OnlineIndexTuner::IndexHistory(
     }
   }
   return out;
-}
-
-const std::vector<OnlineIndexTuner::HistoryUse>& OnlineIndexTuner::UsesOf(
-    const HistoryUses& uses, const std::string& index_id) {
-  static const std::vector<HistoryUse> kNone;
-  auto it = uses.find(index_id);
-  return it != uses.end() ? it->second : kNone;
-}
-
-IndexGains OnlineIndexTuner::EvaluateIndex(
-    const std::string& index_id, const std::deque<DataflowRecord>& history,
-    const Dataflow* current, Seconds now) const {
-  double est = current != nullptr ? WhatIf(*current).Gain(index_id) : 0;
-  return Evaluate(index_id, UsesOf(IndexHistory(history), index_id), est, now);
 }
 
 IndexGains OnlineIndexTuner::Evaluate(const std::string& index_id,
@@ -236,22 +200,13 @@ Result<TunerDecision> OnlineIndexTuner::OnDataflow(
   FillCosts(d.combined, what_if, *catalog_, opts_.sched.net_mb_per_sec,
             &d.durations, &d.costs);
 
-  // Lines 10-11: interleave and select the fastest schedule. An elastic
-  // fleet bound below the configured cap swaps in a one-shot interleaver so
-  // the skyline never plans onto containers the service does not have; the
-  // default (0 = configured cap) keeps the member interleaver bit-identical.
-  if (max_containers > 0 && max_containers != opts_.sched.max_containers) {
-    SchedulerOptions bounded = opts_.sched;
-    bounded.max_containers = max_containers;
-    Interleaver scoped(bounded, opts_.mode);
-    DFIM_ASSIGN_OR_RETURN(
-        d.chosen, FastestSchedule(scoped.Interleave(d.combined, d.durations,
-                                                    build_fraction)));
-  } else {
-    DFIM_ASSIGN_OR_RETURN(
-        d.chosen, FastestSchedule(interleaver_.Interleave(
-                      d.combined, d.durations, build_fraction)));
-  }
+  // Lines 10-11: interleave and select the fastest schedule, never
+  // planning onto containers the elastic fleet does not have.
+  const Interleaver interleaver(WithinFleet(opts_.sched, max_containers),
+                                opts_.mode);
+  DFIM_ASSIGN_OR_RETURN(
+      d.chosen, FastestSchedule(interleaver.Interleave(d.combined, d.durations,
+                                                       build_fraction)));
   for (const auto& a : d.chosen.assignments()) {
     if (a.optional) ++d.build_ops_scheduled;
   }
@@ -266,20 +221,6 @@ Result<TunerDecision> OnlineIndexTuner::OnDataflow(
     }
   }
   return d;
-}
-
-Result<std::vector<std::string>> OnlineIndexTuner::EvaluateDeletions(
-    const std::deque<DataflowRecord>& history, Seconds now) const {
-  std::vector<std::string> out;
-  if (!opts_.delete_nonbeneficial) return out;
-  const HistoryUses uses = IndexHistory(history);
-  for (const auto& idx : catalog_->IndexIds()) {
-    auto st = catalog_->GetIndexState(idx);
-    if (!st.ok() || (*st)->NumBuilt() == 0) continue;
-    IndexGains g = Evaluate(idx, UsesOf(uses, idx), 0, now);
-    if (g.deletable) out.push_back(idx);
-  }
-  return out;
 }
 
 }  // namespace dfim

@@ -61,7 +61,8 @@ Result<Schedule> FastestSchedule(Result<std::vector<Schedule>> skyline);
 /// (Eq. 3-5) against the historical dataflows Hd plus a what-if estimate
 /// for the issued dataflow, ranks beneficial ones, interleaves their build
 /// ops into the dataflow's schedule, and flags non-beneficial available
-/// indexes for deletion.
+/// indexes for deletion. Algorithm 1's periodic deletion-only trigger is
+/// not implemented: indexes are flagged only when a dataflow is issued.
 class OnlineIndexTuner {
  public:
   OnlineIndexTuner(Catalog* catalog, TunerOptions options);
@@ -73,9 +74,9 @@ class OnlineIndexTuner {
   /// ceil(fraction x size) highest-gain entries and shrinks the idle-slot
   /// knapsack by the same factor; 1.0 (the default) is bit-identical to
   /// the unthrottled path. `max_containers`, when positive, overrides the
-  /// configured fleet cap for this one decision (the elastic fleet hands the
-  /// tuner the containers it actually has, DESIGN.md §13); 0 (the default)
-  /// keeps the configured cap bit-identically.
+  /// configured fleet cap for this one decision when smaller (the elastic
+  /// fleet hands the tuner the containers it actually has, DESIGN.md §13);
+  /// 0 (the default) keeps the configured cap.
   Result<TunerDecision> OnDataflow(const Dataflow& df,
                                    const std::deque<DataflowRecord>& history,
                                    Seconds now,
@@ -83,32 +84,11 @@ class OnlineIndexTuner {
                                    double build_fraction = 1.0,
                                    int max_containers = 0) const;
 
-  /// \brief Deletion-only sweep (Algorithm 1 is also "triggered
-  /// periodically... to delete indexes that become non beneficial when
-  /// there is not any new dataflow").
-  Result<std::vector<std::string>> EvaluateDeletions(
-      const std::deque<DataflowRecord>& history, Seconds now) const;
-
   /// The what-if table of `df` under the catalog as it stands now.
   WhatIfTable WhatIf(const Dataflow& df) const;
 
-  /// `WhatIf(df).Gain(index_id)`: the what-if time gain (quanta) of one
-  /// index for `df`.
-  double EstimateDataflowGain(const Dataflow& df,
-                              const std::string& index_id) const;
-
-  /// `WhatIf(df).Marginal(index_id, built)`: retention value when `built`,
-  /// build value otherwise.
-  double MarginalGainQuanta(const Dataflow& df, const std::string& index_id,
-                            bool built) const;
-
   /// True when the index has at least one built partition.
   bool IsBuilt(const std::string& index_id) const;
-
-  /// Evaluates one index against history + optional current estimate.
-  IndexGains EvaluateIndex(const std::string& index_id,
-                           const std::deque<DataflowRecord>& history,
-                           const Dataflow* current, Seconds now) const;
 
   const TunerOptions& options() const { return opts_; }
   const GainModel& gain_model() const { return gain_model_; }
@@ -126,9 +106,6 @@ class OnlineIndexTuner {
   /// Each index named in `history`, with its uses in history order.
   using HistoryUses = std::map<std::string, std::vector<HistoryUse>>;
   static HistoryUses IndexHistory(const std::deque<DataflowRecord>& history);
-  /// `index_id`'s uses in `uses`; empty when the history never names it.
-  static const std::vector<HistoryUse>& UsesOf(const HistoryUses& uses,
-                                               const std::string& index_id);
 
   /// Eq. 3-5 over `uses` plus the issued dataflow's what-if gain
   /// (`current_gain`, counted when positive).
@@ -139,7 +116,6 @@ class OnlineIndexTuner {
   Catalog* catalog_;
   TunerOptions opts_;
   GainModel gain_model_;
-  Interleaver interleaver_;
 };
 
 /// \brief Builds the simulator costs + durations for a dataflow DAG under

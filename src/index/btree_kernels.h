@@ -5,10 +5,10 @@
 //
 // Every kernel is selection-only: it returns an index computed from
 // comparisons of the stored keys/rows, never an arithmetic combination of
-// them — so the unrolled path and the naive reference below are
-// bit-identical by construction (the same contract as the GapScan/FirstFit
-// kernels in sched/timeline.h), which tests/test_index_kernels.cc asserts
-// over seeded random nodes.
+// them — so the unrolled path and a naive linear scan are bit-identical by
+// construction (the same contract as the GapScan/FirstFit kernels in
+// sched/timeline.h), which tests/test_index_kernels.cc asserts over seeded
+// random nodes against its naive reference.
 //
 // Layout assumption: a node's keys live in one dense column (`keys[0..n)`)
 // with the parallel payload column `rows[0..n)`, both sorted by the
@@ -50,33 +50,12 @@ inline bool CompositeLess(const Key& ak, RowId ar, const Key& bk, RowId br) {
   }
 }
 
-/// \brief Naive scalar reference: first i in [0, n) whose (keys[i], rows[i])
-/// is not less than (key, row). Retained as the ground truth the fast
-/// kernels are property-tested against.
-template <typename Key>
-inline size_t NaiveLowerBound(const Key* keys, const RowId* rows, size_t n,
-                              const Key& key, RowId row) {
-  size_t i = 0;
-  while (i < n && CompositeLess(keys[i], rows[i], key, row)) ++i;
-  return i;
-}
-
-/// Naive scalar reference: first i in [0, n) with (key, row) <
-/// (keys[i], rows[i]).
-template <typename Key>
-inline size_t NaiveUpperBound(const Key* keys, const RowId* rows, size_t n,
-                              const Key& key, RowId row) {
-  size_t i = 0;
-  while (i < n && !CompositeLess(key, row, keys[i], rows[i])) ++i;
-  return i;
-}
-
 /// \brief Hybrid lower bound over one node's key/row columns: branch-light
 /// binary halving down to a kLinearCutover window, then a 4-wide unrolled
 /// branch-free count of the monotone "less than target" predicate (the
 /// window is one dense cache-line stream, so the count beats the
-/// unpredictable tail of a full binary search) — identical returns to the
-/// naive reference, see header comment. Ordered-only keys (std::string) take the plain halving loop to len 0.
+/// unpredictable tail of a full binary search) — identical returns to a
+/// naive linear scan, see header comment. Ordered-only keys (std::string) take the plain halving loop to len 0.
 template <typename Key>
 inline size_t LowerBound(const Key* keys, const RowId* rows, size_t n,
                          const Key& key, RowId row) {

@@ -18,23 +18,6 @@ void PartialState::Reset(size_t num_dag_ops) {
   max_gap = 0;
 }
 
-void PartialState::RecomputeCaches(Seconds quantum) {
-  size_t n = timelines.size();
-  last_end.resize(n);
-  quanta.resize(n);
-  gap.resize(n);
-  money = 0;
-  max_gap = 0;
-  for (size_t i = 0; i < n; ++i) {
-    const Timeline& tl = timelines[i];
-    last_end[i] = tl.last_end();
-    quanta[i] = tl.Quanta(quantum);
-    gap[i] = tl.MaxGap(quantum);
-    money += quanta[i];
-    max_gap = std::max(max_gap, gap[i]);
-  }
-}
-
 bool ProbePlacement(const PartialState& base, int base_idx, const Dag& dag,
                     const Operator& op, Seconds dur, int c, Seconds quantum,
                     double net, PlacementProbe* out) {

@@ -27,11 +27,14 @@ struct SchedulerOptions {
   /// the paper's reference [12] prunes the same way); capping keeps the
   /// evenly-spaced representatives along the time axis.
   int skyline_cap = 8;
-  /// When true, SkylineScheduler uses the retained naive expansion
-  /// (deep-copy every candidate, recompute money/gaps from scratch). Kept
-  /// as the reference implementation for equivalence tests and benches.
-  bool use_naive_expansion = false;
 };
+
+/// `opts` planned within a fleet of `bound` containers: a positive bound
+/// narrows max_containers to it when smaller; 0 keeps the configured cap.
+inline SchedulerOptions WithinFleet(SchedulerOptions opts, int bound) {
+  if (bound > 0) opts.max_containers = std::min(opts.max_containers, bound);
+  return opts;
+}
 
 /// \brief A partial schedule in a skyline search, with per-container money
 /// and idle-gap summaries cached so evaluating a candidate placement never
@@ -48,7 +51,7 @@ struct PartialState {
   std::vector<Seconds> op_finish;
   /// Container per op id (-1 when unassigned).
   std::vector<int> op_container;
-  /// \name Cached per-container summaries (see RecomputeCaches).
+  /// \name Cached per-container summaries, refreshed at commit.
   /// @{
   /// Latest assignment end per container (0 for an empty timeline).
   std::vector<Seconds> last_end;
@@ -65,13 +68,6 @@ struct PartialState {
 
   /// Resets to the empty schedule over `num_dag_ops` operators.
   void Reset(size_t num_dag_ops);
-
-  /// Rebuilds every cached summary (quanta, gap, money, max_gap) from the
-  /// timelines alone. The naive reference path calls this after every
-  /// placement; the incremental path only at commit, for the touched
-  /// container. The per-timeline summaries are O(1) reads — Timeline
-  /// maintains them on Insert.
-  void RecomputeCaches(Seconds quantum);
 };
 
 /// \brief A probed candidate placement: every dominance-relevant metric of
@@ -159,8 +155,8 @@ void SampleEvenlySpaced(std::vector<T>* kept, int cap) {
 /// sequential idle gap (§5.3.1), capped at `cap` evenly spaced survivors.
 ///
 /// Works on anything exposing makespan/money/num_ops/max_gap members
-/// (PartialState for the naive path, PlacementProbe for the incremental
-/// one), so both engines prune with byte-identical semantics.
+/// (PlacementProbe here, PartialState for the copy-everything test oracle),
+/// so both engines prune with byte-identical semantics.
 /// Equal-(makespan, money) duplicates are filtered *before* dominance and
 /// cap sampling, so they can never crowd out distinct trade-off points.
 template <typename T>

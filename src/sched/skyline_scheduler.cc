@@ -5,70 +5,6 @@
 namespace dfim {
 namespace {
 
-/// \brief Retained naive reference expansion of one candidate: deep-copies
-/// the base state, inserts the assignment, then recomputes every money/gap
-/// summary from scratch over all containers.
-///
-/// This is the pre-incremental O(|state| + containers x |timelines|) hot
-/// path; it is kept (behind SchedulerOptions::use_naive_expansion) as the
-/// ground truth the equivalence tests and the scaling bench compare the
-/// incremental engine against.
-bool NaiveAssign(const PartialState& base, const Dag& dag, const Operator& op,
-                 Seconds dur, int c, Seconds quantum, double net,
-                 PartialState* out) {
-  Seconds est = 0;
-  Seconds transfer_in = 0;
-  std::vector<int> newly_delivered;
-  const std::vector<int>* delivered_c =
-      c < static_cast<int>(base.delivered.size())
-          ? &base.delivered[static_cast<size_t>(c)]
-          : nullptr;
-  for (int fid : dag.in_flows(op.id)) {
-    const Flow& f = dag.flows()[static_cast<size_t>(fid)];
-    Seconds pf = base.op_finish[static_cast<size_t>(f.from)];
-    if (pf < 0) return false;
-    est = std::max(est, pf);
-    if (base.op_container[static_cast<size_t>(f.from)] != c) {
-      bool staged =
-          delivered_c != nullptr &&
-          std::binary_search(delivered_c->begin(), delivered_c->end(), f.from);
-      if (!staged) {
-        transfer_in += f.size / net;
-        newly_delivered.push_back(f.from);
-      }
-    }
-  }
-  Seconds occupancy = dur + transfer_in;
-  *out = base;
-  if (c >= static_cast<int>(out->timelines.size())) {
-    out->timelines.resize(static_cast<size_t>(c) + 1);
-    out->delivered.resize(static_cast<size_t>(c) + 1);
-  }
-  auto& tl = out->timelines[static_cast<size_t>(c)];
-  auto& dl = out->delivered[static_cast<size_t>(c)];
-  for (int p : newly_delivered) {
-    dl.insert(std::lower_bound(dl.begin(), dl.end(), p), p);
-  }
-  Seconds start = tl.FindSlot(est, occupancy);
-  Assignment a;
-  a.op_id = op.id;
-  a.container = c;
-  a.start = start;
-  a.end = start + occupancy;
-  a.optional = op.optional;
-  tl.Insert(a);
-  out->RecomputeCaches(quantum);
-  if (op.optional) {
-    if (out->money > base.money) return false;
-  } else {
-    out->makespan = std::max(base.makespan, a.end);
-  }
-  out->op_finish[static_cast<size_t>(op.id)] = a.end;
-  out->op_container[static_cast<size_t>(op.id)] = c;
-  out->num_ops = base.num_ops + 1;
-  return true;
-}
-
 Schedule ToSchedule(const PartialState& p) {
   Schedule s;
   for (size_t c = 0; c < p.timelines.size(); ++c) {
@@ -105,32 +41,8 @@ Result<std::vector<Schedule>> SkylineScheduler::ScheduleDag(
   empty.Reset(dag.num_ops());
   std::vector<PartialState> skyline{empty};
 
-  // Naive reference engine: materialize every candidate, then prune.
-  auto expand_naive = [this, &dag, &durations, &skyline](int op_id,
-                                                         bool keep_base) {
-    const Operator& op = dag.op(op_id);
-    Seconds dur = durations[static_cast<size_t>(op_id)];
-    std::vector<PartialState> pool;
-    for (const PartialState& base : skyline) {
-      if (keep_base) pool.push_back(base);
-      int used = static_cast<int>(base.timelines.size());
-      int limit = std::min(opts_.max_containers, used + 1);
-      for (int c = 0; c < limit; ++c) {
-        PartialState next;
-        if (NaiveAssign(base, dag, op, dur, c, opts_.quantum,
-                        opts_.net_mb_per_sec, &next)) {
-          pool.push_back(std::move(next));
-        }
-      }
-    }
-    if (!pool.empty()) {
-      SkylinePrune(&pool, opts_.skyline_cap);
-      skyline = std::move(pool);
-    }
-  };
-
-  // Incremental engine: probe every candidate copy-free, prune the probes,
-  // materialize only the survivors. Buffers are pooled across rounds.
+  // Probe every candidate copy-free, prune the probes, materialize only
+  // the survivors. Buffers are pooled across rounds.
   std::vector<PlacementProbe> probes;
   std::vector<PartialState> next_sky;
 
@@ -139,8 +51,8 @@ Result<std::vector<Schedule>> SkylineScheduler::ScheduleDag(
     const Operator& op = dag.op(op_id);
     Seconds dur = durations[static_cast<size_t>(op_id)];
     // Per base: [keep-base?] then one probe per candidate container — the
-    // naive enumeration order, which makes the whole search bit-identical
-    // to naive runs.
+    // copy-everything engine's enumeration order, which makes the whole
+    // search bit-identical to it (tests/skyline_oracle.h).
     probes.clear();
     for (size_t b = 0; b < skyline.size(); ++b) {
       const PartialState& base = skyline[b];
@@ -181,16 +93,9 @@ Result<std::vector<Schedule>> SkylineScheduler::ScheduleDag(
     skyline.swap(next_sky);
   };
 
-  if (opts_.use_naive_expansion) {
-    for (int id : mandatory) expand_naive(id, /*keep_base=*/false);
-    if (place_optional) {
-      for (int id : optional) expand_naive(id, /*keep_base=*/true);
-    }
-  } else {
-    for (int id : mandatory) expand(id, /*keep_base=*/false);
-    if (place_optional) {
-      for (int id : optional) expand(id, /*keep_base=*/true);
-    }
+  for (int id : mandatory) expand(id, /*keep_base=*/false);
+  if (place_optional) {
+    for (int id : optional) expand(id, /*keep_base=*/true);
   }
 
   std::vector<Schedule> out;

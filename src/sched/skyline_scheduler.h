@@ -30,10 +30,9 @@ namespace dfim {
 /// (base, container) placement from the touched container's timeline plus
 /// cached per-container money/gap summaries, the skyline prune runs over
 /// the lightweight probes, and only the <= skyline_cap survivors are
-/// *committed* (one state copy each).
-/// SchedulerOptions::use_naive_expansion selects the retained
-/// copy-everything reference engine; both engines return bit-identical
-/// schedules.
+/// *committed* (one state copy each). The copy-everything engine it
+/// replaced is the test oracle in tests/skyline_oracle.h; both return
+/// bit-identical schedules.
 class SkylineScheduler {
  public:
   explicit SkylineScheduler(SchedulerOptions options) : opts_(options) {}

@@ -131,6 +131,24 @@ class AdaptiveFadingTest : public ::testing::Test {
     return h;
   }
 
+  /// "idx"'s gains at `now` over `h` alone, read from the decision for a
+  /// dataflow that does not name it.
+  IndexGains GainsOverHistory(const TunerOptions& opts,
+                              const std::deque<DataflowRecord>& h,
+                              Seconds now) {
+    Dataflow unrelated;
+    Operator op;
+    op.name = "compute";
+    op.time = 10.0;
+    unrelated.dag.AddOperator(op);
+    auto d = OnlineIndexTuner(&catalog_, opts).OnDataflow(unrelated, h, now);
+    if (!d.ok() || d->gains.count("idx") == 0) {
+      ADD_FAILURE() << "the decision evaluated no gains for idx";
+      return {};
+    }
+    return d->gains.at("idx");
+  }
+
   Catalog catalog_;
 };
 
@@ -142,15 +160,13 @@ TEST_F(AdaptiveFadingTest, SparseButRegularUseSurvivesWithAdaptiveD) {
 
   TunerOptions plain;
   plain.gain.adaptive_fading = false;
-  OnlineIndexTuner fixed(&catalog_, plain);
-  IndexGains g_fixed = fixed.EvaluateIndex("idx", h, nullptr, now);
+  IndexGains g_fixed = GainsOverHistory(plain, h, now);
   EXPECT_FALSE(g_fixed.beneficial);
   EXPECT_TRUE(g_fixed.deletable);
 
   TunerOptions adaptive = plain;
   adaptive.gain.adaptive_fading = true;
-  OnlineIndexTuner learned(&catalog_, adaptive);
-  IndexGains g_adaptive = learned.EvaluateIndex("idx", h, nullptr, now);
+  IndexGains g_adaptive = GainsOverHistory(adaptive, h, now);
   EXPECT_GT(g_adaptive.gt, g_fixed.gt);
   EXPECT_FALSE(g_adaptive.deletable);
 }
@@ -162,8 +178,7 @@ TEST_F(AdaptiveFadingTest, LearnedDClampedToMax) {
   auto h = SparseHistory(4, 1000.0, now, 1000.0);
   TunerOptions adaptive;
   adaptive.gain.adaptive_fading = true;
-  OnlineIndexTuner learned(&catalog_, adaptive);
-  IndexGains g = learned.EvaluateIndex("idx", h, nullptr, now);
+  IndexGains g = GainsOverHistory(adaptive, h, now);
   EXPECT_TRUE(g.deletable);
 }
 

@@ -29,6 +29,30 @@ namespace {
 // Kernel level: hybrid Lower/UpperBound vs the naive linear reference.
 // ---------------------------------------------------------------------------
 
+/// Naive scalar reference: first i in [0, n) whose (keys[i], rows[i]) is
+/// not less than (key, row).
+template <typename Key>
+size_t NaiveLowerBound(const Key* keys, const RowId* rows, size_t n,
+                       const Key& key, RowId row) {
+  size_t i = 0;
+  while (i < n && btree_kernels::CompositeLess(keys[i], rows[i], key, row)) {
+    ++i;
+  }
+  return i;
+}
+
+/// Naive scalar reference: first i in [0, n) with (key, row) <
+/// (keys[i], rows[i]).
+template <typename Key>
+size_t NaiveUpperBound(const Key* keys, const RowId* rows, size_t n,
+                       const Key& key, RowId row) {
+  size_t i = 0;
+  while (i < n && !btree_kernels::CompositeLess(key, row, keys[i], rows[i])) {
+    ++i;
+  }
+  return i;
+}
+
 class KernelBoundTest : public ::testing::TestWithParam<int> {};
 
 TEST_P(KernelBoundTest, MatchesNaiveOnRandomNodes) {
@@ -69,11 +93,11 @@ TEST_P(KernelBoundTest, MatchesNaiveOnRandomNodes) {
       RowId r = static_cast<RowId>(rng.UniformInt(0, 8));
       EXPECT_EQ(
           btree_kernels::LowerBound(sk.data(), sr.data(), m, k, r),
-          btree_kernels::NaiveLowerBound(sk.data(), sr.data(), m, k, r))
+          NaiveLowerBound(sk.data(), sr.data(), m, k, r))
           << "n=" << m << " k=" << k << " r=" << r;
       EXPECT_EQ(
           btree_kernels::UpperBound(sk.data(), sr.data(), m, k, r),
-          btree_kernels::NaiveUpperBound(sk.data(), sr.data(), m, k, r))
+          NaiveUpperBound(sk.data(), sr.data(), m, k, r))
           << "n=" << m << " k=" << k << " r=" << r;
     }
   }
@@ -110,10 +134,10 @@ TEST(KernelBoundTest, StringKeysMatchNaive) {
     RowId r = static_cast<RowId>(rng.UniformInt(0, 5));
     EXPECT_EQ(
         btree_kernels::LowerBound(sk.data(), sr.data(), sk.size(), k, r),
-        btree_kernels::NaiveLowerBound(sk.data(), sr.data(), sk.size(), k, r));
+        NaiveLowerBound(sk.data(), sr.data(), sk.size(), k, r));
     EXPECT_EQ(
         btree_kernels::UpperBound(sk.data(), sr.data(), sk.size(), k, r),
-        btree_kernels::NaiveUpperBound(sk.data(), sr.data(), sk.size(), k, r));
+        NaiveUpperBound(sk.data(), sr.data(), sk.size(), k, r));
   }
 }
 

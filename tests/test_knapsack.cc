@@ -3,11 +3,40 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <cstdint>
 
 #include "common/rng.h"
 
 namespace dfim {
 namespace {
+
+/// Exhaustive solver, the oracle for branch and bound (n <= 24).
+KnapsackResult SolveKnapsackBruteForce(const std::vector<KnapsackItem>& items,
+                                       double capacity) {
+  constexpr double kEps = 1e-9;
+  size_t n = items.size();
+  EXPECT_LE(n, 24u);
+  KnapsackResult best;
+  for (uint64_t mask = 0; mask < (1ULL << n); ++mask) {
+    double size = 0;
+    double gain = 0;
+    for (size_t i = 0; i < n; ++i) {
+      if (mask & (1ULL << i)) {
+        size += items[i].size;
+        gain += items[i].gain;
+      }
+    }
+    if (size <= capacity + kEps && gain > best.total_gain + kEps) {
+      best.total_gain = gain;
+      best.total_size = size;
+      best.chosen.clear();
+      for (size_t i = 0; i < n; ++i) {
+        if (mask & (1ULL << i)) best.chosen.push_back(items[i].id);
+      }
+    }
+  }
+  return best;
+}
 
 std::vector<KnapsackItem> Items(std::vector<std::pair<double, double>> sg) {
   std::vector<KnapsackItem> items;

@@ -33,6 +33,14 @@ class MarginalGainTest : public ::testing::Test {
     tuner_ = std::make_unique<OnlineIndexTuner>(&catalog_, opts_);
   }
 
+  /// The what-if gain of `idx` for `df_` under the catalog as it stands.
+  double Gain(const std::string& idx) const {
+    return tuner_->WhatIf(df_).Gain(idx);
+  }
+  double Marginal(const std::string& idx, bool built) const {
+    return tuner_->WhatIf(df_).Marginal(idx, built);
+  }
+
   void BuildFully(const std::string& idx) {
     for (int p = 0; p < num_parts_; ++p) {
       ASSERT_TRUE(catalog_.MarkIndexPartitionBuilt(idx, p, 0).ok());
@@ -48,14 +56,14 @@ class MarginalGainTest : public ::testing::Test {
 
 TEST_F(MarginalGainTest, OnlyBestUnbuiltCandidateEarnsGain) {
   // Nothing built: the 94x candidate wins; the 7x one earns nothing.
-  EXPECT_GT(tuner_->EstimateDataflowGain(df_, "idx_k"), 0);
-  EXPECT_DOUBLE_EQ(tuner_->EstimateDataflowGain(df_, "idx_d"), 0);
+  EXPECT_GT(Gain("idx_k"), 0);
+  EXPECT_DOUBLE_EQ(Gain("idx_d"), 0);
 }
 
 TEST_F(MarginalGainTest, TieBrokenDeterministically) {
   df_.index_speedup["idx_d"] = 94.44;  // same speedup, different size
-  double gk = tuner_->EstimateDataflowGain(df_, "idx_k");
-  double gd = tuner_->EstimateDataflowGain(df_, "idx_d");
+  double gk = Gain("idx_k");
+  double gd = Gain("idx_d");
   // Exactly one of them wins the credit (the smaller index: idx_k at
   // 4-byte keys vs idx_d at 10-byte keys).
   EXPECT_GT(gk, 0);
@@ -64,34 +72,34 @@ TEST_F(MarginalGainTest, TieBrokenDeterministically) {
 
 TEST_F(MarginalGainTest, BuiltIndexEarnsRetentionValue) {
   BuildFully("idx_k");
-  double retention = tuner_->EstimateDataflowGain(df_, "idx_k");
+  double retention = Gain("idx_k");
   EXPECT_GT(retention, 0);
   // The runner-up candidate's marginal build value over the built 94x
   // index is small (94x -> 94x best-of), here zero since idx_d is slower.
-  EXPECT_DOUBLE_EQ(tuner_->EstimateDataflowGain(df_, "idx_d"), 0);
+  EXPECT_DOUBLE_EQ(Gain("idx_d"), 0);
 }
 
 TEST_F(MarginalGainTest, FasterCandidateStillEarnsMarginOverBuilt) {
   BuildFully("idx_d");  // the 7.44x index is built
   // idx_k (94x) improves on it: marginal gain positive but smaller than
   // its from-scratch gain would be.
-  double marginal = tuner_->EstimateDataflowGain(df_, "idx_k");
+  double marginal = Gain("idx_k");
   EXPECT_GT(marginal, 0);
   Catalog empty_cat;
   // From-scratch comparison: rebuild the fixture without idx_d built.
-  double retention_d = tuner_->EstimateDataflowGain(df_, "idx_d");
+  double retention_d = Gain("idx_d");
   // The built 7.44x index retains value too (losing it would hurt).
   EXPECT_GT(retention_d, 0);
   EXPECT_GT(retention_d + marginal, marginal);
 }
 
-TEST_F(MarginalGainTest, MarginalGainQuantaDirections) {
+TEST_F(MarginalGainTest, MarginalDirections) {
   BuildFully("idx_k");
   // Retention of a built index == build value it would have offered.
-  double retention = tuner_->MarginalGainQuanta(df_, "idx_k", true);
+  double retention = Marginal("idx_k", true);
   EXPECT_GT(retention, 0);
   // Build value of the built index over itself is zero.
-  double build_again = tuner_->MarginalGainQuanta(df_, "idx_k", false);
+  double build_again = Marginal("idx_k", false);
   EXPECT_NEAR(build_again, 0, 1e-9);
 }
 

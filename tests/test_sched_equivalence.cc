@@ -1,8 +1,7 @@
-// Scheduler-equivalence regression: the incremental (probe/commit) skyline
-// engine must return schedules *identical* — same assignments, makespan and
-// money — to the retained naive reference implementation
-// (SchedulerOptions::use_naive_expansion) across seeded random DAGs,
-// including optional-op placement.
+// Scheduler-equivalence regression: SkylineScheduler's probe/commit engine
+// must return schedules *identical* — same assignments, makespan and
+// money — to the copy-everything reference engine (skyline_oracle.h)
+// across seeded random DAGs, including optional-op placement.
 
 #include <gtest/gtest.h>
 
@@ -11,6 +10,7 @@
 #include "common/rng.h"
 #include "sched/skyline_scheduler.h"
 #include "sched_test_util.h"
+#include "skyline_oracle.h"
 
 namespace dfim {
 namespace {
@@ -113,29 +113,24 @@ class SchedEquivalenceTest : public ::testing::Test {
       Dag g = RandomLayeredDag(cfg.width, cfg.depth, cfg.optional_ops, seed);
       auto durations = Durations(g);
 
-      SchedulerOptions naive_opts;
-      naive_opts.max_containers = cfg.max_containers;
-      naive_opts.skyline_cap = cfg.skyline_cap;
-      naive_opts.use_naive_expansion = true;
-
-      SchedulerOptions inc_opts = naive_opts;
-      inc_opts.use_naive_expansion = false;
+      SchedulerOptions opts;
+      opts.max_containers = cfg.max_containers;
+      opts.skyline_cap = cfg.skyline_cap;
 
       auto naive =
-          SkylineScheduler(naive_opts).ScheduleDag(g, durations, place_optional);
-      auto inc =
-          SkylineScheduler(inc_opts).ScheduleDag(g, durations, place_optional);
+          oracle::NaiveSkylineSchedule(g, durations, opts, place_optional);
+      auto inc = SkylineScheduler(opts).ScheduleDag(g, durations, place_optional);
       ASSERT_TRUE(naive.ok());
       ASSERT_TRUE(inc.ok());
       ASSERT_FALSE(inc->empty());
-      EXPECT_TRUE(IdenticalSkylines(*naive, *inc, naive_opts.quantum))
+      EXPECT_TRUE(IdenticalSkylines(*naive, *inc, opts.quantum))
           << "naive vs incremental, seed " << seed;
       for (const auto& s : *inc) {
-        EXPECT_TRUE(testutil::ValidSchedule(g, s, durations,
-                                            inc_opts.net_mb_per_sec))
+        EXPECT_TRUE(
+            testutil::ValidSchedule(g, s, durations, opts.net_mb_per_sec))
             << "seed " << seed;
       }
-      EXPECT_TRUE(testutil::NonDominatedSet(*inc, inc_opts.quantum))
+      EXPECT_TRUE(testutil::NonDominatedSet(*inc, opts.quantum))
           << "seed " << seed;
     }
   }
@@ -165,18 +160,14 @@ TEST_F(SchedEquivalenceTest, ChainAndDiamondShapes) {
   for (bool place_optional : {false, true}) {
     for (Dag g : {testutil::Chain(6, 12, 100), testutil::Diamond(10, 20, 30, 10, 500)}) {
       auto durations = Durations(g);
-      SchedulerOptions naive_opts;
-      naive_opts.max_containers = 5;
-      naive_opts.use_naive_expansion = true;
-      SchedulerOptions inc_opts = naive_opts;
-      inc_opts.use_naive_expansion = false;
-      auto naive = SkylineScheduler(naive_opts).ScheduleDag(g, durations,
-                                                            place_optional);
-      auto inc =
-          SkylineScheduler(inc_opts).ScheduleDag(g, durations, place_optional);
+      SchedulerOptions opts;
+      opts.max_containers = 5;
+      auto naive =
+          oracle::NaiveSkylineSchedule(g, durations, opts, place_optional);
+      auto inc = SkylineScheduler(opts).ScheduleDag(g, durations, place_optional);
       ASSERT_TRUE(naive.ok());
       ASSERT_TRUE(inc.ok());
-      EXPECT_TRUE(IdenticalSkylines(*naive, *inc, naive_opts.quantum));
+      EXPECT_TRUE(IdenticalSkylines(*naive, *inc, opts.quantum));
     }
   }
 }

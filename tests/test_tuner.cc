@@ -42,31 +42,42 @@ class TunerTest : public ::testing::Test {
   std::unique_ptr<OnlineIndexTuner> tuner_;
 };
 
-TEST_F(TunerTest, EstimateDataflowGainPositiveForCandidates) {
+TEST_F(TunerTest, WhatIfGainPositiveForCandidates) {
   Dataflow df = gen_->Generate(AppType::kCybershake, 0, 0);
+  const WhatIfTable what_if = tuner_->WhatIf(df);
   double total = 0;
   for (const auto& idx : df.candidate_indexes) {
-    double g = tuner_->EstimateDataflowGain(df, idx);
+    double g = what_if.Gain(idx);
     EXPECT_GE(g, 0) << idx;
     total += g;
   }
   EXPECT_GT(total, 0);
   // Unknown index estimates to zero.
-  EXPECT_DOUBLE_EQ(tuner_->EstimateDataflowGain(df, "nope"), 0);
+  EXPECT_DOUBLE_EQ(what_if.Gain("nope"), 0);
 }
 
-TEST_F(TunerTest, EvaluateIndexUsesHistoryAndFading) {
+// Eq. 3-5 over the history alone: the issued dataflow does not name the
+// index, so its what-if gain adds nothing.
+TEST_F(TunerTest, HistoryGainsFadeWithAge) {
   Dataflow df = gen_->Generate(AppType::kMontage, 0, 0);
   ASSERT_FALSE(df.candidate_indexes.empty());
   const std::string idx = df.candidate_indexes[0];
+  Dataflow unrelated = gen_->Generate(AppType::kLigo, 1, 0);
+  ASSERT_EQ(std::find(unrelated.candidate_indexes.begin(),
+                      unrelated.candidate_indexes.end(), idx),
+            unrelated.candidate_indexes.end());
   // Strong recent history makes the index beneficial.
   auto h = History(idx, 5, 10.0, 600.0);
-  IndexGains g = tuner_->EvaluateIndex(idx, h, nullptr, 600.0);
-  EXPECT_TRUE(g.beneficial);
+  auto recent = tuner_->OnDataflow(unrelated, h, 600.0);
+  ASSERT_TRUE(recent.ok());
+  ASSERT_EQ(recent->gains.count(idx), 1u);
+  EXPECT_TRUE(recent->gains.at(idx).beneficial);
   // The same history long ago is faded to nothing.
-  IndexGains faded = tuner_->EvaluateIndex(idx, h, nullptr, 600.0 + 60.0 * 50);
-  EXPECT_FALSE(faded.beneficial);
-  EXPECT_TRUE(faded.deletable);
+  auto old = tuner_->OnDataflow(unrelated, h, 600.0 + 60.0 * 50);
+  ASSERT_TRUE(old.ok());
+  ASSERT_EQ(old->gains.count(idx), 1u);
+  EXPECT_FALSE(old->gains.at(idx).beneficial);
+  EXPECT_TRUE(old->gains.at(idx).deletable);
 }
 
 TEST_F(TunerTest, OnDataflowProducesValidDecision) {
@@ -115,9 +126,10 @@ TEST_F(TunerTest, StrongHistoryTriggersBuildOps) {
   ASSERT_FALSE(df.candidate_indexes.empty());
   // Pick the candidate with the best what-if gain so benefit is assured.
   std::string idx = df.candidate_indexes[0];
+  const WhatIfTable what_if = tuner_->WhatIf(df);
   double best = -1;
   for (const auto& c : df.candidate_indexes) {
-    double g = tuner_->EstimateDataflowGain(df, c);
+    double g = what_if.Gain(c);
     if (g > best) {
       best = g;
       idx = c;
@@ -152,6 +164,12 @@ TEST_F(TunerTest, NonBeneficialBuiltIndexesFlaggedForDeletion) {
   EXPECT_NE(std::find(decision->to_delete.begin(), decision->to_delete.end(),
                       idx),
             decision->to_delete.end());
+  // With fresh supporting history the index is kept.
+  auto kept = tuner_->OnDataflow(unrelated, History(idx, 8, 50.0, 5940.0),
+                                 6000.0);
+  ASSERT_TRUE(kept.ok());
+  EXPECT_EQ(std::find(kept->to_delete.begin(), kept->to_delete.end(), idx),
+            kept->to_delete.end());
 }
 
 TEST_F(TunerTest, NoDeleteOptionKeepsIndexes) {
@@ -169,29 +187,6 @@ TEST_F(TunerTest, NoDeleteOptionKeepsIndexes) {
   auto decision = keeper.OnDataflow(unrelated, {}, 6000.0);
   ASSERT_TRUE(decision.ok());
   EXPECT_TRUE(decision->to_delete.empty());
-  auto deletions = keeper.EvaluateDeletions({}, 6000.0);
-  ASSERT_TRUE(deletions.ok());
-  EXPECT_TRUE(deletions->empty());
-}
-
-TEST_F(TunerTest, EvaluateDeletionsSweepsBuiltIndexes) {
-  Dataflow df = gen_->Generate(AppType::kMontage, 0, 0);
-  const std::string idx = df.candidate_indexes[0];
-  auto def = catalog_.GetIndexDef(idx);
-  auto table = catalog_.GetTable((*def)->table);
-  for (const auto& p : (*table)->partitions()) {
-    ASSERT_TRUE(catalog_.MarkIndexPartitionBuilt(idx, p.id, 0).ok());
-  }
-  auto deletions = tuner_->EvaluateDeletions({}, 6000.0);
-  ASSERT_TRUE(deletions.ok());
-  EXPECT_NE(std::find(deletions->begin(), deletions->end(), idx),
-            deletions->end());
-  // With fresh supporting history the index survives the sweep.
-  auto h = History(idx, 8, 50.0, 5940.0);
-  deletions = tuner_->EvaluateDeletions(h, 6000.0);
-  ASSERT_TRUE(deletions.ok());
-  EXPECT_EQ(std::find(deletions->begin(), deletions->end(), idx),
-            deletions->end());
 }
 
 TEST_F(TunerTest, BuildDataflowCostsMarksCacheKeys) {

@@ -215,19 +215,6 @@ class Tuner {
     return potential;
   }
 
-  std::vector<std::string> EvaluateDeletions(
-      const std::deque<DataflowRecord>& history, Seconds now) const {
-    std::vector<std::string> out;
-    if (!opts_.delete_nonbeneficial) return out;
-    for (const auto& idx : catalog_->IndexIds()) {
-      auto st = catalog_->GetIndexState(idx);
-      if (!st.ok() || (*st)->NumBuilt() == 0) continue;
-      IndexGains g = EvaluateIndex(idx, history, nullptr, now);
-      if (g.deletable) out.push_back(idx);
-    }
-    return out;
-  }
-
  private:
   const Catalog* catalog_;
   TunerOptions opts_;
