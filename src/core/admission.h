@@ -57,18 +57,58 @@ struct BrownoutOptions {
 /// Brownout re-enable threshold as a fraction of pressure_lo_quanta.
 inline constexpr double kBrownoutResumeFraction = 0.5;
 
-/// \brief Circuit breaker on the storage persist (Put) path.
-///
-/// Counts consecutive transient-fault draws across persist attempts; at
-/// `open_after` the breaker opens and build persists are skipped outright
-/// (discarded without burning backoff delay) until `open_duration` of
-/// simulated time passes, after which a single half-open probe either
-/// closes the breaker or re-opens it.
+/// \brief Circuit breaker on the storage persist (Put) path; its state
+/// machine is PersistBreaker.
 struct BreakerOptions {
   /// Consecutive transient storage faults that open the breaker (0 = off).
   int open_after = 0;
   /// Simulated seconds the breaker stays open before the half-open probe.
   Seconds open_duration = 300.0;
+};
+
+enum class BreakerState { kClosed, kOpen, kHalfOpen };
+
+/// \brief The persist breaker's state machine, journaled in ControlState.
+///
+/// It counts consecutive faulted Put attempts; at `open_after` it opens and
+/// persists are skipped outright (no retries, no backoff delay) until
+/// `open_duration` passes; then one half-open probe closes it or re-opens
+/// it. With `open_after` 0 it never leaves kClosed.
+struct PersistBreaker {
+  BreakerState state = BreakerState::kClosed;
+  /// Consecutive faulted Put attempts since the last landing or trip.
+  int faults = 0;
+  Seconds open_until = 0;
+
+  /// True while open at `t`: persists are skipped and hedges suppressed.
+  bool OpenAt(Seconds t) const {
+    return state == BreakerState::kOpen && t < open_until;
+  }
+  /// The gate for a persist at `t` that wants `wanted` retries after its
+  /// first attempt: -1 while open (skip the Put). Past `open_until` an
+  /// open breaker turns half-open; its probe gets 0 retries.
+  int Admit(Seconds t, int wanted) {
+    if (OpenAt(t)) return -1;
+    if (state == BreakerState::kOpen) state = BreakerState::kHalfOpen;
+    return state == BreakerState::kHalfOpen ? 0 : wanted;
+  }
+  /// Records a faulted Put attempt at `t`; true when that opened the
+  /// breaker (`open_after` consecutive faults, or a failed probe).
+  bool Fault(const BreakerOptions& opts, Seconds t) {
+    if (opts.open_after <= 0) return false;
+    if (++faults < opts.open_after && state != BreakerState::kHalfOpen) {
+      return false;
+    }
+    state = BreakerState::kOpen;
+    open_until = t + opts.open_duration;
+    faults = 0;
+    return true;
+  }
+  /// Records a landed Put: closes the breaker and resets the count.
+  void Landed() {
+    state = BreakerState::kClosed;
+    faults = 0;
+  }
 };
 
 /// \brief Batched admission (DESIGN.md §14): dataflows already pending at

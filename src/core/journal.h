@@ -98,9 +98,6 @@ struct StagedDelete {
   int64_t generation = 0;
 };
 
-/// \brief Storage persist circuit breaker state.
-enum class BreakerState { kClosed, kOpen, kHalfOpen };
-
 /// \brief A quarantined partition awaiting a repair build.
 struct RepairEntry {
   std::string index_id;
@@ -145,9 +142,8 @@ struct ControlState {
   bool brownout_off = false;
   /// Remaining fleet-wide recovery attempts (admission.retry_budget >= 0).
   int retry_budget_left = -1;
-  BreakerState breaker_state = BreakerState::kClosed;
-  int breaker_faults = 0;
-  Seconds breaker_open_until = 0;
+  /// The storage persist circuit breaker (BreakerOptions).
+  PersistBreaker breaker;
 
   // --- integrity (DESIGN.md §12) ---
   /// Quarantined partitions awaiting a repair build (FIFO; entries whose

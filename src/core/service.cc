@@ -3,6 +3,7 @@
 #include <cstdlib>
 #include <algorithm>
 #include <limits>
+#include <numeric>
 #include <set>
 #include <vector>
 
@@ -267,6 +268,12 @@ uint64_t PersistKey(const std::string& index_id, int partition, int retry) {
   return h * 0x100000001b3ULL;
 }
 
+/// Key of one execution attempt's fault trace and persist-fault draws.
+uint64_t RunKey(int df_id, int attempt) {
+  return static_cast<uint64_t>(df_id) * 0x100000001b3ULL +
+         static_cast<uint64_t>(attempt);
+}
+
 /// History list capacity (older records fade to ~0 anyway).
 constexpr size_t kMaxHistory = 256;
 
@@ -365,15 +372,7 @@ void QaasService::QuarantineAndScheduleRepair(const std::string& index_id,
 
 void QaasService::VerifyIndexBindings(TunerDecision* decision, Seconds now,
                                       ServiceMetrics* metrics) {
-  // Storage may already be settled past this dataflow's bind instant (the
-  // previous dataflow's persists land inside its paid lease tail, beyond the
-  // next arrival). Verify at the billing high-water mark so the settle order
-  // stays monotone; every rot onset due by then was already realized, so
-  // the verdicts are identical. Under the journal the mark is the journaled
-  // mirror: replay must not clamp to the inflated post-crash clock.
-  now = std::max(now, BillingClock());
-  BumpClockMirror(now);
-  const Seconds read_at = ReplayClamp(now);
+  const StorageInstant at = StorageCallAt(now);
   // One verdict per distinct index the decision binds: every built partition
   // must pass both the checksum and the expected-generation check. The op
   // granularity is the index — a dataflow op cannot read half an index.
@@ -391,7 +390,7 @@ void QaasService::VerifyIndexBindings(TunerDecision* decision, Seconds now,
         if (!(*state)->part(i).built) continue;
         const int64_t expect = (*state)->part(i).generation;
         const std::string path = (*def)->PartitionPath(static_cast<int>(i));
-        VerifyResult vr = storage_.VerifyRead(path, read_at);
+        VerifyResult vr = storage_.VerifyRead(path, at.issued);
         bool bad = false;
         if (vr == VerifyResult::kCorrupt) {
           ++metrics->corruptions_detected_on_read;
@@ -407,7 +406,8 @@ void QaasService::VerifyIndexBindings(TunerDecision* decision, Seconds now,
         }
         if (bad) {
           ok = false;
-          QuarantineAndScheduleRepair(id, static_cast<int>(i), now, metrics);
+          QuarantineAndScheduleRepair(id, static_cast<int>(i), at.billed,
+                                      metrics);
         }
       }
     }
@@ -433,10 +433,8 @@ void QaasService::VerifyIndexBindings(TunerDecision* decision, Seconds now,
 void QaasService::RunScrub(Seconds now, ServiceMetrics* metrics) {
   const double per_quantum = opts_.integrity.scrub_objects_per_quantum;
   if (per_quantum <= 0) return;
-  // Same high-water clamp as VerifyIndexBindings: scrub reads must never
-  // regress the storage billing clock.
-  now = std::max(now, BillingClock());
-  BumpClockMirror(now);
+  const StorageInstant at = StorageCallAt(now);
+  now = at.billed;
   const Seconds quantum = opts_.tuner.sched.quantum;
   if (now > state_.last_scrub) {
     state_.scrub_credit += (now - state_.last_scrub) / quantum * per_quantum;
@@ -455,7 +453,7 @@ void QaasService::RunScrub(Seconds now, ServiceMetrics* metrics) {
     state_.scrub_cursor = path;
     state_.scrub_credit -= 1.0;
     ++metrics->scrub_reads;
-    if (storage_.VerifyRead(path, ReplayClamp(now)) != VerifyResult::kCorrupt) {
+    if (storage_.VerifyRead(path, at.issued) != VerifyResult::kCorrupt) {
       continue;
     }
     ++metrics->corruptions_detected_by_scrub;
@@ -703,421 +701,345 @@ Result<QaasService::RunOutcome> QaasService::FinishRun(
   return out;
 }
 
+Result<TunerDecision> PlanRecoverySuffix(const TunerDecision& decision,
+                                         const Schedule& plan,
+                                         const ExecResult& exec,
+                                         double net_mb_per_sec,
+                                         std::vector<int>* ids) {
+  const std::vector<int>& ran = *ids;
+  const Dag& dag = decision.combined;
+  const size_t n = dag.num_ops();
+  // Combined-id flags: needed again (the lost mandatory ops, so far), and
+  // ran this attempt on a container that died.
+  std::vector<char> needed(n, 0);
+  std::vector<char> on_dead(n, 0);
+  for (const auto& l : exec.lost_ops) {
+    if (!l.optional) {
+      needed[static_cast<size_t>(ran[static_cast<size_t>(l.op_id)])] = 1;
+    }
+  }
+  for (const auto& a : plan.assignments()) {
+    const int id = ran[static_cast<size_t>(a.op_id)];
+    if (!dag.op(id).optional) {
+      on_dead[static_cast<size_t>(id)] = exec.ContainerFailed(a.container);
+    }
+  }
+  // A producer whose output sat on a dead container's disk re-runs with
+  // its needed consumer (transitively).
+  for (bool grew = true; grew;) {
+    grew = false;
+    for (const auto& f : dag.flows()) {
+      const auto from = static_cast<size_t>(f.from);
+      if (needed[static_cast<size_t>(f.to)] && !needed[from] && on_dead[from]) {
+        needed[from] = 1;
+        grew = true;
+      }
+    }
+  }
+  TunerDecision suffix;
+  std::vector<int> suffix_ids;
+  std::vector<int> local(n, -1);  // combined id -> suffix id
+  for (size_t i = 0; i < n; ++i) {
+    if (!needed[i]) continue;
+    local[i] = suffix.combined.AddOperator(dag.op(static_cast<int>(i)));
+    suffix_ids.push_back(static_cast<int>(i));
+    suffix.durations.push_back(decision.durations[i]);
+    suffix.costs.push_back(decision.costs[i]);
+  }
+  for (const auto& f : dag.flows()) {
+    const int to = local[static_cast<size_t>(f.to)];
+    if (to < 0) continue;
+    const int from = local[static_cast<size_t>(f.from)];
+    if (from >= 0) {
+      DFIM_RETURN_NOT_OK(suffix.combined.AddFlow(from, to, f.size));
+    } else if (!dag.op(f.from).optional) {
+      // Every mandatory op outside the suffix finished on a container that
+      // was alive after its attempt. Its output survives there or can be
+      // restaged: the re-executed consumer re-pays the transfer as an
+      // external input (and its content no longer matches any cache key).
+      SimOpCost& cost = suffix.costs[static_cast<size_t>(to)];
+      cost.input_mb += f.size;
+      cost.cache_key.clear();
+      suffix.durations[static_cast<size_t>(to)] += f.size / net_mb_per_sec;
+    }
+  }
+  *ids = std::move(suffix_ids);
+  return suffix;
+}
+
 Result<QaasService::ExecOutcome> QaasService::ExecuteDecision(
     TunerDecision* decision, const Dataflow& df, Seconds start,
     Seconds initial_wait, ServiceMetrics* metrics) {
-  SimOptions sim = opts_.sim;
-  sim.quantum = opts_.tuner.sched.quantum;
-  sim.net_mb_per_sec = opts_.tuner.sched.net_mb_per_sec;
-
-  // Attempt 0 executes the full combined DAG (dataflow + piggybacked build
-  // ops). When a crash loses mandatory operators, recovery attempts
-  // reschedule only the unfinished suffix — re-paying the quanta — onto
-  // fresh/surviving containers; lost build ops are simply dropped (a lost
-  // piggybacked build must never stall the dataflow).
-  const Dag* cur_dag = &decision->combined;
-  const Schedule* cur_plan = &decision->chosen;
-  const std::vector<SimOpCost>* cur_costs = &decision->costs;
-  Dag suffix_dag;
-  Schedule suffix_plan;
-  std::vector<SimOpCost> suffix_costs;
-  std::vector<int> orig_ids;  // suffix op id -> combined op id (attempt > 0)
-
-  // Mandatory ops (combined-id space) that completed on a still-live
-  // container across attempts.
-  std::vector<char> done(decision->combined.num_ops(), 0);
+  // Attempt 0 runs the whole decision (dataflow + piggybacked builds);
+  // each recovery attempt runs only the unfinished suffix, re-paying the
+  // quanta. `ids` maps the running attempt's op ids to combined op ids.
+  const TunerDecision* cur = decision;
+  TunerDecision suffix;
+  std::vector<int> ids(decision->combined.num_ops());
+  std::iota(ids.begin(), ids.end(), 0);
+  ExecOutcome out;
   // The elastic fleet may have waited out a boot delay or an acquire
   // backoff before a single usable container existed.
-  Seconds elapsed = initial_wait;
-  int64_t total_leased = 0;
-  bool failed = false;
-  // Builds may complete inside the already-paid lease tail past the
-  // dataflow makespan, so their persist times can exceed `finish`; storage
-  // must settle through the latest Put, not just the dataflow's end.
-  Seconds last_persist = 0;
-
+  out.elapsed = initial_wait;
   for (int attempt = 0;; ++attempt) {
-    int nc = std::max(1, cur_plan->num_containers());
-    std::vector<Container*> containers;
-    if (ElasticActive()) {
-      // Best-effort elastic acquisition: only containers usable right now
-      // (booted, outside any reclaim-notice window). The plan was bounded
-      // by PrepareFleet at this same instant, so this normally covers nc.
-      AcquireOutcome got = fleet_.AcquireUsable(nc, start + elapsed);
-      containers = std::move(got.usable);
-    }
-    if (static_cast<int>(containers.size()) < nc) {
-      // Fixed-fleet path — or the elastic fleet shrank between planning and
-      // acquisition; the strict path guarantees the plan its containers. The
-      // cluster reaps expired containers (their pre-paid quantum is over and
-      // their local disks/caches are gone, paper §3), reuses alive ones in
-      // stable order, and allocates the rest fresh. With the elastic
-      // machinery off the capacity cap is unbounded, so this never fails.
-      auto got = fleet_.Acquire(nc, start + elapsed);
-      containers = got.ok() ? *std::move(got) : std::vector<Container*>{};
-    }
-    sim.seed = opts_.seed ^ (static_cast<uint64_t>(df.id) * 0x9e3779b9ULL);
-    if (attempt > 0) {
-      sim.seed ^= static_cast<uint64_t>(attempt) * 0x517cc1b727220a95ULL;
-    }
-    ExecSimulator simulator(sim);
-    // The fault model rides every attempt: at zero rates its draws are the
-    // identity and the simulator's result is the fault-free one.
-    FaultInjection fi;
-    fi.model = &faults_;
-    fi.run_key = static_cast<uint64_t>(df.id) * 0x100000001b3ULL +
-                 static_cast<uint64_t>(attempt);
-    fi.trace =
-        faults_.DrawTrace(fi.run_key, nc, cur_plan->TotalSpan(), sim.quantum);
-    // Translate each acquired container's absolute provider-reclaim
-    // instant into the schedule-relative trace: the simulator drains the
-    // doomed container through its notice window and charges nothing past
-    // the reclaim (DESIGN.md §13).
-    if (opts_.faults.preempt_rate > 0) {
-      const Seconds t0 = start + elapsed;
-      for (int c = 0; c < nc && c < static_cast<int>(containers.size()); ++c) {
-        const Seconds at = containers[static_cast<size_t>(c)]->preempt_at();
-        if (at >= kNeverFails) continue;
-        ContainerFaults& cf = fi.trace.containers[static_cast<size_t>(c)];
-        cf.reclaim_at = at - t0;
-        cf.notice_at =
-            std::max<Seconds>(0, cf.reclaim_at - opts_.faults.preempt_notice);
-      }
-    }
-    fi.spec = opts_.speculation;
-    // Breaker coordination: a hedge is an extra storage request, and
-    // piling duplicates onto a store that already tripped the breaker
-    // would double-trip it — suppress hedging while the breaker is open.
-    if (fi.spec.hedge_reads && opts_.breaker.open_after > 0 &&
-        state_.breaker_state == BreakerState::kOpen &&
-        start + elapsed < state_.breaker_open_until) {
-      fi.spec.suppress_hedges = true;
-    }
+    const Seconds t0 = start + out.elapsed;
     DFIM_ASSIGN_OR_RETURN(ExecResult exec,
-                          simulator.Run(*cur_dag, *cur_plan, *cur_costs,
-                                        &containers, &fi));
-
-    // Lease bookkeeping: extend each container through its realized end
-    // (Timeline::last_end() is the per-container high-water mark).
-    std::vector<Timeline> actual_tls = exec.actual.BuildTimelines();
-    for (int c = 0; c < nc && c < static_cast<int>(actual_tls.size()); ++c) {
-      Seconds last = actual_tls[static_cast<size_t>(c)].last_end();
-      if (last > 0) {
-        fleet_.ChargeThrough(containers[static_cast<size_t>(c)],
-                             start + elapsed + last);
-      }
-    }
-
-    // Crashed/reclaimed containers are gone: the provider stops charging
-    // and their local disks — caches, staged outputs, partial builds — are
-    // lost (paper §3). Evict them from the fleet so the next acquisition
-    // leases fresh, cold containers; the ledger distinguishes provider
-    // reclaims from plain crashes.
-    if (!exec.failed_containers.empty()) {
-      for (size_t i = 0; i < exec.failed_containers.size(); ++i) {
-        const int c = exec.failed_containers[i];
-        const bool preempted = i < exec.failure_preempted.size() &&
-                               exec.failure_preempted[i] != 0;
-        fleet_.RemoveFailed(containers[static_cast<size_t>(c)], preempted);
-      }
-      metrics->containers_failed +=
-          static_cast<int>(exec.failed_containers.size());
-    }
-    metrics->storage_faults += exec.storage_faults;
-    metrics->storage_reads += exec.storage_reads;
-    metrics->ops_speculated += exec.ops_speculated;
-    metrics->spec_wins += exec.spec_wins;
-    metrics->spec_cancelled += exec.spec_cancelled;
-    metrics->spec_cancelled_quanta +=
-        exec.spec_cancelled_seconds / sim.quantum;
-    metrics->hedged_reads += exec.hedged_reads;
-    metrics->hedge_wins += exec.hedge_wins;
-    metrics->verified_reads += exec.verified_reads;
-    metrics->degraded_reads += exec.corrupt_reads;
-
-    // Register completed index partitions. Each is persisted to the storage
-    // service at completion; under fault injection the Put may fail
-    // transiently and retries with capped exponential backoff. A partition
-    // that was never persisted gets no catalog entry — a dead container
-    // cannot resend from its lost local disk, so its builds get only the
-    // completion-time attempt.
-    Seconds persist_delay = 0;
-    for (const auto& b : exec.builds) {
-      bool container_died = false;
-      for (int c : exec.failed_containers) {
-        container_died |= c == b.container;
-      }
-      const Seconds built_at = start + elapsed + b.finish;
-      // Which retry round landed the persist (its draws key the integrity
-      // stamps).
-      int landed_attempt = 0;
-      const bool breaker_on = opts_.breaker.open_after > 0;
-      if (breaker_on && state_.breaker_state == BreakerState::kOpen) {
-        if (built_at >= state_.breaker_open_until) {
-          state_.breaker_state = BreakerState::kHalfOpen;
-        } else {
-          // Breaker open: the persist path is known-bad; skip the Put
-          // outright instead of burning retries and backoff delay.
-          ++metrics->builds_discarded;
-          continue;
-        }
-      }
-      int retries = container_died ? 0 : kPersistMaxRetries;
-      // A half-open breaker allows exactly one probe attempt.
-      if (breaker_on && state_.breaker_state == BreakerState::kHalfOpen) {
-        retries = 0;
-      }
-      bool persisted = false;
-      Seconds backoff = kPersistBackoffInitial;
-      for (int r = 0; r <= retries; ++r) {
-        if (!faults_.StorageOpFaults(
-                fi.run_key, PersistKey(b.index_id, b.partition, r))) {
-          persisted = true;
-          landed_attempt = r;
-          break;
-        }
-        ++metrics->storage_retries;
-        if (breaker_on) {
-          ++state_.breaker_faults;
-          if (state_.breaker_state == BreakerState::kHalfOpen ||
-              state_.breaker_faults >= opts_.breaker.open_after) {
-            // Trip (or re-trip after a failed half-open probe).
-            state_.breaker_state = BreakerState::kOpen;
-            state_.breaker_open_until = built_at + opts_.breaker.open_duration;
-            state_.breaker_faults = 0;
-            ++metrics->breaker_opens;
-            break;
-          }
-        }
-        if (r < retries) {
-          persist_delay += backoff;
-          backoff = std::min(backoff * 2.0, kPersistBackoffCap);
-        }
-      }
-      if (persisted && breaker_on) {
-        // A success closes the breaker (half-open probe) and resets the
-        // consecutive-fault count.
-        state_.breaker_faults = 0;
-        state_.breaker_state = BreakerState::kClosed;
-      }
-      if (!persisted) {
-        ++metrics->builds_discarded;
-        continue;
-      }
-      // A build landing on a quarantined partition is the repair arriving
-      // (MarkIndexPartitionBuilt lifts the quarantine).
-      const bool was_quarantined =
-          catalog_->IsQuarantined(b.index_id, b.partition);
-      Status st =
-          catalog_->MarkIndexPartitionBuilt(b.index_id, b.partition, built_at);
-      if (st.ok()) {
-        auto def = catalog_->GetIndexDef(b.index_id);
-        auto state = catalog_->GetIndexState(b.index_id);
-        if (def.ok() && state.ok()) {
-          const auto& part = (*state)->part(static_cast<size_t>(b.partition));
-          const std::string path = (*def)->PartitionPath(b.partition);
-          PutStamp stamp;
-          if (opts_.faults.corruption_enabled()) {
-            // Integrity stamps (DESIGN.md §12), keyed by the attempt that
-            // landed: a crash-interrupted persist (dead container) is
-            // likelier torn; latent rot is pre-drawn against the
-            // generation this Put will create.
-            stamp.torn = faults_.TornWrite(
-                fi.run_key,
-                PersistKey(b.index_id, b.partition, landed_attempt),
-                container_died);
-            int64_t max_q =
-                QuantaCeil(std::max(opts_.total_time - built_at, sim.quantum),
-                           sim.quantum) +
-                8;
-            stamp.rot_at = faults_.BitRotOnset(
-                PathHash(path), storage_.NextGeneration(path), built_at,
-                sim.quantum, max_q);
-          }
-          if (JournalOn()) {
-            // Idempotency token: the journal sets it on every persist —
-            // recovery replay re-resolves in-flight persists exactly-once
-            // through it (a landing that survived the crash is
-            // acknowledged, never re-billed; one that did not is
-            // re-issued).
-            stamp.token =
-                PersistKey(b.index_id, b.partition, landed_attempt) | 1ULL;
-          }
-          // Persist batches land out of order across dataflows: a previous
-          // dataflow's late persist (deep in its paid lease tail — repair
-          // builds pack there) may have settled storage past this build's
-          // completion. Bill from the high-water mark, which is what
-          // StorageService's settle clamp would do anyway, without tripping
-          // the clock-regression counter.
-          const Seconds persist_at = std::max(built_at, BillingClock());
-          BumpClockMirror(persist_at);
-          // Exactly-once replay accounting: a persist whose pre-crash
-          // landing survives in storage dedupes by token (same generation,
-          // stamps ignored, nothing re-billed).
-          if (recovering_ && stamp.token != 0 &&
-              storage_.TokenMatches(path, stamp.token)) {
-            ++journal_.mutable_ledger()->persists_deduped;
-          }
-          int64_t gen =
-              storage_.Put(path, part.size, ReplayClamp(persist_at), stamp);
-          (void)catalog_->SetPartitionGeneration(b.index_id, b.partition,
-                                                 gen);
-          last_persist = std::max(last_persist, persist_at);
-        }
-        ++metrics->index_partitions_built;
-        if (was_quarantined) ++metrics->repairs_completed;
-        // A fresh build counts as a reference: the grace clock starts now.
-        auto [it, inserted] =
-            state_.last_useful.try_emplace(b.index_id, built_at);
-        if (!inserted) it->second = std::max(it->second, built_at);
-        if (opts_.resumable_builds) {
-          state_.build_progress.erase({b.index_id, b.partition});
-        }
-      }
-    }
-    if (opts_.resumable_builds) {
-      // Preempted builds keep their progress; crash-lost builds do not
-      // (they are in lost_ops, not kills — the partial work died with the
-      // container's disk).
-      for (const auto& k : exec.kills) {
-        // A build preempted before it got any CPU leaves no useful progress.
-        if (k.ran_for > 0) {
-          state_.build_progress[{k.index_id, k.partition}] += k.ran_for;
-        }
-      }
-    }
-
-    // Attempt accounting. The realized span covers completed work and the
-    // crash instants; persist backoff extends the dataflow's wall time.
+                          RunAttempt(*cur, df.id, attempt, t0, metrics));
+    const Seconds persist_delay = LandBuilds(
+        exec, RunKey(df.id, attempt), t0, &out.last_persist, metrics);
+    // The realized span covers completed work and the crash instants;
+    // persist backoff extends the dataflow's wall time.
     Seconds attempt_end = exec.makespan;
     for (Seconds t : exec.failure_times) {
       attempt_end = std::max(attempt_end, t);
     }
-    elapsed += attempt_end + persist_delay;
-    total_leased += exec.leased_quanta;
-    metrics->total_vm_quanta += exec.leased_quanta;
-    metrics->total_ops += exec.executed_ops;
-    metrics->killed_ops += exec.killed_builds;
-    if (attempt > 0) {
-      metrics->recovery_quanta += exec.leased_quanta;
-      metrics->ops_reexecuted += exec.executed_ops;
-    }
-
+    out.elapsed += attempt_end + persist_delay;
+    out.total_leased += exec.leased_quanta;
     if (exec.complete) break;
 
-    // ---- Recovery: compute the unfinished suffix (combined-id space). ----
-    if (attempt >= kMaxRecoveryAttempts) {
-      failed = true;
-      ++metrics->dataflows_failed;
-      break;
-    }
     // The fleet-wide retry budget caps recovery work across all dataflows:
     // under overload, re-paying quanta for suffix re-execution steals
     // capacity from the queue, so once the budget is spent crash-lost
     // dataflows fail fast instead.
-    if (opts_.admission.retry_budget >= 0) {
-      if (state_.retry_budget_left <= 0) {
-        ++metrics->retries_denied;
-        failed = true;
-        ++metrics->dataflows_failed;
-        break;
-      }
-      --state_.retry_budget_left;
+    const bool budgeted = opts_.admission.retry_budget >= 0;
+    if (attempt >= kMaxRecoveryAttempts ||
+        (budgeted && state_.retry_budget_left <= 0)) {
+      if (attempt < kMaxRecoveryAttempts) ++metrics->retries_denied;
+      out.failed = true;
+      ++metrics->dataflows_failed;
+      break;
     }
-    auto to_orig = [&](int local) {
-      return attempt == 0 ? local : orig_ids[static_cast<size_t>(local)];
-    };
-    std::set<int> needed;
-    for (const auto& l : exec.lost_ops) {
-      if (!l.optional) needed.insert(to_orig(l.op_id));
-    }
-    // Producers that finished this attempt on a crashed container lost
-    // their outputs with the local disk: any such producer feeding a needed
-    // op must re-run too (transitively).
-    std::set<int> crashed(exec.failed_containers.begin(),
-                          exec.failed_containers.end());
-    std::vector<int> cur_placed(cur_dag->num_ops(), -1);
-    for (const auto& a : cur_plan->assignments()) {
-      cur_placed[static_cast<size_t>(a.op_id)] = a.container;
-    }
-    std::vector<char> ran_here(decision->combined.num_ops(), 0);
-    std::vector<int> on_crashed;  // combined ids finished on dead containers
-    for (const auto& op : cur_dag->ops()) {
-      if (op.optional) continue;
-      int orig = to_orig(op.id);
-      ran_here[static_cast<size_t>(orig)] = 1;
-      if (crashed.count(cur_placed[static_cast<size_t>(op.id)]) > 0) {
-        on_crashed.push_back(orig);
-      }
-    }
-    std::sort(on_crashed.begin(), on_crashed.end());
-    for (bool grew = true; grew;) {
-      grew = false;
-      for (const auto& f : decision->combined.flows()) {
-        if (needed.count(f.to) == 0 || needed.count(f.from) > 0) continue;
-        if (std::binary_search(on_crashed.begin(), on_crashed.end(), f.from)) {
-          needed.insert(f.from);
-          grew = true;
-        }
-      }
-    }
-    // Everything that ran this attempt and is not needed again is done.
-    for (size_t i = 0; i < done.size(); ++i) {
-      if (ran_here[i] && needed.count(static_cast<int>(i)) == 0) done[i] = 1;
-    }
-
-    // ---- Build and schedule the suffix DAG. ------------------------------
-    std::map<int, int> remap;  // combined id -> suffix id (needed is sorted)
-    suffix_dag = Dag();
-    suffix_costs.clear();
-    orig_ids.clear();
-    for (int orig : needed) {
-      Operator op = decision->combined.op(orig);
-      int nid = suffix_dag.AddOperator(std::move(op));
-      remap[orig] = nid;
-      orig_ids.push_back(orig);
-      suffix_costs.push_back(decision->costs[static_cast<size_t>(orig)]);
-    }
-    std::vector<Seconds> suffix_durations;
-    for (int orig : needed) {
-      suffix_durations.push_back(
-          decision->durations[static_cast<size_t>(orig)]);
-    }
-    for (const auto& f : decision->combined.flows()) {
-      auto it_to = remap.find(f.to);
-      if (it_to == remap.end()) continue;
-      auto it_from = remap.find(f.from);
-      if (it_from != remap.end()) {
-        DFIM_RETURN_NOT_OK(
-            suffix_dag.AddFlow(it_from->second, it_to->second, f.size));
-      } else if (done[static_cast<size_t>(f.from)]) {
-        // The producer's output survives on a live container or can be
-        // restaged: the re-executed consumer re-pays the transfer as an
-        // external input (and its content no longer matches any cache key).
-        auto& cost = suffix_costs[static_cast<size_t>(it_to->second)];
-        cost.input_mb += f.size;
-        cost.cache_key.clear();
-        suffix_durations[static_cast<size_t>(it_to->second)] +=
-            f.size / opts_.tuner.sched.net_mb_per_sec;
-      }
-    }
+    if (budgeted) --state_.retry_budget_left;
+    DFIM_ASSIGN_OR_RETURN(
+        suffix, PlanRecoverySuffix(*decision, cur->chosen, exec,
+                                   opts_.tuner.sched.net_mb_per_sec, &ids));
     // Recovery replans against the fleet as it stands now: preempted or
     // crashed VMs are gone, and the elastic fleet may need to wait out a
     // boot or a denial backoff before a usable container exists again.
-    const FleetPlan recovery_plan = PrepareFleet(start + elapsed, metrics);
-    elapsed += recovery_plan.wait;
+    const FleetPlan recovery_plan = PrepareFleet(start + out.elapsed, metrics);
+    out.elapsed += recovery_plan.wait;
     SkylineScheduler rescheduler(
         WithinFleet(opts_.tuner.sched, recovery_plan.bound));
     DFIM_ASSIGN_OR_RETURN(
-        suffix_plan,
-        FastestSchedule(rescheduler.ScheduleDag(suffix_dag, suffix_durations,
-                                                /*place_optional=*/false)));
-    cur_dag = &suffix_dag;
-    cur_plan = &suffix_plan;
-    cur_costs = &suffix_costs;
+        suffix.chosen,
+        FastestSchedule(rescheduler.ScheduleDag(
+            suffix.combined, suffix.durations, /*place_optional=*/false)));
+    cur = &suffix;
   }
+  return out;
+}
 
-  return ExecOutcome{elapsed, total_leased, failed, last_persist};
+Result<ExecResult> QaasService::RunAttempt(const TunerDecision& d, int df_id,
+                                           int attempt, Seconds t0,
+                                           ServiceMetrics* metrics) {
+  const int nc = std::max(1, d.chosen.num_containers());
+  // Best-effort elastic acquisition: only containers usable right now
+  // (booted, outside any reclaim-notice window). The plan was bounded by
+  // PrepareFleet at this same instant, so this normally covers nc.
+  std::vector<Container*> containers =
+      ElasticActive() ? fleet_.AcquireUsable(nc, t0).usable
+                      : std::vector<Container*>{};
+  if (static_cast<int>(containers.size()) < nc) {
+    // Fixed-fleet path — or the elastic fleet shrank between planning and
+    // acquisition; the strict path guarantees the plan its containers. The
+    // cluster reaps expired containers (their pre-paid quantum is over and
+    // their local disks/caches are gone, paper §3), reuses alive ones in
+    // stable order, and allocates the rest fresh. With the elastic
+    // machinery off the capacity cap is unbounded, so this never fails.
+    auto got = fleet_.Acquire(nc, t0);
+    containers = got.ok() ? *std::move(got) : std::vector<Container*>{};
+  }
+  SimOptions sim = opts_.sim;
+  sim.quantum = opts_.tuner.sched.quantum;
+  sim.net_mb_per_sec = opts_.tuner.sched.net_mb_per_sec;
+  sim.seed = opts_.seed ^ (static_cast<uint64_t>(df_id) * 0x9e3779b9ULL) ^
+             (static_cast<uint64_t>(attempt) * 0x517cc1b727220a95ULL);
+  // The fault model rides every attempt: at zero rates its draws are the
+  // identity and the simulator's result is the fault-free one.
+  FaultInjection fi;
+  fi.model = &faults_;
+  fi.run_key = RunKey(df_id, attempt);
+  fi.trace =
+      faults_.DrawTrace(fi.run_key, nc, d.chosen.TotalSpan(), sim.quantum);
+  // Translate each acquired container's absolute provider-reclaim instant
+  // into the schedule-relative trace: the simulator drains the doomed
+  // container through its notice window and charges nothing past the
+  // reclaim (DESIGN.md §13).
+  if (opts_.faults.preempt_rate > 0) {
+    for (int c = 0; c < nc && c < static_cast<int>(containers.size()); ++c) {
+      const Seconds at = containers[static_cast<size_t>(c)]->preempt_at();
+      if (at >= kNeverFails) continue;
+      ContainerFaults& cf = fi.trace.containers[static_cast<size_t>(c)];
+      cf.reclaim_at = at - t0;
+      cf.notice_at =
+          std::max<Seconds>(0, cf.reclaim_at - opts_.faults.preempt_notice);
+    }
+  }
+  fi.spec = opts_.speculation;
+  // Breaker coordination: a hedge is an extra storage request, and piling
+  // duplicates onto a store that already tripped the breaker would
+  // double-trip it — suppress hedging while the breaker is open.
+  if (fi.spec.hedge_reads && state_.breaker.OpenAt(t0)) {
+    fi.spec.suppress_hedges = true;
+  }
+  DFIM_ASSIGN_OR_RETURN(
+      ExecResult exec,
+      ExecSimulator(sim).Run(d.combined, d.chosen, d.costs, &containers, &fi));
+
+  // Lease bookkeeping: extend each container through its realized end
+  // (Timeline::last_end() is the per-container high-water mark).
+  std::vector<Timeline> actual_tls = exec.actual.BuildTimelines();
+  for (int c = 0; c < nc && c < static_cast<int>(actual_tls.size()); ++c) {
+    Seconds last = actual_tls[static_cast<size_t>(c)].last_end();
+    if (last > 0) {
+      fleet_.ChargeThrough(containers[static_cast<size_t>(c)], t0 + last);
+    }
+  }
+  // Crashed/reclaimed containers are gone: the provider stops charging and
+  // their local disks — caches, staged outputs, partial builds — are lost
+  // (paper §3). Evict them from the fleet so the next acquisition leases
+  // fresh, cold containers; the ledger distinguishes provider reclaims
+  // from plain crashes.
+  for (size_t i = 0; i < exec.failed_containers.size(); ++i) {
+    const int c = exec.failed_containers[i];
+    const bool preempted = i < exec.failure_preempted.size() &&
+                           exec.failure_preempted[i] != 0;
+    fleet_.RemoveFailed(containers[static_cast<size_t>(c)], preempted);
+  }
+  metrics->containers_failed += static_cast<int>(exec.failed_containers.size());
+  metrics->storage_faults += exec.storage_faults;
+  metrics->storage_reads += exec.storage_reads;
+  metrics->ops_speculated += exec.ops_speculated;
+  metrics->spec_wins += exec.spec_wins;
+  metrics->spec_cancelled += exec.spec_cancelled;
+  metrics->spec_cancelled_quanta += exec.spec_cancelled_seconds / sim.quantum;
+  metrics->hedged_reads += exec.hedged_reads;
+  metrics->hedge_wins += exec.hedge_wins;
+  metrics->verified_reads += exec.verified_reads;
+  metrics->degraded_reads += exec.corrupt_reads;
+  metrics->total_vm_quanta += exec.leased_quanta;
+  metrics->total_ops += exec.executed_ops;
+  metrics->killed_ops += exec.killed_builds;
+  if (attempt > 0) {
+    metrics->recovery_quanta += exec.leased_quanta;
+    metrics->ops_reexecuted += exec.executed_ops;
+  }
+  return exec;
+}
+
+Seconds QaasService::LandBuilds(const ExecResult& exec, uint64_t run_key,
+                                Seconds t0, Seconds* last_persist,
+                                ServiceMetrics* metrics) {
+  // Each completed index partition is persisted to the storage service at
+  // completion; a Put may fault transiently and retries with capped
+  // exponential backoff. A partition that was never persisted gets no
+  // catalog entry — a dead container cannot resend from its lost local
+  // disk, so its builds get only the completion-time attempt.
+  PersistBreaker& breaker = state_.breaker;
+  Seconds delay = 0;
+  for (const auto& b : exec.builds) {
+    const bool died = exec.ContainerFailed(b.container);
+    const Seconds built_at = t0 + b.finish;
+    // An open breaker knows the persist path is bad: the Put is skipped
+    // outright instead of burning retries and backoff delay.
+    const int retries =
+        breaker.Admit(built_at, died ? 0 : kPersistMaxRetries);
+    int landed = -1;
+    if (retries >= 0) {
+      Seconds backoff = kPersistBackoffInitial;
+      for (int r = 0; r <= retries; ++r) {
+        if (!faults_.StorageOpFaults(run_key,
+                                     PersistKey(b.index_id, b.partition, r))) {
+          breaker.Landed();
+          landed = r;
+          break;
+        }
+        ++metrics->storage_retries;
+        if (breaker.Fault(opts_.breaker, built_at)) {
+          ++metrics->breaker_opens;
+          break;
+        }
+        if (r < retries) {
+          delay += backoff;
+          backoff = std::min(backoff * 2.0, kPersistBackoffCap);
+        }
+      }
+    }
+    if (landed < 0) {
+      ++metrics->builds_discarded;
+    } else {
+      RecordBuild(b, run_key, landed, died, built_at, last_persist, metrics);
+    }
+  }
+  if (opts_.resumable_builds) {
+    // Preempted builds keep their progress; crash-lost builds do not (they
+    // are in lost_ops, not kills — the partial work died with the
+    // container's disk).
+    for (const auto& k : exec.kills) {
+      // A build preempted before it got any CPU leaves no useful progress.
+      if (k.ran_for > 0) {
+        state_.build_progress[{k.index_id, k.partition}] += k.ran_for;
+      }
+    }
+  }
+  return delay;
+}
+
+void QaasService::RecordBuild(const BuildCompletion& b, uint64_t run_key,
+                              int landed, bool container_died,
+                              Seconds built_at, Seconds* last_persist,
+                              ServiceMetrics* metrics) {
+  const uint64_t persist_key = PersistKey(b.index_id, b.partition, landed);
+  // A build landing on a quarantined partition is the repair arriving
+  // (MarkIndexPartitionBuilt lifts the quarantine).
+  const bool was_quarantined = catalog_->IsQuarantined(b.index_id, b.partition);
+  if (!catalog_->MarkIndexPartitionBuilt(b.index_id, b.partition, built_at)
+           .ok()) {
+    return;
+  }
+  auto def = catalog_->GetIndexDef(b.index_id);
+  auto state = catalog_->GetIndexState(b.index_id);
+  if (def.ok() && state.ok()) {
+    const auto& part = (*state)->part(static_cast<size_t>(b.partition));
+    const std::string path = (*def)->PartitionPath(b.partition);
+    PutStamp stamp;
+    if (opts_.faults.corruption_enabled()) {
+      // Integrity stamps (DESIGN.md §12), keyed by the attempt that landed:
+      // a crash-interrupted persist (dead container) is likelier torn;
+      // latent rot is pre-drawn against the generation this Put creates.
+      const Seconds quantum = opts_.tuner.sched.quantum;
+      stamp.torn = faults_.TornWrite(run_key, persist_key, container_died);
+      int64_t max_q =
+          QuantaCeil(std::max(opts_.total_time - built_at, quantum), quantum) +
+          8;
+      stamp.rot_at =
+          faults_.BitRotOnset(PathHash(path), storage_.NextGeneration(path),
+                              built_at, quantum, max_q);
+    }
+    // Idempotency token: the journal sets it on every persist — recovery
+    // replay re-resolves in-flight persists exactly-once through it (a
+    // landing that survived the crash is acknowledged, never re-billed;
+    // one that did not is re-issued).
+    if (JournalOn()) stamp.token = persist_key | 1ULL;
+    const StorageInstant at = StorageCallAt(built_at);
+    // A replayed persist whose pre-crash landing survives dedupes by token
+    // (same generation, stamps ignored, nothing re-billed).
+    if (recovering_ && stamp.token != 0 &&
+        storage_.TokenMatches(path, stamp.token)) {
+      ++journal_.mutable_ledger()->persists_deduped;
+    }
+    int64_t gen = storage_.Put(path, part.size, at.issued, stamp);
+    (void)catalog_->SetPartitionGeneration(b.index_id, b.partition, gen);
+    *last_persist = std::max(*last_persist, at.billed);
+  }
+  ++metrics->index_partitions_built;
+  if (was_quarantined) ++metrics->repairs_completed;
+  // A fresh build counts as a reference: the grace clock starts now.
+  auto [it, inserted] = state_.last_useful.try_emplace(b.index_id, built_at);
+  if (!inserted) it->second = std::max(it->second, built_at);
+  if (opts_.resumable_builds) {
+    state_.build_progress.erase({b.index_id, b.partition});
+  }
 }
 
 void QaasService::RecordHistory(const Dataflow& df, Seconds finish) {

@@ -168,13 +168,9 @@ struct ServiceOptions {
   /// each one's partitions.
   double update_interval_quanta = 0;
   /// @}
-  /// \name Fault injection & recovery
-  /// @{
-  /// Fault rates (all zero by default — injection disabled, and the whole
-  /// execution path is bit-identical to a service without fault support).
+  /// Fault rates (all zero by default: every fault draw is the identity).
   /// Crash losses are retried up to kMaxRecoveryAttempts times.
   FaultOptions faults;
-  /// @}
   /// \name Overload robustness (all defaults keep the closed-loop paths
   /// bit-identical to a service without overload support).
   /// @{
@@ -185,13 +181,9 @@ struct ServiceOptions {
   /// the one-at-a-time open loop). Requires admission.open_loop when on.
   BatchOptions batch;
   /// @}
-  /// \name Tail tolerance (off by default: with speculation and hedging
-  /// disabled the execution path is bit-identical per seed to a service
-  /// without this layer). Hedges are suppressed while the storage circuit
-  /// breaker is open so duplicates never double-trip it (DESIGN.md §9).
-  /// @{
+  /// Tail tolerance (off by default, DESIGN.md §9). Hedges are suppressed
+  /// while the persist breaker is open so duplicates never double-trip it.
   SpeculationOptions speculation;
-  /// @}
   /// \name Integrity (verification, scrub, repair; off by default —
   /// bit-identical path with the knobs at zero, DESIGN.md §12).
   /// @{
@@ -245,6 +237,19 @@ struct ServiceSlack {
   std::string ToString() const;
   bool operator==(const ServiceSlack&) const = default;
 };
+
+/// The recovery suffix of `decision` (DESIGN.md §6 "Recovery") after an
+/// attempt ran `plan` and produced `exec`; on entry `ids[i]` is the
+/// combined op id of the attempt's op i, on return that of the suffix's.
+/// The suffix holds the lost mandatory ops plus, transitively, their
+/// producers that ran on a dead container. A consumer of any other
+/// mandatory op re-pays that flow as `input_mb` and loses its cache key;
+/// lost build ops are dropped. The suffix's `chosen` is left empty.
+Result<TunerDecision> PlanRecoverySuffix(const TunerDecision& decision,
+                                         const Schedule& plan,
+                                         const ExecResult& exec,
+                                         double net_mb_per_sec,
+                                         std::vector<int>* ids);
 
 /// \brief The QaaS service: executes a stream of dataflows on the simulated
 /// cloud, running the configured index-management policy (paper Fig. 1).
@@ -327,15 +332,32 @@ class QaasService {
                                ServiceMetrics* metrics, double build_fraction,
                                int fleet_bound);
 
-  /// The recovery-capable execution loop of one decision: attempt 0 runs
-  /// the chosen schedule, later attempts reschedule crash-lost suffixes;
-  /// persists (with retries, breaker and integrity stamps) land completed
-  /// builds. `df` keys the fault draws (batches use their head member);
-  /// `initial_wait` is the fleet plan's boot/backoff wait.
+  /// The recovery-capable execution loop of one decision; each attempt is
+  /// `RunAttempt`, `LandBuilds` and, if it lost mandatory ops,
+  /// `PlanRecoverySuffix` for the next. `df` keys the fault draws (batches
+  /// use their head member); `initial_wait` is the fleet plan's wait.
   Result<ExecOutcome> ExecuteDecision(TunerDecision* decision,
                                       const Dataflow& df, Seconds start,
                                       Seconds initial_wait,
                                       ServiceMetrics* metrics);
+
+  /// One attempt of `d` at `t0`: acquire containers, draw the fault trace,
+  /// simulate, charge leases, evict dead containers, count.
+  Result<ExecResult> RunAttempt(const TunerDecision& d, int df_id,
+                                int attempt, Seconds t0,
+                                ServiceMetrics* metrics);
+
+  /// Persists the builds of the attempt `run_key` (started at `t0`) through
+  /// the breaker and the retry ladder, and keeps preempted builds' progress
+  /// when builds are resumable. Returns the persist backoff delay.
+  Seconds LandBuilds(const ExecResult& exec, uint64_t run_key, Seconds t0,
+                     Seconds* last_persist, ServiceMetrics* metrics);
+
+  /// Registers a build whose Put attempt `landed` succeeded: catalog mark,
+  /// stored object with integrity stamps and idempotency token, grace clock.
+  void RecordBuild(const BuildCompletion& b, uint64_t run_key, int landed,
+                   bool container_died, Seconds built_at,
+                   Seconds* last_persist, ServiceMetrics* metrics);
 
   /// Appends the dataflow's history record (its what-if gain per
   /// candidate index) and refreshes the last-useful clocks of its gainful
@@ -438,13 +460,6 @@ class QaasService {
 
   bool JournalOn() const { return opts_.journal.enabled; }
 
-  /// The control-plane view of the storage billing clock: the journaled
-  /// mirror. Every storage call goes through BumpClockMirror, so it equals
-  /// `last_billed()` in an uncrashed run; after a crash, replay must not see
-  /// the inflated post-crash `last_billed()`, which would shift rot
-  /// realization and verify verdicts one iteration early.
-  Seconds BillingClock() const { return state_.storage_clock_mirror; }
-
   /// The instant a replayed storage call is issued at. Replay re-issues
   /// verifies, persists and staged deletes at their journaled instants,
   /// which lie below the surviving store's `last_billed()`; storage makes
@@ -458,6 +473,24 @@ class QaasService {
   /// Advances the billing-clock mirror (monotone).
   void BumpClockMirror(Seconds t) {
     if (t > state_.storage_clock_mirror) state_.storage_clock_mirror = t;
+  }
+
+  /// A verify, scrub or persist instant: `billed` on the service's clock,
+  /// `issued` to storage (ReplayClamp(billed)).
+  struct StorageInstant {
+    Seconds billed = 0;
+    Seconds issued = 0;
+  };
+
+  /// The storage-instant rule. Storage may already be settled past `t`
+  /// (persists land in paid lease tails, out of order across dataflows), so
+  /// the call is billed at the billing-clock mirror when that is later: the
+  /// settle order stays monotone and no clock clamp is counted. The mirror,
+  /// not `last_billed()`, keeps replay off the post-crash clock.
+  StorageInstant StorageCallAt(Seconds t) {
+    t = std::max(t, state_.storage_clock_mirror);
+    BumpClockMirror(t);
+    return {t, ReplayClamp(t)};
   }
 
   /// Service-side storage delete: immediate when the journal is off;

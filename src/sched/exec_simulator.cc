@@ -93,12 +93,12 @@ Result<ExecResult> ExecSimulator::Run(const Dag& dag, const Schedule& plan,
     return Status::InvalidArgument(
         "containers vector shorter than plan.num_containers()");
   }
-  if (faults != nullptr) {
-    if (faults->model != nullptr) {
-      DFIM_RETURN_NOT_OK(ValidateFaultOptions(faults->model->options()));
-    }
-    DFIM_RETURN_NOT_OK(ValidateSpeculationOptions(faults->spec));
+  static const FaultInjection kIdentity;
+  const FaultInjection& fi = faults != nullptr ? *faults : kIdentity;
+  if (fi.model != nullptr) {
+    DFIM_RETURN_NOT_OK(ValidateFaultOptions(fi.model->options()));
   }
+  DFIM_RETURN_NOT_OK(ValidateSpeculationOptions(fi.spec));
 
   Rng rng(opts_.seed);
   auto perturb = [&rng](double v, double err) {
@@ -147,45 +147,39 @@ Result<ExecResult> ExecSimulator::Run(const Dag& dag, const Schedule& plan,
     }
   }
 
-  // Per-container fault draws (crash instant + straggler slowdown). Without
-  // injection these stay at the identity values and every arithmetic path
-  // below is bit-identical to the fault-free simulator.
-  const bool inject = faults != nullptr;
+  // Per-container fault draws (crash instant + straggler slowdown). A
+  // container without one keeps the identity (never crashes, slowdown 1),
+  // under which every path below is arithmetically fault-free.
   std::vector<Seconds> crash_at(static_cast<size_t>(nc), kNeverFails);
   std::vector<double> slow(static_cast<size_t>(nc), 1.0);
   std::vector<Seconds> notice_at(static_cast<size_t>(nc), kNeverFails);
   std::vector<uint8_t> provider_pre(static_cast<size_t>(nc), 0);
-  if (inject) {
-    for (int c = 0; c < nc; ++c) {
-      auto i = static_cast<size_t>(c);
-      if (i < faults->trace.containers.size()) {
-        const ContainerFaults& cf = faults->trace.containers[i];
-        crash_at[i] = cf.crash_at;
-        slow[i] = cf.slowdown;
-        notice_at[i] = cf.notice_at;
-        // A provider reclaim ends the lease exactly like a crash (nothing is
-        // charged past it), so fold it into the crash instant and remember
-        // the classification; the notice window is handled separately.
-        if (cf.reclaim_at <= crash_at[i]) {
-          crash_at[i] = cf.reclaim_at;
-          provider_pre[i] = cf.reclaimed() ? 1 : 0;
-        }
-      }
+  const size_t traced =
+      std::min(static_cast<size_t>(nc), fi.trace.containers.size());
+  for (size_t i = 0; i < traced; ++i) {
+    const ContainerFaults& cf = fi.trace.containers[i];
+    crash_at[i] = cf.crash_at;
+    slow[i] = cf.slowdown;
+    notice_at[i] = cf.notice_at;
+    // A provider reclaim ends the lease exactly like a crash (nothing is
+    // charged past it), so fold it into the crash instant and remember the
+    // classification; the notice window is handled separately.
+    if (cf.reclaim_at <= crash_at[i]) {
+      crash_at[i] = cf.reclaim_at;
+      provider_pre[i] = cf.reclaimed() ? 1 : 0;
     }
   }
-  const FaultModel* fmodel = inject ? faults->model : nullptr;
-  const uint64_t run_key = inject ? faults->run_key : 0;
+  const FaultModel* fmodel = fi.model;
+  const uint64_t run_key = fi.run_key;
   const Seconds fault_latency =
       fmodel != nullptr ? fmodel->options().storage_fault_latency : 0;
 
   // Tail-tolerance overlay (DESIGN.md §9): with both features off (or
   // hedging suppressed by the breaker), `overlay` is false and Run takes
   // exactly the single-pass pre-speculation path — bit-identical per seed.
-  const SpeculationOptions spec =
-      inject ? faults->spec : SpeculationOptions{};
-  const bool with_spec = inject && spec.speculate && nc > 1;
-  const bool with_hedge =
-      inject && spec.hedge_reads && !spec.suppress_hedges;
+  const SpeculationOptions& spec = fi.spec;
+  const bool with_spec = spec.speculate && nc > 1;
+  const bool with_hedge = spec.hedge_reads && !spec.suppress_hedges;
   const bool overlay = with_spec || with_hedge;
 
   ExecResult result;
@@ -317,7 +311,7 @@ Result<ExecResult> ExecSimulator::Run(const Dag& dag, const Schedule& plan,
           // independent of the primary's) and the op proceeds with
           // whichever response lands first.
           bool primary_fault =
-              inject && fmodel != nullptr &&
+              fmodel != nullptr &&
               fmodel->StorageOpFaults(run_key,
                                       static_cast<uint64_t>(a->op_id));
           bool dup_fault =
@@ -362,7 +356,7 @@ Result<ExecResult> ExecSimulator::Run(const Dag& dag, const Schedule& plan,
       Seconds end =
           start + flow_transfer * s + transfer * s + cpu_used * s;
       if (out != nullptr) ++out->executed_ops;
-      if (inject && end > crash_at[c] + 1e-9) {
+      if (end > crash_at[c] + 1e-9) {
         // The container dies mid-op: the partial work (and the local disk
         // holding the op's inputs/outputs) is lost.
         st->lost[id] = 1;
@@ -540,8 +534,7 @@ Result<ExecResult> ExecSimulator::Run(const Dag& dag, const Schedule& plan,
     for (int c = 0; c < nc; ++c) {
       auto i = static_cast<size_t>(c);
       Seconds span = std::max(planned_end[i], sh.df_cursor[i]);
-      bool crashed =
-          inject && (sh.saw_crash[i] != 0 || crash_at[i] < span - 1e-9);
+      bool crashed = sh.saw_crash[i] != 0 || crash_at[i] < span - 1e-9;
       Seconds lease_span = crashed ? std::min(span, crash_at[i]) : span;
       int64_t q =
           std::max<int64_t>(1, QuantaCeil(lease_span, opts_.quantum));
@@ -575,8 +568,7 @@ Result<ExecResult> ExecSimulator::Run(const Dag& dag, const Schedule& plan,
     const auto& items = seq[ci];
     Seconds actual_df_end = st.df_cursor[ci];
     Seconds span = std::max(planned_end[ci], actual_df_end);
-    bool crashed =
-        inject && (st.saw_crash[ci] != 0 || crash_at[ci] < span - 1e-9);
+    bool crashed = st.saw_crash[ci] != 0 || crash_at[ci] < span - 1e-9;
     Seconds lease_span = crashed ? std::min(span, crash_at[ci]) : span;
     int64_t leased_q = std::max<int64_t>(
         1, QuantaCeil(lease_span, opts_.quantum));
@@ -585,8 +577,8 @@ Result<ExecResult> ExecSimulator::Run(const Dag& dag, const Schedule& plan,
     // Builds stop at the crash instant, not the end of its (paid) quantum —
     // and a reclaim notice stops them even earlier, leaving the notice
     // window to stage their partial progress off the doomed disk.
-    Seconds build_bound = crashed ? crash_at[ci] : lease_end;
-    if (inject) build_bound = std::min(build_bound, notice_at[ci]);
+    Seconds build_bound =
+        std::min(crashed ? crash_at[ci] : lease_end, notice_at[ci]);
     leased_total += leased_q;
     if (crashed) {
       result.failed_containers.push_back(c);
@@ -630,7 +622,7 @@ Result<ExecResult> ExecSimulator::Run(const Dag& dag, const Schedule& plan,
                                : std::numeric_limits<double>::infinity();
       Seconds start = cursor;
       if ((crashed && start >= crash_at[ci] - 1e-9) ||
-          (inject && start >= notice_at[ci] - 1e-9)) {
+          start >= notice_at[ci] - 1e-9) {
         // The container is gone before this build could start, or its
         // reclaim notice has arrived — a draining container starts no builds.
         result.lost_ops.push_back(LostOp{a->op_id, c, true});

@@ -1,6 +1,7 @@
 #ifndef DFIM_SCHED_EXEC_SIMULATOR_H_
 #define DFIM_SCHED_EXEC_SIMULATOR_H_
 
+#include <algorithm>
 #include <string>
 #include <vector>
 
@@ -89,12 +90,11 @@ struct SpeculationOptions {
 /// non-positive `hedge_after` (hedging on).
 Status ValidateSpeculationOptions(const SpeculationOptions& opts);
 
-/// \brief Pre-drawn faults applied to one execution (optional).
+/// \brief Pre-drawn faults applied to one execution.
 ///
 /// `trace.containers` is indexed by the schedule's container indices;
 /// `model`/`run_key` supply the per-storage-operation transient-fault draws.
-/// Passing null to Run disables injection entirely — the zero-fault path is
-/// bit-identical to a simulator without fault support. `spec` rides along
+/// A default-constructed FaultInjection is the identity. `spec` rides along
 /// because both tail-tolerance features consume the same deterministic
 /// draw streams (hedges and clone reads re-draw under salted op keys).
 struct FaultInjection {
@@ -182,6 +182,11 @@ struct ExecResult {
   std::vector<int> failed_containers;
   std::vector<Seconds> failure_times;
   std::vector<uint8_t> failure_preempted;
+  /// True when schedule container `c` died mid-schedule.
+  bool ContainerFailed(int c) const {
+    return std::find(failed_containers.begin(), failed_containers.end(),
+                     c) != failed_containers.end();
+  }
   /// The realized timeline (completed and crash-truncated work).
   Schedule actual;
 };
@@ -227,8 +232,9 @@ class ExecSimulator {
   /// `costs` is indexed by op id. `containers`, when non-null, maps the
   /// schedule's container indices to live Container objects whose LRU
   /// caches are consulted and updated (pass null for cold, cacheless runs);
-  /// it must cover plan.num_containers() entries. `faults`, when non-null,
-  /// injects the pre-drawn fault trace.
+  /// it must cover plan.num_containers() entries. A null `faults` means
+  /// the identity FaultInjection: no crash, notice or reclaim, slowdown 1,
+  /// no storage-fault model, speculation off.
   Result<ExecResult> Run(const Dag& dag, const Schedule& plan,
                          const std::vector<SimOpCost>& costs,
                          std::vector<Container*>* containers = nullptr,

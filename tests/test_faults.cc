@@ -493,6 +493,82 @@ TEST(ExecSimFaultTest, CrashKilledBuildLeavesNoResumableProgress) {
   EXPECT_TRUE(r->lost_ops[0].optional);
 }
 
+// ---- Recovery suffix planner -----------------------------------------------
+
+// Diamond 0 -> {1, 2} -> 3 (500 MB flows) plus build op 4. Container 0 runs
+// 0, 1, the build and 3; container 1 runs 2.
+TunerDecision DiamondDecision() {
+  TunerDecision d;
+  d.combined = testutil::Diamond(20, 30, 25, 15, /*flow=*/500);
+  Operator build = Operator::BuildIndex(4, "idx", 0, 10.0, 64);
+  build.gain = 1.0;
+  d.combined.AddOperator(std::move(build));
+  d.costs = CostsFromTimes(d.combined);
+  d.costs[3] = SimOpCost{15, 100, "t|v1"};
+  d.durations = OpTimes(d.combined);
+  d.durations[3] += 100 / 125.0;
+  d.chosen.Add(Assignment{0, 0, 0, 20, false});
+  d.chosen.Add(Assignment{1, 0, 20, 50, false});
+  d.chosen.Add(Assignment{4, 0, 50, 60, true});
+  d.chosen.Add(Assignment{3, 0, 75, 90.8, false});
+  d.chosen.Add(Assignment{2, 1, 20, 45, false});
+  return d;
+}
+
+TEST(RecoverySuffixTest, CrashRerunsLostProducersAndRepaysSurvivors) {
+  const TunerDecision d = DiamondDecision();
+  // Container 0 dies at t=60, after 0 and 1 finished on it: the sink and
+  // the build are lost, and so are the outputs of 0 and 1.
+  ExecResult exec;
+  exec.complete = false;
+  exec.failed_containers = {0};
+  exec.failure_times = {60};
+  exec.failure_preempted = {0};
+  exec.lost_ops = {LostOp{4, 0, true}, LostOp{3, 0, false}};
+  std::vector<int> ids = {0, 1, 2, 3, 4};
+  auto s = PlanRecoverySuffix(d, d.chosen, exec, 125.0, &ids);
+  ASSERT_TRUE(s.ok()) << s.status().ToString();
+  // 1 feeds the lost sink from the dead disk, and 0 feeds 1 from it: both
+  // re-run. The lost build is dropped.
+  EXPECT_EQ(ids, (std::vector<int>{0, 1, 3}));
+  const Dag& dag = s->combined;
+  ASSERT_EQ(dag.num_ops(), 3u);
+  for (const auto& op : dag.ops()) EXPECT_FALSE(op.optional);
+  ASSERT_EQ(dag.num_flows(), 2u);
+  EXPECT_EQ(dag.flows()[0].from, 0);
+  EXPECT_EQ(dag.flows()[0].to, 1);
+  EXPECT_EQ(dag.flows()[1].from, 1);
+  EXPECT_EQ(dag.flows()[1].to, 2);
+  // 2 finished on the live container: the sink re-pays its flow as input
+  // and its cache key no longer matches.
+  EXPECT_EQ(s->costs[2].input_mb, 100 + 500);
+  EXPECT_TRUE(s->costs[2].cache_key.empty());
+  EXPECT_EQ(s->durations[2], d.durations[3] + 500 / 125.0);
+  EXPECT_EQ(s->costs[1].input_mb, 0);
+  EXPECT_EQ(s->durations[0], d.durations[0]);
+
+  // A second incomplete attempt over the suffix: 0 and 1 finish on
+  // container 0, which lives; container 1 dies under the sink. Only the
+  // sink re-runs, and it re-pays both producers' flows: 1's from this
+  // attempt and 2's from the first.
+  Schedule plan;
+  plan.Add(Assignment{0, 0, 0, 20, false});
+  plan.Add(Assignment{1, 0, 20, 50, false});
+  plan.Add(Assignment{2, 1, 50, 69.8, false});
+  ExecResult again;
+  again.complete = false;
+  again.failed_containers = {1};
+  again.failure_times = {55};
+  again.failure_preempted = {0};
+  again.lost_ops = {LostOp{2, 1, false}};
+  auto s2 = PlanRecoverySuffix(d, plan, again, 125.0, &ids);
+  ASSERT_TRUE(s2.ok()) << s2.status().ToString();
+  EXPECT_EQ(ids, (std::vector<int>{3}));
+  EXPECT_EQ(s2->combined.num_flows(), 0u);
+  EXPECT_EQ(s2->costs[0].input_mb, 100 + 500 + 500);
+  EXPECT_EQ(s2->durations[0], d.durations[3] + 500 / 125.0 + 500 / 125.0);
+}
+
 // ---- QaasService: recovery loop end-to-end ---------------------------------
 
 struct FaultServiceFixture {

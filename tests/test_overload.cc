@@ -56,6 +56,55 @@ ArrivalOptions Arrivals(double mean) {
   return a;
 }
 
+TEST(PersistBreakerTest, OpensProbesAndCloses) {
+  BreakerOptions o;
+  o.open_after = 2;
+  o.open_duration = 100;
+  PersistBreaker b;
+  EXPECT_EQ(b.Admit(0, 4), 4);
+  // Two consecutive faults open it until t + open_duration.
+  EXPECT_FALSE(b.Fault(o, 10));
+  EXPECT_EQ(b.state, BreakerState::kClosed);
+  EXPECT_TRUE(b.Fault(o, 10));
+  EXPECT_EQ(b.state, BreakerState::kOpen);
+  EXPECT_EQ(b.open_until, 110);
+  // The gate skips every persist before open_until.
+  EXPECT_TRUE(b.OpenAt(50));
+  EXPECT_EQ(b.Admit(50, 4), -1);
+  EXPECT_EQ(b.Admit(109.5, 4), -1);
+  EXPECT_EQ(b.state, BreakerState::kOpen);
+  // Then one probe, with no retries.
+  EXPECT_EQ(b.Admit(110, 4), 0);
+  EXPECT_EQ(b.state, BreakerState::kHalfOpen);
+  EXPECT_FALSE(b.OpenAt(110));
+  // A failed probe re-opens it with a fresh open_until.
+  EXPECT_TRUE(b.Fault(o, 130));
+  EXPECT_EQ(b.state, BreakerState::kOpen);
+  EXPECT_EQ(b.open_until, 230);
+  EXPECT_EQ(b.Admit(200, 4), -1);
+  // A landed probe closes it and resets the count: a fault on either side
+  // of a landing does not open it.
+  EXPECT_EQ(b.Admit(230, 4), 0);
+  b.Landed();
+  EXPECT_EQ(b.state, BreakerState::kClosed);
+  EXPECT_EQ(b.Admit(235, 4), 4);
+  EXPECT_FALSE(b.Fault(o, 240));
+  b.Landed();
+  EXPECT_EQ(b.faults, 0);
+  EXPECT_FALSE(b.Fault(o, 250));
+  EXPECT_EQ(b.state, BreakerState::kClosed);
+}
+
+TEST(PersistBreakerTest, ZeroOpenAfterIsInert) {
+  BreakerOptions o;  // open_after = 0: breaker off
+  PersistBreaker b;
+  for (int i = 0; i < 10; ++i) EXPECT_FALSE(b.Fault(o, i));
+  EXPECT_EQ(b.state, BreakerState::kClosed);
+  EXPECT_EQ(b.faults, 0);
+  EXPECT_FALSE(b.OpenAt(5));
+  EXPECT_EQ(b.Admit(5, 4), 4);
+}
+
 TEST(OverloadTest, ClosedLoopDefaultsKeepOverloadCountersZero) {
   // With admission.open_loop false (the default) nothing overload-related
   // may fire: the paper's closed-loop path is untouched.
