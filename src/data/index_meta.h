@@ -9,6 +9,15 @@
 
 namespace dfim {
 
+/// Storage-service path of index `id`'s partition over table partition
+/// `pid`: "<id>/p.<pid>".
+std::string IndexPartitionPath(const std::string& id, int pid);
+
+/// Inverse of IndexPartitionPath: splits `path` into the index id and the
+/// partition. False for a path of any other shape.
+bool ParseIndexPartitionPath(const std::string& path, std::string* id,
+                             int* pid);
+
 /// \brief Definition of a (potential) index idx(t, C): the table it covers
 /// and the ordered key columns. Whether it is built — and on which
 /// partitions — lives in IndexState.
@@ -20,7 +29,7 @@ struct IndexDef {
 
   /// Storage-service path of the index partition over table partition `pid`.
   std::string PartitionPath(int pid) const {
-    return id + "/p." + std::to_string(pid);
+    return IndexPartitionPath(id, pid);
   }
 };
 

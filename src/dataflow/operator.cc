@@ -1,12 +1,14 @@
 #include "dataflow/operator.h"
 
+#include "data/index_meta.h"
+
 namespace dfim {
 
 Operator Operator::BuildIndex(int id, std::string index_id, int partition,
                               Seconds build_time, MegaBytes memory_mb) {
   Operator op;
   op.id = id;
-  op.name = "build:" + index_id + "/p." + std::to_string(partition);
+  op.name = "build:" + IndexPartitionPath(index_id, partition);
   op.kind = OpKind::kBuildIndex;
   op.priority = kBuildIndexPriority;
   op.optional = true;

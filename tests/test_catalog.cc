@@ -66,6 +66,28 @@ TEST(CatalogTest, MarkBuiltErrors) {
   EXPECT_TRUE(cat.MarkIndexPartitionBuilt("idx:f1:k", 99, 0).IsNotFound());
 }
 
+TEST(IndexPathTest, PartitionPathRoundTrips) {
+  IndexDef def{"idx:f1:k", "f1", {"k"}};
+  for (int pid : {0, 7, 1234}) {
+    std::string id;
+    int parsed = -1;
+    ASSERT_TRUE(ParseIndexPartitionPath(def.PartitionPath(pid), &id, &parsed));
+    EXPECT_EQ(id, def.id);
+    EXPECT_EQ(parsed, pid);
+  }
+}
+
+TEST(IndexPathTest, NonIndexPathRejected) {
+  std::string id = "untouched";
+  int pid = -1;
+  for (const char* path : {"f1/part-0", "idx:f1:k/p.", "idx:f1:k/p.x1",
+                           "idx:f1:k/p.-1", "/p.3", "idx:f1:k/q.3"}) {
+    EXPECT_FALSE(ParseIndexPartitionPath(path, &id, &pid)) << path;
+  }
+  EXPECT_EQ(id, "untouched");
+  EXPECT_EQ(pid, -1);
+}
+
 TEST(CatalogTest, DropIndexReturnsPaths) {
   Catalog cat = MakeCatalog();
   ASSERT_TRUE(cat.MarkIndexPartitionBuilt("idx:f1:k", 0, 100).ok());
