@@ -5,10 +5,19 @@
 #include <vector>
 
 #include "dataflow/dag.h"
+#include "sched/exec_simulator.h"
 #include "sched/schedule.h"
 
 namespace dfim {
 namespace testutil {
+
+/// Identity fault injection (no crash, notice or straggler) for `nc`
+/// containers, ready for a test to set one container's faults.
+inline FaultInjection IdentityFaults(int nc) {
+  FaultInjection fi;
+  fi.trace.containers.resize(static_cast<size_t>(nc));
+  return fi;
+}
 
 /// Builds a diamond DAG: 0 -> {1, 2} -> 3, with the given op times and a
 /// uniform flow size.
