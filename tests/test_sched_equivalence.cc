@@ -5,6 +5,7 @@
 
 #include <gtest/gtest.h>
 
+#include <string>
 #include <vector>
 
 #include "common/rng.h"
@@ -106,32 +107,69 @@ struct Config {
   int skyline_cap;
 };
 
+/// `scheduler.ScheduleDag(g)` equals the oracle's skyline schedule for
+/// schedule, and every returned schedule is valid and non-dominated.
+void ExpectMatchesOracle(const SkylineScheduler& scheduler, const Dag& g,
+                         bool place_optional, const std::string& what) {
+  const SchedulerOptions& opts = scheduler.options();
+  auto durations = Durations(g);
+  auto naive = oracle::NaiveSkylineSchedule(g, durations, opts, place_optional);
+  auto inc = scheduler.ScheduleDag(g, durations, place_optional);
+  ASSERT_TRUE(naive.ok()) << what;
+  ASSERT_TRUE(inc.ok()) << what;
+  ASSERT_FALSE(inc->empty()) << what;
+  EXPECT_TRUE(IdenticalSkylines(*naive, *inc, opts.quantum))
+      << "naive vs incremental, " << what;
+  for (const auto& s : *inc) {
+    EXPECT_TRUE(testutil::ValidSchedule(g, s, durations, opts.net_mb_per_sec))
+        << what;
+  }
+  EXPECT_TRUE(testutil::NonDominatedSet(*inc, opts.quantum)) << what;
+}
+
+SchedulerOptions Opts(int max_containers, int skyline_cap) {
+  SchedulerOptions opts;
+  opts.max_containers = max_containers;
+  opts.skyline_cap = skyline_cap;
+  return opts;
+}
+
+/// Every op of layer k+1 reads every op of layer k ("all-to-all" joins), so
+/// each join op has as many cross-container parents as the layer below is
+/// spread over. `dup_from_first` adds a second flow from each layer's first
+/// op to every consumer. Ops in one layer differ in time, so the skyline's
+/// fast and cheap ends use different numbers of containers.
+Dag FanInDag(const std::vector<int>& layer_widths, bool dup_from_first,
+             uint64_t seed) {
+  Rng rng(seed);
+  Dag g;
+  std::vector<int> prev;
+  for (int width : layer_widths) {
+    std::vector<int> layer;
+    for (int w = 0; w < width; ++w) {
+      Operator op;
+      op.time = rng.Uniform(10.0, 70.0);
+      op.output_mb = rng.Uniform(50.0, 600.0);
+      int id = g.AddOperator(std::move(op));
+      layer.push_back(id);
+      for (int from : prev) (void)g.AddFlow(from, id, rng.Uniform(50.0, 600.0));
+      if (dup_from_first && !prev.empty()) {
+        (void)g.AddFlow(prev.front(), id, rng.Uniform(50.0, 600.0));
+      }
+    }
+    prev = std::move(layer);
+  }
+  return g;
+}
+
 class SchedEquivalenceTest : public ::testing::Test {
  protected:
   void CheckAll(const Config& cfg, bool place_optional) {
+    SkylineScheduler scheduler(Opts(cfg.max_containers, cfg.skyline_cap));
     for (uint64_t seed : {1ull, 7ull, 23ull, 91ull, 1234ull}) {
       Dag g = RandomLayeredDag(cfg.width, cfg.depth, cfg.optional_ops, seed);
-      auto durations = Durations(g);
-
-      SchedulerOptions opts;
-      opts.max_containers = cfg.max_containers;
-      opts.skyline_cap = cfg.skyline_cap;
-
-      auto naive =
-          oracle::NaiveSkylineSchedule(g, durations, opts, place_optional);
-      auto inc = SkylineScheduler(opts).ScheduleDag(g, durations, place_optional);
-      ASSERT_TRUE(naive.ok());
-      ASSERT_TRUE(inc.ok());
-      ASSERT_FALSE(inc->empty());
-      EXPECT_TRUE(IdenticalSkylines(*naive, *inc, opts.quantum))
-          << "naive vs incremental, seed " << seed;
-      for (const auto& s : *inc) {
-        EXPECT_TRUE(
-            testutil::ValidSchedule(g, s, durations, opts.net_mb_per_sec))
-            << "seed " << seed;
-      }
-      EXPECT_TRUE(testutil::NonDominatedSet(*inc, opts.quantum))
-          << "seed " << seed;
+      ExpectMatchesOracle(scheduler, g, place_optional,
+                          "seed " + std::to_string(seed));
     }
   }
 };
@@ -157,18 +195,72 @@ TEST_F(SchedEquivalenceTest, LargeConfig) {
 }
 
 TEST_F(SchedEquivalenceTest, ChainAndDiamondShapes) {
+  SkylineScheduler scheduler(Opts(5, SchedulerOptions{}.skyline_cap));
   for (bool place_optional : {false, true}) {
     for (Dag g : {testutil::Chain(6, 12, 100), testutil::Diamond(10, 20, 30, 10, 500)}) {
-      auto durations = Durations(g);
-      SchedulerOptions opts;
-      opts.max_containers = 5;
-      auto naive =
-          oracle::NaiveSkylineSchedule(g, durations, opts, place_optional);
-      auto inc = SkylineScheduler(opts).ScheduleDag(g, durations, place_optional);
-      ASSERT_TRUE(naive.ok());
-      ASSERT_TRUE(inc.ok());
-      EXPECT_TRUE(IdenticalSkylines(*naive, *inc, opts.quantum));
+      ExpectMatchesOracle(scheduler, g, place_optional, "chain/diamond");
     }
+  }
+}
+
+// A join op with more unstaged cross-container parents than a probe records
+// inline (PlacementProbe::kInlineDelivered), two of its flows from one
+// producer, so the commit recomputes the newly staged producers. The later
+// joins then read producers that the overflowing commit staged.
+TEST_F(SchedEquivalenceTest, FanInBeyondInlineStagedList) {
+  for (uint64_t seed : {3ull, 17ull, 29ull}) {
+    Dag g = FanInDag({11, 2, 10, 1}, /*dup_from_first=*/true, seed);
+    for (int cap : {1, 3, 8}) {
+      for (int containers : {12, 16}) {
+        ExpectMatchesOracle(SkylineScheduler(Opts(containers, cap)), g,
+                            /*place_optional=*/false,
+                            "fan-in seed " + std::to_string(seed) + " cap " +
+                                std::to_string(cap) + " containers " +
+                                std::to_string(containers));
+      }
+    }
+  }
+}
+
+// The merged batch DAG shape of the batched multi-tenant service: about 134
+// ops over 12 containers with a skyline of 3, and the single-schedule cap.
+TEST_F(SchedEquivalenceTest, BatchedServiceShape) {
+  CheckAll({32, 4, 6, 12, 3}, /*place_optional=*/true);
+  CheckAll({32, 4, 6, 12, 1}, /*place_optional=*/true);
+}
+
+// Layers alternate wide and single-op joins, so the skyline widens over a
+// wide layer (fast states spread over many containers, cheap ones over
+// few) and narrows at each join. A state is then rebuilt from a base that
+// uses fewer containers than the state it replaces.
+TEST_F(SchedEquivalenceTest, SkylineNarrowsThenWidens) {
+  for (uint64_t seed : {5ull, 11ull}) {
+    Dag g = FanInDag({6, 1, 9, 1, 4, 1, 8}, /*dup_from_first=*/false, seed);
+    for (int cap : {2, 4, 8}) {
+      ExpectMatchesOracle(SkylineScheduler(Opts(10, cap)), g,
+                          /*place_optional=*/false,
+                          "narrow/widen seed " + std::to_string(seed) +
+                              " cap " + std::to_string(cap));
+    }
+  }
+}
+
+// One scheduler object schedules large and small DAGs in turn: nothing may
+// carry over from one call to the next.
+TEST_F(SchedEquivalenceTest, RepeatedCallsOnOneScheduler) {
+  SkylineScheduler scheduler(Opts(12, 4));
+  for (int round = 0; round < 3; ++round) {
+    auto seed = static_cast<uint64_t>(round + 40);
+    ExpectMatchesOracle(scheduler, RandomLayeredDag(16, 5, 6, seed),
+                        /*place_optional=*/true,
+                        "large, round " + std::to_string(round));
+    ExpectMatchesOracle(scheduler, RandomLayeredDag(3, 2, 1, seed),
+                        /*place_optional=*/true,
+                        "small, round " + std::to_string(round));
+    ExpectMatchesOracle(scheduler,
+                        FanInDag({11, 1, 3}, /*dup_from_first=*/true, seed),
+                        /*place_optional=*/false,
+                        "fan-in, round " + std::to_string(round));
   }
 }
 
