@@ -4,23 +4,51 @@
 
 namespace dfim {
 
+int ContainerArena::Clone(int src) {
+  int id;
+  if (free_.empty()) {
+    id = static_cast<int>(records_.size());
+    records_.emplace_back();
+  } else {
+    id = free_.back();
+    free_.pop_back();
+  }
+  ContainerRecord& rec = records_[static_cast<size_t>(id)];
+  if (src == kFresh) {
+    rec.timeline.clear();
+    rec.delivered.clear();
+  } else {
+    rec = records_[static_cast<size_t>(src)];
+  }
+  return id;
+}
+
+void ContainerArena::Collect(const PartialState* states, size_t n) {
+  live_.assign(records_.size(), 0);
+  for (size_t i = 0; i < n; ++i) {
+    for (int id : states[i].containers) live_[static_cast<size_t>(id)] = 1;
+  }
+  free_.clear();
+  for (size_t id = records_.size(); id-- > 0;) {
+    if (live_[id] == 0) free_.push_back(static_cast<int>(id));
+  }
+}
+
 void PartialState::Reset(size_t num_dag_ops) {
-  timelines.clear();
-  delivered.clear();
+  containers.clear();
+  gap.clear();
   op_finish.assign(num_dag_ops, -1.0);
   op_container.assign(num_dag_ops, -1);
-  last_end.clear();
-  quanta.clear();
-  gap.clear();
   makespan = 0;
   money = 0;
   num_ops = 0;
   max_gap = 0;
 }
 
-bool ProbePlacement(const PartialState& base, int base_idx, const Dag& dag,
-                    const Operator& op, Seconds dur, int c, Seconds quantum,
-                    double net, PlacementProbe* out) {
+bool ProbePlacement(const PartialState& base, const ContainerArena& arena,
+                    int base_idx, const Dag& dag, const Operator& op,
+                    Seconds dur, int c, Seconds quantum, double net,
+                    PlacementProbe* out) {
   out->valid = false;
   // Earliest start: all parents finished. Cross-container flows are pulled
   // over the consumer's NIC, serialized, so they extend the op's occupancy
@@ -29,10 +57,11 @@ bool ProbePlacement(const PartialState& base, int base_idx, const Dag& dag,
   Seconds est = 0;
   Seconds transfer_in = 0;
   out->n_newly = 0;
-  const std::vector<int>* delivered_c =
-      c < static_cast<int>(base.delivered.size())
-          ? &base.delivered[static_cast<size_t>(c)]
+  const ContainerRecord* rec =
+      c < static_cast<int>(base.containers.size())
+          ? &arena[base.containers[static_cast<size_t>(c)]]
           : nullptr;
+  const std::vector<int>* delivered_c = rec ? &rec->delivered : nullptr;
   for (int fid : dag.in_flows(op.id)) {
     const Flow& f = dag.flows()[static_cast<size_t>(fid)];
     Seconds pf = base.op_finish[static_cast<size_t>(f.from)];
@@ -53,9 +82,7 @@ bool ProbePlacement(const PartialState& base, int base_idx, const Dag& dag,
   }
   Seconds occupancy = dur + transfer_in;
   static const Timeline kEmptyTimeline;
-  const Timeline& tl = c < static_cast<int>(base.timelines.size())
-                           ? base.timelines[static_cast<size_t>(c)]
-                           : kEmptyTimeline;
+  const Timeline& tl = rec ? rec->timeline : kEmptyTimeline;
   Seconds start = tl.FindSlot(est, occupancy);
   Assignment a;
   a.op_id = op.id;
@@ -63,14 +90,9 @@ bool ProbePlacement(const PartialState& base, int base_idx, const Dag& dag,
   a.start = start;
   a.end = start + occupancy;
   a.optional = op.optional;
-  // Money delta from the touched container's cached lease end alone.
-  int64_t old_q =
-      c < static_cast<int>(base.quanta.size()) ? base.quanta[static_cast<size_t>(c)] : 0;
-  Seconds new_last_end = std::max(
-      c < static_cast<int>(base.last_end.size())
-          ? base.last_end[static_cast<size_t>(c)]
-          : 0.0,
-      a.end);
+  // Money delta from the touched container's lease end alone.
+  int64_t old_q = tl.Quanta(quantum);
+  Seconds new_last_end = std::max(tl.last_end(), a.end);
   int64_t new_q = std::max<int64_t>(1, QuantaCeil(new_last_end, quantum));
   int64_t money = base.money - old_q + new_q;
   if (op.optional && money > base.money) {
@@ -101,20 +123,22 @@ bool ProbePlacement(const PartialState& base, int base_idx, const Dag& dag,
 }
 
 void CommitPlacement(const PartialState& base, const Dag& dag,
-                     const PlacementProbe& probe, Seconds quantum,
+                     const PlacementProbe& probe, ContainerArena* arena,
                      PartialState* out) {
   *out = base;
   int c = probe.container;
   auto cs = static_cast<size_t>(c);
-  if (c >= static_cast<int>(out->timelines.size())) {
-    out->timelines.resize(cs + 1);
-    out->delivered.resize(cs + 1);
-    out->last_end.resize(cs + 1, 0.0);
-    out->quanta.resize(cs + 1, 0);
-    out->gap.resize(cs + 1, 0.0);
+  bool fresh = cs == base.containers.size();
+  int src = fresh ? ContainerArena::kFresh : base.containers[cs];
+  int id = arena->Clone(src);
+  if (fresh) {
+    out->containers.push_back(id);
+    out->gap.push_back(0.0);
+  } else {
+    out->containers[cs] = id;
   }
-  auto& tl = out->timelines[cs];
-  auto& dl = out->delivered[cs];
+  ContainerRecord& rec = arena->at(id);
+  auto& dl = rec.delivered;
   if (probe.n_newly <= PlacementProbe::kInlineDelivered) {
     for (int i = 0; i < probe.n_newly; ++i) {
       dl.insert(std::lower_bound(dl.begin(), dl.end(), probe.newly[i]),
@@ -125,9 +149,7 @@ void CommitPlacement(const PartialState& base, const Dag& dag,
     // as the probe saw them (staging checked against the *base* delivered
     // set, so duplicate flows stage duplicates, matching the probe's count).
     const std::vector<int>* delivered_c =
-        c < static_cast<int>(base.delivered.size())
-            ? &base.delivered[cs]
-            : nullptr;
+        fresh ? nullptr : &(*arena)[src].delivered;
     for (int fid : dag.in_flows(probe.op_id)) {
       const Flow& f = dag.flows()[static_cast<size_t>(fid)];
       if (base.op_container[static_cast<size_t>(f.from)] == c) continue;
@@ -145,9 +167,7 @@ void CommitPlacement(const PartialState& base, const Dag& dag,
   a.start = probe.start;
   a.end = probe.end;
   a.optional = probe.optional;
-  tl.Insert(a);
-  out->last_end[cs] = std::max(out->last_end[cs], a.end);
-  out->quanta[cs] = std::max<int64_t>(1, QuantaCeil(out->last_end[cs], quantum));
+  rec.timeline.Insert(a);
   out->gap[cs] = probe.gap_c;
   out->makespan = probe.makespan;
   out->money = probe.money;

@@ -5,10 +5,10 @@
 namespace dfim {
 namespace {
 
-Schedule ToSchedule(const PartialState& p) {
+Schedule ToSchedule(const PartialState& p, const ContainerArena& arena) {
   Schedule s;
-  for (size_t c = 0; c < p.timelines.size(); ++c) {
-    const Timeline& tl = p.timelines[c];
+  for (size_t c = 0; c < p.containers.size(); ++c) {
+    const Timeline& tl = arena[p.containers[c]].timeline;
     for (size_t i = 0; i < tl.size(); ++i) {
       s.Add(tl.At(i, static_cast<int>(c)));
     }
@@ -37,16 +37,18 @@ Result<std::vector<Schedule>> SkylineScheduler::ScheduleDag(
     return dag.op(a).gain > dag.op(b).gain;
   });
 
-  PartialState empty;
-  empty.Reset(dag.num_ops());
-  std::vector<PartialState> skyline{empty};
-
   // Probe every candidate copy-free, prune the probes, materialize only
-  // the survivors. Buffers are pooled across rounds.
+  // the survivors. Everything is pooled for the whole call: the probes,
+  // the container records, and two banks of state slots that take turns
+  // as the skyline, of which the first `sky_n` are live.
+  ContainerArena arena;
+  std::vector<PartialState> skyline(1);
+  skyline[0].Reset(dag.num_ops());
+  size_t sky_n = 1;
   std::vector<PlacementProbe> probes;
   std::vector<PartialState> next_sky;
 
-  auto expand = [this, &dag, &durations, &skyline, &probes,
+  auto expand = [this, &dag, &durations, &arena, &skyline, &sky_n, &probes,
                  &next_sky](int op_id, bool keep_base) {
     const Operator& op = dag.op(op_id);
     Seconds dur = durations[static_cast<size_t>(op_id)];
@@ -54,7 +56,7 @@ Result<std::vector<Schedule>> SkylineScheduler::ScheduleDag(
     // copy-everything engine's enumeration order, which makes the whole
     // search bit-identical to it (tests/skyline_oracle.h).
     probes.clear();
-    for (size_t b = 0; b < skyline.size(); ++b) {
+    for (size_t b = 0; b < sky_n; ++b) {
       const PartialState& base = skyline[b];
       if (keep_base) {
         PlacementProbe& out = probes.emplace_back();
@@ -66,10 +68,10 @@ Result<std::vector<Schedule>> SkylineScheduler::ScheduleDag(
         out.max_gap = base.max_gap;
         out.valid = true;
       }
-      int used = static_cast<int>(base.timelines.size());
+      int used = static_cast<int>(base.containers.size());
       int limit = std::min(opts_.max_containers, used + 1);
       for (int c = 0; c < limit; ++c) {
-        ProbePlacement(base, static_cast<int>(b), dag, op, dur, c,
+        ProbePlacement(base, arena, static_cast<int>(b), dag, op, dur, c,
                        opts_.quantum, opts_.net_mb_per_sec,
                        &probes.emplace_back());
       }
@@ -79,18 +81,19 @@ Result<std::vector<Schedule>> SkylineScheduler::ScheduleDag(
                  probes.end());
     if (probes.empty()) return;
     SkylinePrune(&probes, opts_.skyline_cap);
-    next_sky.clear();
-    next_sky.reserve(probes.size());
-    for (const PlacementProbe& p : probes) {
+    if (next_sky.size() < probes.size()) next_sky.resize(probes.size());
+    for (size_t i = 0; i < probes.size(); ++i) {
+      const PlacementProbe& p = probes[i];
+      const PartialState& base = skyline[static_cast<size_t>(p.base)];
       if (p.container == PlacementProbe::kKeepBase) {
-        next_sky.push_back(skyline[static_cast<size_t>(p.base)]);
+        next_sky[i] = base;
       } else {
-        next_sky.emplace_back();
-        CommitPlacement(skyline[static_cast<size_t>(p.base)], dag, p,
-                        opts_.quantum, &next_sky.back());
+        CommitPlacement(base, dag, p, &arena, &next_sky[i]);
       }
     }
     skyline.swap(next_sky);
+    sky_n = probes.size();
+    arena.Collect(skyline.data(), sky_n);
   };
 
   for (int id : mandatory) expand(id, /*keep_base=*/false);
@@ -99,8 +102,10 @@ Result<std::vector<Schedule>> SkylineScheduler::ScheduleDag(
   }
 
   std::vector<Schedule> out;
-  out.reserve(skyline.size());
-  for (const PartialState& p : skyline) out.push_back(ToSchedule(p));
+  out.reserve(sky_n);
+  for (size_t i = 0; i < sky_n; ++i) {
+    out.push_back(ToSchedule(skyline[i], arena));
+  }
   return out;
 }
 

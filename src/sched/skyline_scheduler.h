@@ -28,11 +28,13 @@ namespace dfim {
 ///
 /// Candidate expansion is two-phase: a copy-free *probe* evaluates every
 /// (base, container) placement from the touched container's timeline plus
-/// cached per-container money/gap summaries, the skyline prune runs over
-/// the lightweight probes, and only the <= skyline_cap survivors are
-/// *committed* (one state copy each). The copy-everything engine it
-/// replaced is the test oracle in tests/skyline_oracle.h; both return
-/// bit-identical schedules.
+/// the per-container gap summaries, the skyline prune runs over the
+/// lightweight probes, and only the <= skyline_cap survivors are
+/// *committed*. A commit writes into a pooled state slot and copies only
+/// the container it touches; the others stay shared with the base through
+/// a call-local ContainerArena. The copy-everything engine it replaced is
+/// the test oracle in tests/skyline_oracle.h; both return bit-identical
+/// schedules.
 class SkylineScheduler {
  public:
   explicit SkylineScheduler(SchedulerOptions options) : opts_(options) {}
