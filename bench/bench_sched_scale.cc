@@ -301,10 +301,13 @@ int main(int argc, char** argv) {
   struct Config {
     int width, depth, optional_ops, containers, cap;
   };
-  // Largest config: 64-op DAG (16x4), 16 containers, skyline cap 32.
+  // The last two are service-scale: a 134-op merged batch DAG over 12
+  // containers with a skyline of 3 (the batched multi-tenant service), and
+  // an 87-op Montage-sized DAG over 16 containers with a skyline of 8.
   const std::vector<Config> configs = {
       {4, 4, 4, 4, 8},    {8, 4, 6, 8, 8},    {8, 8, 8, 8, 16},
-      {16, 4, 8, 16, 16}, {16, 4, 8, 16, 32},
+      {16, 4, 8, 16, 16}, {16, 4, 8, 16, 32}, {32, 4, 6, 12, 3},
+      {20, 4, 7, 16, 8},
   };
 
   std::string json = "{\n  \"bench\": \"sched_scale\",\n";
