@@ -21,7 +21,10 @@ stamp_meta() {
   local sha dirty compiler
   sha="$(git -C "$ROOT" rev-parse --short HEAD 2>/dev/null || echo unknown)"
   dirty="false"
-  if ! git -C "$ROOT" diff --quiet HEAD -- 2>/dev/null; then dirty="true"; fi
+  # The BENCH files this script just rewrote do not make the tree dirty.
+  if ! git -C "$ROOT" diff --quiet HEAD -- . ':!BENCH_*.json' 2>/dev/null; then
+    dirty="true"
+  fi
   compiler="$(c++ --version 2>/dev/null | head -n1 | tr -d '"' || echo unknown)"
   local tmp="$file.tmp.$$"
   {
