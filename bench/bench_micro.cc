@@ -1,5 +1,7 @@
 // Google-benchmark microbenchmarks for the core components: B+Tree
 // operations, the knapsack solvers, the gain model and the schedulers.
+// The knapsack and skyline arms also time the test oracles the production
+// code replaced.
 
 #include <benchmark/benchmark.h>
 
@@ -10,6 +12,7 @@
 #include "index/bplus_tree.h"
 #include "sched/load_balance_scheduler.h"
 #include "sched/skyline_scheduler.h"
+#include "knapsack_oracle.h"
 #include "skyline_oracle.h"
 
 namespace dfim {
@@ -109,19 +112,78 @@ void BM_BPlusTreeRangeScan(benchmark::State& state) {
 }
 BENCHMARK(BM_BPlusTreeRangeScan);
 
-void BM_KnapsackBranchAndBound(benchmark::State& state) {
-  auto n = static_cast<int>(state.range(0));
-  Rng rng(3);
+/// A slot's knapsack: with `partitioned` == 0, `n` items of random sizes
+/// and gains (capacity 0.6); otherwise one slot of the phase workload
+/// scaled to `n` build ops: six indexes whose partitions share one size
+/// and whose gains differ in the fourth digit, plus one op of another size
+/// (capacity 38.77, about 30 items). At n = 490 it is that slot.
+std::vector<KnapsackItem> KnapsackInstance(int n, bool partitioned,
+                                           double* capacity) {
   std::vector<KnapsackItem> items;
-  for (int i = 0; i < n; ++i) {
-    items.push_back({i, rng.Uniform(0.02, 0.2), rng.Uniform(0.1, 1.0)});
+  if (!partitioned) {
+    Rng rng(3);
+    for (int i = 0; i < n; ++i) {
+      items.push_back({i, rng.Uniform(0.02, 0.2), rng.Uniform(0.1, 1.0)});
+    }
+    *capacity = 0.6;
+    return items;
   }
+  struct Type {
+    double size;
+    double gain;
+    int count;  // of 490
+  };
+  const Type types[] = {
+      {1.255293383089898, 0.0026856401111466522, 92},
+      {1.255293383089898, 0.0028602425212496782, 141},
+      {1.255293383089898, 0.0030146236401575478, 81},
+      {1.255293383089898, 0.0035877233339432074, 72},
+      {1.255293383089898, 0.0037084203271268812, 63},
+      {1.255293383089898, 0.0037090485939110613, 40},
+      {1.0223275900012398, 0.0030146236401575478, 1},
+  };
+  for (const Type& t : types) {
+    int copies = std::max(1, t.count * n / 490);
+    for (int k = 0; k < copies; ++k) {
+      items.push_back({static_cast<int>(items.size()), t.size, t.gain});
+    }
+  }
+  *capacity = 38.774432264519191;
+  return items;
+}
+
+void BM_KnapsackBranchAndBound(benchmark::State& state) {
+  double capacity = 0;
+  auto items = KnapsackInstance(static_cast<int>(state.range(0)),
+                                state.range(1) != 0, &capacity);
   for (auto _ : state) {
-    auto r = SolveKnapsackBranchAndBound(items, 0.6);
+    auto r = SolveKnapsackBranchAndBound(items, capacity);
     benchmark::DoNotOptimize(r.total_gain);
   }
 }
-BENCHMARK(BM_KnapsackBranchAndBound)->Arg(10)->Arg(50)->Arg(200);
+BENCHMARK(BM_KnapsackBranchAndBound)
+    ->ArgNames({"items", "partitioned"})
+    ->Args({10, 0})
+    ->Args({50, 0})
+    ->Args({200, 0})
+    ->Args({200, 1})
+    ->Args({490, 1});
+
+/// The per-item branch and bound the solver replaced (the test oracle), on
+/// the partitioned arm: it stops at its 2^20 node cap there.
+void BM_KnapsackOracleBranchAndBound(benchmark::State& state) {
+  double capacity = 0;
+  auto items =
+      KnapsackInstance(static_cast<int>(state.range(0)), true, &capacity);
+  for (auto _ : state) {
+    auto r = oracle::SolveKnapsackBranchAndBound(items, capacity);
+    benchmark::DoNotOptimize(r.total_gain);
+  }
+}
+BENCHMARK(BM_KnapsackOracleBranchAndBound)
+    ->ArgNames({"items"})
+    ->Arg(490)
+    ->Unit(benchmark::kMillisecond);
 
 void BM_GainEvaluation(benchmark::State& state) {
   GainModel model(GainOptions{}, PricingModel{});

@@ -25,6 +25,13 @@ inline bool FastMode() {
   return v != nullptr && v[0] == '1';
 }
 
+/// True when DFIM_BENCH_CHECK=1: the bench exits non-zero when a gated
+/// result (a paper shape or a speedup floor) does not hold.
+inline bool CheckMode() {
+  const char* v = std::getenv("DFIM_BENCH_CHECK");
+  return v != nullptr && v[0] == '1';
+}
+
 /// The paper's evaluation environment (§6.1, Table 3): the 125-file
 /// database with 4 candidate indexes per file, plus a generator.
 struct PaperSetup {

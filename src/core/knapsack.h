@@ -28,14 +28,23 @@ struct KnapsackResult {
   bool optimal = true;
 };
 
+/// Branch-and-bound node cap of `SolveKnapsackBranchAndBound`'s default and
+/// of `PackSlotsLp`.
+inline constexpr int64_t kKnapsackNodeCap = 1 << 20;
+
 /// \brief Algorithm 3: solves the 0/1 knapsack by LP relaxation (fractional
 /// upper bound) + branch and bound.
 ///
-/// \param node_cap safety valve; past it the best-so-far is returned with
-///        optimal = false.
-KnapsackResult SolveKnapsackBranchAndBound(const std::vector<KnapsackItem>& items,
-                                           double capacity,
-                                           int64_t node_cap = 1 << 20);
+/// Items with bit-identical sizes form a size class; the search never takes
+/// an item of a class after skipping one of at least its gain (the swap is
+/// as good), which keeps it exact on partitioned indexes' identical build
+/// ops.
+///
+/// \param node_cap safety valve; past it the better of the best-so-far and
+///        the density greedy is returned with optimal = false.
+KnapsackResult SolveKnapsackBranchAndBound(
+    const std::vector<KnapsackItem>& items, double capacity,
+    int64_t node_cap = kKnapsackNodeCap);
 
 /// \brief Density-greedy heuristic (take best gain/size first).
 KnapsackResult SolveKnapsackGreedy(const std::vector<KnapsackItem>& items,

@@ -200,13 +200,20 @@ void SampleEvenlySpaced(std::vector<T>* kept, int cap) {
 ///
 /// Works on anything exposing makespan/money/num_ops/max_gap members
 /// (PlacementProbe here, the copy-everything test oracle's states), so both
-/// engines prune with byte-identical semantics. The survivors are an
-/// in-order subsequence of the sorted pool and compact in place.
+/// engines prune with byte-identical semantics. The stable sort orders the
+/// positions in `*order` (reused across calls), not the elements; the
+/// survivors are then gathered in place to the front of `*pool`.
 /// Equal-(makespan, money) duplicates are filtered *before* dominance and
 /// cap sampling, so they can never crowd out distinct trade-off points.
 template <typename T>
-void SkylinePrune(std::vector<T>* pool, int cap) {
-  std::stable_sort(pool->begin(), pool->end(), [](const T& a, const T& b) {
+void SkylinePrune(std::vector<T>* pool, int cap, std::vector<uint32_t>* order) {
+  std::vector<T>& v = *pool;
+  order->resize(v.size());
+  for (size_t i = 0; i < v.size(); ++i) (*order)[i] = static_cast<uint32_t>(i);
+  std::stable_sort(order->begin(), order->end(), [&v](uint32_t ia,
+                                                      uint32_t ib) {
+    const T& a = v[ia];
+    const T& b = v[ib];
     if (std::fabs(a.makespan - b.makespan) > 1e-9) {
       return a.makespan < b.makespan;
     }
@@ -214,25 +221,42 @@ void SkylinePrune(std::vector<T>* pool, int cap) {
     if (a.num_ops != b.num_ops) return a.num_ops > b.num_ops;
     return a.max_gap > b.max_gap;
   });
-  std::vector<T>& v = *pool;
+  std::vector<uint32_t>& o = *order;
   size_t w = 0;
   int64_t best_money = std::numeric_limits<int64_t>::max();
-  for (size_t r = 0; r < v.size(); ++r) {
+  for (size_t r = 0; r < o.size(); ++r) {
+    const T& cand = v[o[r]];
     // Duplicate of the previous survivor on both axes: the sort already put
     // the preferred candidate (more ops, larger gap) first.
-    if (w > 0 && TimeEq(v[w - 1].makespan, v[r].makespan) &&
-        v[w - 1].money == v[r].money) {
+    if (w > 0 && TimeEq(v[o[w - 1]].makespan, cand.makespan) &&
+        v[o[w - 1]].money == cand.money) {
       continue;
     }
     // Sorted by makespan ascending, so anything not strictly cheaper than
     // every faster survivor is dominated.
-    if (v[r].money >= best_money) continue;
-    best_money = v[r].money;
-    if (r != w) v[w] = std::move(v[r]);
-    ++w;
+    if (cand.money >= best_money) continue;
+    best_money = cand.money;
+    o[w++] = o[r];
   }
-  v.erase(v.begin() + static_cast<std::ptrdiff_t>(w), v.end());
-  SampleEvenlySpaced(pool, cap);
+  o.resize(w);
+  SampleEvenlySpaced(order, cap);
+  // Gather v[o[j]] into v[j]. Step j swaps the wanted element in from its
+  // current position and records that position in o[j]: an element first
+  // at p < j was moved to o[p] at step p, perhaps again from there.
+  for (size_t j = 0; j < o.size(); ++j) {
+    size_t src = o[j];
+    while (src < j) src = o[src];
+    o[j] = static_cast<uint32_t>(src);
+    if (src != j) std::swap(v[j], v[src]);
+  }
+  v.erase(v.begin() + static_cast<std::ptrdiff_t>(o.size()), v.end());
+}
+
+/// \brief `SkylinePrune` with call-local sort positions.
+template <typename T>
+void SkylinePrune(std::vector<T>* pool, int cap) {
+  std::vector<uint32_t> order;
+  SkylinePrune(pool, cap, &order);
 }
 
 }  // namespace dfim

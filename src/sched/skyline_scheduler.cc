@@ -39,17 +39,18 @@ Result<std::vector<Schedule>> SkylineScheduler::ScheduleDag(
 
   // Probe every candidate copy-free, prune the probes, materialize only
   // the survivors. Everything is pooled for the whole call: the probes,
-  // the container records, and two banks of state slots that take turns
+  // the prune's sort positions, the container records, and two banks of state slots that take turns
   // as the skyline, of which the first `sky_n` are live.
   ContainerArena arena;
   std::vector<PartialState> skyline(1);
   skyline[0].Reset(dag.num_ops());
   size_t sky_n = 1;
   std::vector<PlacementProbe> probes;
+  std::vector<uint32_t> prune_order;
   std::vector<PartialState> next_sky;
 
   auto expand = [this, &dag, &durations, &arena, &skyline, &sky_n, &probes,
-                 &next_sky](int op_id, bool keep_base) {
+                 &prune_order, &next_sky](int op_id, bool keep_base) {
     const Operator& op = dag.op(op_id);
     Seconds dur = durations[static_cast<size_t>(op_id)];
     // Per base: [keep-base?] then one probe per candidate container — the
@@ -80,7 +81,7 @@ Result<std::vector<Schedule>> SkylineScheduler::ScheduleDag(
                                 [](const PlacementProbe& p) { return !p.valid; }),
                  probes.end());
     if (probes.empty()) return;
-    SkylinePrune(&probes, opts_.skyline_cap);
+    SkylinePrune(&probes, opts_.skyline_cap, &prune_order);
     if (next_sky.size() < probes.size()) next_sky.resize(probes.size());
     for (size_t i = 0; i < probes.size(); ++i) {
       const PlacementProbe& p = probes[i];

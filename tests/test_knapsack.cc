@@ -6,6 +6,7 @@
 #include <cstdint>
 
 #include "common/rng.h"
+#include "knapsack_oracle.h"
 
 namespace dfim {
 namespace {
@@ -129,6 +130,181 @@ TEST(KnapsackTest, NodeCapFallsBackGracefully) {
   EXPECT_FALSE(r.optimal);
   EXPECT_LE(r.total_size, 50.0 + 1e-9);
   EXPECT_GT(r.total_gain, 0);
+}
+
+/// A slot's worth of partitioned-index build ops: `classes` distinct sizes,
+/// each with up to 7 gain types whose items are copies. With `near_gains`
+/// the types of a class differ in the fourth digit, as the partitions of
+/// indexes on one file do; otherwise they are unrelated. Items come in
+/// random order with ids 0..n-1.
+std::vector<KnapsackItem> PartitionedItems(Rng* rng, int n, int classes,
+                                           bool near_gains) {
+  struct Type {
+    double size;
+    double gain;
+  };
+  std::vector<Type> types;
+  for (int c = 0; c < classes; ++c) {
+    double size = rng->Uniform(0.5, 3.0);
+    double base = rng->Uniform(0.001, 0.01) * size;
+    int num_types = 1 + static_cast<int>(rng->UniformInt(0, 6));
+    for (int t = 0; t < num_types; ++t) {
+      double gain = near_gains ? base * (1 + rng->Uniform(-1e-3, 1e-3))
+                               : rng->Uniform(0.001, 0.01) * size;
+      types.push_back({size, gain});
+    }
+  }
+  std::vector<KnapsackItem> items;
+  for (int i = 0; i < n; ++i) {
+    const Type& t = types[static_cast<size_t>(
+        rng->UniformInt(0, static_cast<int64_t>(types.size()) - 1))];
+    items.push_back({i, t.size, t.gain});
+  }
+  return items;
+}
+
+double MeanSize(const std::vector<KnapsackItem>& items) {
+  double sum = 0;
+  for (const auto& it : items) sum += it.size;
+  return items.empty() ? 0 : sum / static_cast<double>(items.size());
+}
+
+/// The per-item oracle's node cap in the sweeps; past it the comparison
+/// only asks for a gain no lower than the oracle's.
+constexpr int64_t kSweepOracleCap = 1 << 16;
+
+TEST(KnapsackSizeClassTest, MatchesTheOracleOnPartitionedIndexes) {
+  Rng rng(2701);
+  int exact = 0;
+  int oracle_capped = 0;
+  for (int trial = 0; trial < 60; ++trial) {
+    int n = 50 + static_cast<int>(rng.UniformInt(0, 550));
+    int classes = 2 + static_cast<int>(rng.UniformInt(0, 28));
+    auto items = PartitionedItems(&rng, n, classes, trial % 2 == 0);
+    double capacity = MeanSize(items) * rng.Uniform(2.0, 40.0);
+    SCOPED_TRACE(::testing::Message() << "trial " << trial << " n=" << n
+                                      << " classes=" << classes
+                                      << " cap=" << capacity);
+    auto got = SolveKnapsackBranchAndBound(items, capacity);
+    auto want =
+        oracle::SolveKnapsackBranchAndBound(items, capacity, kSweepOracleCap);
+    EXPECT_TRUE(got.optimal);
+    EXPECT_LE(got.total_size, capacity + 1e-9);
+    if (want.optimal) {
+      ++exact;
+      EXPECT_EQ(got.chosen, want.chosen);
+      EXPECT_EQ(got.total_gain, want.total_gain);
+      EXPECT_EQ(got.total_size, want.total_size);
+    } else {
+      ++oracle_capped;
+      EXPECT_GE(got.total_gain, want.total_gain);
+    }
+  }
+  // The sweep covers both sides of the comparison.
+  EXPECT_GT(exact, 10);
+  EXPECT_GT(oracle_capped, 10);
+}
+
+TEST(KnapsackSizeClassTest, SmallInstancesMatchBruteForce) {
+  Rng rng(2702);
+  for (int trial = 0; trial < 40; ++trial) {
+    int n = 4 + static_cast<int>(rng.UniformInt(0, 16));
+    int classes = 2 + static_cast<int>(rng.UniformInt(0, 4));
+    auto items = PartitionedItems(&rng, n, classes, trial % 2 == 0);
+    double capacity = MeanSize(items) * rng.Uniform(1.0, 8.0);
+    SCOPED_TRACE(::testing::Message() << "trial " << trial << " n=" << n
+                                      << " cap=" << capacity);
+    auto got = SolveKnapsackBranchAndBound(items, capacity);
+    auto want = oracle::SolveKnapsackBranchAndBound(items, capacity);
+    ASSERT_TRUE(want.optimal);
+    EXPECT_TRUE(got.optimal);
+    EXPECT_EQ(got.chosen, want.chosen);
+    EXPECT_EQ(got.total_gain, want.total_gain);
+    EXPECT_NEAR(got.total_gain,
+                SolveKnapsackBruteForce(items, capacity).total_gain, 1e-9);
+  }
+}
+
+TEST(KnapsackSizeClassTest, PhaseSlotSolvesExactlyUnderTheCap) {
+  // One slot of the phase workload (seed 23): 489 build ops of one size in
+  // six gain types (partitions of six indexes whose gains differ in the
+  // fourth digit) plus one op of another size. The per-item search stops
+  // at its 2^20 node cap here.
+  struct Type {
+    double size;
+    double gain;
+    int count;
+  };
+  const Type types[] = {
+      {1.255293383089898, 0.0026856401111466522, 92},
+      {1.255293383089898, 0.0028602425212496782, 141},
+      {1.255293383089898, 0.0030146236401575478, 81},
+      {1.255293383089898, 0.0035877233339432074, 72},
+      {1.255293383089898, 0.0037084203271268812, 63},
+      {1.255293383089898, 0.0037090485939110613, 40},
+      {1.0223275900012398, 0.0030146236401575478, 1},
+  };
+  const double capacity = 38.774432264519191;
+  std::vector<KnapsackItem> items;
+  for (const Type& t : types) {
+    for (int k = 0; k < t.count; ++k) {
+      items.push_back({static_cast<int>(items.size()), t.size, t.gain});
+    }
+  }
+  ASSERT_EQ(items.size(), 490u);
+  auto r = SolveKnapsackBranchAndBound(items, capacity);
+  EXPECT_TRUE(r.optimal);
+  EXPECT_LT(r.nodes, 10000);
+  // Thirty of the best type fill the slot, and the small op fits beside.
+  EXPECT_EQ(r.chosen.size(), 31u);
+  EXPECT_NEAR(r.total_gain,
+              30 * 0.0037090485939110613 + 0.0030146236401575478, 1e-12);
+  auto old = oracle::SolveKnapsackBranchAndBound(items, capacity);
+  EXPECT_FALSE(old.optimal);
+  EXPECT_GE(r.total_gain, old.total_gain);
+}
+
+TEST(PackSlotsTest, LpMatchesTheOracleOnPartitionedIndexes) {
+  // Where the oracle caps a slot, the packings may part ways (an exact
+  // early slot can leave worse items for the later ones), so those trials
+  // only check that the packing is feasible.
+  Rng rng(2703);
+  int compared = 0;
+  for (int trial = 0; trial < 40; ++trial) {
+    int n = 50 + static_cast<int>(rng.UniformInt(0, 150));
+    int classes = 2 + static_cast<int>(rng.UniformInt(0, 28));
+    auto items = PartitionedItems(&rng, n, classes, trial % 2 == 0);
+    std::vector<double> slots;
+    int num_slots = 1 + static_cast<int>(rng.UniformInt(0, 11));
+    for (int s = 0; s < num_slots; ++s) {
+      slots.push_back(MeanSize(items) * rng.Uniform(0.5, 12.0));
+    }
+    SCOPED_TRACE(::testing::Message() << "trial " << trial);
+    MultiSlotPacking got = PackSlotsLp(items, slots);
+    std::vector<int> seen;
+    for (size_t s = 0; s < slots.size(); ++s) {
+      double used = 0;
+      for (int id : got.chosen[s]) {
+        used += items[static_cast<size_t>(id)].size;
+        seen.push_back(id);
+      }
+      EXPECT_LE(used, slots[s] + 1e-6);
+    }
+    seen.insert(seen.end(), got.unassigned.begin(), got.unassigned.end());
+    std::sort(seen.begin(), seen.end());
+    EXPECT_EQ(seen.size(), items.size());
+    EXPECT_EQ(std::adjacent_find(seen.begin(), seen.end()), seen.end());
+
+    bool capped = false;
+    MultiSlotPacking want =
+        oracle::PackSlotsLp(items, slots, kSweepOracleCap, &capped);
+    if (capped) continue;
+    ++compared;
+    EXPECT_EQ(got.chosen, want.chosen);
+    EXPECT_EQ(got.unassigned, want.unassigned);
+    EXPECT_EQ(got.total_gain, want.total_gain);
+  }
+  EXPECT_GT(compared, 10);
 }
 
 TEST(PackSlotsTest, LpPacksLargestSlotFirst) {

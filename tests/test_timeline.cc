@@ -8,6 +8,8 @@
 
 #include <algorithm>
 #include <cmath>
+#include <cstdint>
+#include <limits>
 #include <vector>
 
 #include "common/rng.h"
@@ -292,6 +294,64 @@ TEST(SampleEvenlySpacedTest, LargerCapsKeepEndpoints) {
   ASSERT_EQ(v.size(), 3u);
   EXPECT_EQ(v.front().tag, 0);
   EXPECT_EQ(v.back().tag, 8);
+}
+
+/// The prune as it was before it sorted positions: a stable sort of the
+/// elements themselves, then an in-order compaction.
+void PruneByMovingElements(std::vector<Tagged>* pool, int cap) {
+  std::stable_sort(pool->begin(), pool->end(),
+                   [](const Tagged& a, const Tagged& b) {
+                     if (std::fabs(a.makespan - b.makespan) > 1e-9) {
+                       return a.makespan < b.makespan;
+                     }
+                     if (a.money != b.money) return a.money < b.money;
+                     if (a.num_ops != b.num_ops) return a.num_ops > b.num_ops;
+                     return a.max_gap > b.max_gap;
+                   });
+  std::vector<Tagged>& v = *pool;
+  size_t w = 0;
+  int64_t best_money = std::numeric_limits<int64_t>::max();
+  for (size_t r = 0; r < v.size(); ++r) {
+    if (w > 0 && TimeEq(v[w - 1].makespan, v[r].makespan) &&
+        v[w - 1].money == v[r].money) {
+      continue;
+    }
+    if (v[r].money >= best_money) continue;
+    best_money = v[r].money;
+    if (r != w) v[w] = v[r];
+    ++w;
+  }
+  v.erase(v.begin() + static_cast<std::ptrdiff_t>(w), v.end());
+  SampleEvenlySpaced(pool, cap);
+}
+
+TEST(SkylinePruneTest, SortingPositionsKeepsTheElementOrder) {
+  // Makespans cluster within the comparator's 1e-9 tie band, so the tie
+  // order depends on the input order; both prunes must agree anyway.
+  Rng rng(26);
+  std::vector<uint32_t> order;  // reused across calls, as the scheduler does
+  for (int trial = 0; trial < 500; ++trial) {
+    int n = 1 + static_cast<int>(rng.UniformInt(0, 60));
+    std::vector<Tagged> pool;
+    for (int i = 0; i < n; ++i) {
+      Tagged t;
+      t.makespan = static_cast<double>(rng.UniformInt(0, 8)) +
+                   static_cast<double>(rng.UniformInt(-2, 2)) * 4e-10;
+      t.money = rng.UniformInt(0, 12);
+      t.num_ops = static_cast<int>(rng.UniformInt(0, 2));
+      t.max_gap = static_cast<double>(rng.UniformInt(0, 3));
+      t.tag = i;
+      pool.push_back(t);
+    }
+    int cap = static_cast<int>(rng.UniformInt(0, 9));
+    std::vector<Tagged> want = pool;
+    PruneByMovingElements(&want, cap);
+    SkylinePrune(&pool, cap, &order);
+    ASSERT_EQ(pool.size(), want.size()) << "trial " << trial;
+    for (size_t i = 0; i < pool.size(); ++i) {
+      EXPECT_EQ(pool[i].tag, want[i].tag) << "trial " << trial << " i " << i;
+    }
+  }
 }
 
 }  // namespace
