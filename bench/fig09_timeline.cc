@@ -37,9 +37,9 @@ int main() {
   BuildDataflowCosts(combined, df, setup->catalog, so.net_mb_per_sec,
                      &durations, &costs);
 
-  Interleaver none(so, InterleaveMode::kNone);
   Interleaver lp(so, InterleaveMode::kLp);
-  auto bare = none.Interleave(combined, durations);
+  auto bare = SkylineScheduler(so).ScheduleDag(combined, durations,
+                                               /*place_optional=*/false);
   auto packed = lp.Interleave(combined, durations);
   if (!bare.ok() || !packed.ok()) {
     std::printf("scheduling failed\n");

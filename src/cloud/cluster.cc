@@ -101,7 +101,7 @@ AcquireOutcome Cluster::AcquireUsable(int n, Seconds now) {
   return out;
 }
 
-int Cluster::DrainIdleAbove(int target, Seconds now) {
+int Cluster::DrainIdleAbove(int target) {
   if (target < 0) target = 0;
   int released = 0;
   while (static_cast<int>(alive_.size()) > target) {
@@ -111,7 +111,6 @@ int Cluster::DrainIdleAbove(int target, Seconds now) {
     for (size_t i = 1; i < alive_.size(); ++i) {
       if (alive_[i]->lease_end() < alive_[victim]->lease_end()) victim = i;
     }
-    (void)now;
     alive_.erase(alive_.begin() + static_cast<ptrdiff_t>(victim));
     ++ledger_.released_idle;
     ++ledger_.drained;

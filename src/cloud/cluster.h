@@ -115,7 +115,7 @@ class Cluster {
   /// (they are the ones about to renew idle). Call only when the fleet is
   /// quiescent — the cluster does not track per-container busyness. Returns
   /// how many were released (ledger: drained + released_idle).
-  int DrainIdleAbove(int target, Seconds now);
+  int DrainIdleAbove(int target);
 
   /// \brief Removes a container that died mid-execution.
   ///

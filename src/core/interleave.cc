@@ -10,8 +10,6 @@ Result<std::vector<Schedule>> Interleaver::Interleave(
     const Dag& dag, const std::vector<Seconds>& durations,
     double build_fraction) const {
   switch (mode_) {
-    case InterleaveMode::kNone:
-      return scheduler_.ScheduleDag(dag, durations, /*place_optional=*/false);
     case InterleaveMode::kOnline:
       return scheduler_.ScheduleDag(dag, durations,
                                     /*place_optional=*/build_fraction > 0);

@@ -17,8 +17,6 @@ enum class InterleaveMode {
   kLp,
   /// §5.3.2: schedule build ops as optional operators inside Algorithm 4.
   kOnline,
-  /// No index building at all (the "no indexes" baseline).
-  kNone,
 };
 
 /// \brief Interleaves dataflow and build-index operators without increasing

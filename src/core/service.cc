@@ -123,7 +123,7 @@ QaasService::FleetPlan QaasService::PrepareFleet(Seconds now,
     // Graceful drain: release idle containers above the target before they
     // renew another idle quantum. The fleet is quiescent here — the service
     // executes one dataflow at a time.
-    fleet_.DrainIdleAbove(state_.fleet_target, now);
+    fleet_.DrainIdleAbove(state_.fleet_target);
     want = std::min(want, state_.fleet_target);
   }
   want = std::max(1, want);
@@ -1272,6 +1272,12 @@ Result<ServiceMetrics> QaasService::Run(WorkloadClient* client) {
   DFIM_RETURN_NOT_OK(ValidateIntegrityOptions(opts_.integrity));
   DFIM_RETURN_NOT_OK(ValidateAutoscalerOptions(opts_.autoscaler));
   DFIM_RETURN_NOT_OK(ValidateBatchOptions(opts_.batch));
+  if (opts_.tuner.pricing.quantum != opts_.tuner.sched.quantum) {
+    return Status::InvalidArgument(
+        "tuner.pricing.quantum must equal tuner.sched.quantum: the fleet and "
+        "storage bill at the one while the skyline and the knapsack plan at "
+        "the other, so a build is no longer free");
+  }
   if (opts_.faults.ctl_enabled() && !opts_.journal.enabled) {
     return Status::InvalidArgument(
         "control-plane crash injection (ctl_crash_rate / crash_at_boundary) "

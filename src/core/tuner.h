@@ -21,7 +21,8 @@ namespace dfim {
 struct TunerOptions {
   GainOptions gain;
   SchedulerOptions sched;
-  /// Provider prices; `pricing.quantum` should match `sched.quantum`.
+  /// Provider prices; `pricing.quantum` must equal `sched.quantum`
+  /// (`QaasService::Run` rejects a mismatch).
   PricingModel pricing;
   InterleaveMode mode = InterleaveMode::kLp;
   /// When false, non-beneficial indexes are kept (the paper's

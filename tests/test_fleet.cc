@@ -128,7 +128,7 @@ TEST(ClusterElasticTest, DrainReleasesEarliestLeaseEndFirst) {
   ASSERT_TRUE(r.ok());
   cl.ChargeThrough((*r)[0], 150);  // lease_end 180
   cl.ChargeThrough((*r)[2], 90);   // lease_end 120; container 1 stays at 60
-  EXPECT_EQ(cl.DrainIdleAbove(1, 10), 2);
+  EXPECT_EQ(cl.DrainIdleAbove(1), 2);
   EXPECT_EQ(cl.ledger().drained, 2);
   EXPECT_EQ(cl.ledger().released_idle, 2);
   EXPECT_EQ(cl.HeldCount(), 1);

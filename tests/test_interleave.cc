@@ -53,10 +53,10 @@ int CountBuilds(const Schedule& s) {
   return n;
 }
 
-TEST(InterleaveTest, NoneModeSchedulesOnlyDataflow) {
+TEST(InterleaveTest, DataflowOnlyScheduleHasNoBuilds) {
   Dag g = StallDag({5, 5});
-  Interleaver il(Opts(), InterleaveMode::kNone);
-  auto skyline = il.Interleave(g, OpTimes(g));
+  auto skyline = SkylineScheduler(Opts()).ScheduleDag(
+      g, OpTimes(g), /*place_optional=*/false);
   ASSERT_TRUE(skyline.ok());
   for (const auto& s : *skyline) EXPECT_EQ(CountBuilds(s), 0);
 }
@@ -73,9 +73,9 @@ TEST(InterleaveTest, LpPacksIdleSlots) {
 
 TEST(InterleaveTest, LpDoesNotChangeTimeOrMoney) {
   Dag g = StallDag({4, 4, 7, 9, 12});
-  Interleaver none(Opts(), InterleaveMode::kNone);
   Interleaver lp(Opts(), InterleaveMode::kLp);
-  auto base = none.Interleave(g, OpTimes(g));
+  auto base = SkylineScheduler(Opts()).ScheduleDag(g, OpTimes(g),
+                                                   /*place_optional=*/false);
   auto packed = lp.Interleave(g, OpTimes(g));
   ASSERT_TRUE(base.ok());
   ASSERT_TRUE(packed.ok());
@@ -88,9 +88,9 @@ TEST(InterleaveTest, LpDoesNotChangeTimeOrMoney) {
 
 TEST(InterleaveTest, OnlineDoesNotChangeTimeOrMoneyEither) {
   Dag g = StallDag({4, 4, 7, 9, 12});
-  Interleaver none(Opts(), InterleaveMode::kNone);
   Interleaver online(Opts(), InterleaveMode::kOnline);
-  auto base = none.Interleave(g, OpTimes(g));
+  auto base = SkylineScheduler(Opts()).ScheduleDag(g, OpTimes(g),
+                                                   /*place_optional=*/false);
   auto packed = online.Interleave(g, OpTimes(g));
   ASSERT_TRUE(base.ok());
   ASSERT_TRUE(packed.ok());

@@ -5,7 +5,6 @@
 
 #include "common/rng.h"
 #include "sched/exec_simulator.h"
-#include "sched/hetero_scheduler.h"
 #include "sched/load_balance_scheduler.h"
 #include "sched/skyline_scheduler.h"
 #include "sched_test_util.h"
@@ -126,22 +125,6 @@ TEST_P(RandomDagProperty, LoadBalanceIsValidAndNeverBeatsSerialBound) {
   auto cp = g.CriticalPath();
   ASSERT_TRUE(cp.ok());
   EXPECT_GE(s->makespan(), *cp - 1e-6);
-}
-
-TEST_P(RandomDagProperty, HeteroSingleFastTypeScalesMakespan) {
-  Dag g = RandomDag(static_cast<uint64_t>(GetParam()));
-  auto durations = testutil::OpTimes(g);
-  SchedulerOptions so;
-  so.max_containers = 12;
-  so.skyline_cap = 4;
-  HeteroSkylineScheduler slow(so, {{"s", 1.0, 0.1, 125.0}});
-  HeteroSkylineScheduler fast(so, {{"f", 2.0, 0.2, 125.0}});
-  auto a = slow.ScheduleDag(g, durations);
-  auto b = fast.ScheduleDag(g, durations);
-  ASSERT_TRUE(a.ok());
-  ASSERT_TRUE(b.ok());
-  // Twice the speed can never be slower on the fastest endpoint.
-  EXPECT_LE(b->front().makespan(), a->front().makespan() + 1e-6);
 }
 
 TEST_P(RandomDagProperty, InterleavedBuildsNeverChangeTimeOrMoney) {

@@ -149,6 +149,20 @@ TEST(ServiceTest, ClosedLoopArrivalAtTheHorizonIsShed) {
   EXPECT_TRUE(m->timeline.empty());
 }
 
+TEST(ServiceTest, RunRejectsPricingQuantumUnlikeSchedulerQuantum) {
+  // The scheduler plans 5-minute quanta while the default pricing bills
+  // 1-minute ones: builds packed into planned idle time would be billed.
+  ServiceFixture f(IndexPolicy::kGain);
+  ServiceOptions so;
+  so.total_time = 50.0 * 60.0;
+  so.tuner.sched.quantum = 300;
+  QaasService service(&f.catalog, so);
+  PhaseWorkloadClient client(f.gen.get(), 60.0, {{AppType::kMontage, 1e9}},
+                             5);
+  auto m = service.Run(&client);
+  EXPECT_TRUE(m.status().IsInvalidArgument()) << m.status().ToString();
+}
+
 TEST(ServiceTest, CheckInvariantsNamesTheLedgerThatSlips) {
   ServiceFixture f(IndexPolicy::kGain, 5, /*horizon=*/20.0 * 60.0);
   const ServiceMetrics m = f.RunMontage();
