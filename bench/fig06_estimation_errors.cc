@@ -39,12 +39,11 @@ int main() {
       if (!skyline.ok() || skyline->empty()) continue;
       const Schedule& plan = skyline->front();
       SimOptions sim;
-      sim.quantum = so.quantum;
-      sim.net_mb_per_sec = so.net_mb_per_sec;
       sim.time_error = e;
       sim.data_error = e;
-      sim.seed = 1000 + static_cast<uint64_t>(i) + static_cast<uint64_t>(e * 100);
-      ExecSimulator simulator(sim);
+      ExecSimulator simulator(
+          so, 1000 + static_cast<uint64_t>(i) + static_cast<uint64_t>(e * 100),
+          sim);
       auto exec = simulator.Run(df.dag, plan, costs);
       if (!exec.ok()) continue;
       double est_time = plan.makespan();

@@ -52,22 +52,8 @@ int main() {
               "moves on, and re-created when Cybershake returns.");
 
   if (bench::CheckMode()) {
-    // RunAllPolicies' order: No Index, Random, Gain (no delete), Gain.
-    PricingModel pricing;
-    auto cost = [&pricing, &results](size_t i) {
-      return results[i].metrics.AvgCostQuantaPerDataflow(pricing);
-    };
-    int none = results[0].metrics.dataflows_finished;
-    int gain = results[3].metrics.dataflows_finished;
-    double ratio = static_cast<double>(gain) / std::max(1, none);
-    bool ok = true;
-    if (!(ratio > 1.5)) {
-      std::fprintf(stderr,
-                   "BENCH CHECK FAILED: Gain finished %.3fx No Index's "
-                   "dataflows (%d vs %d; must be > 1.5x)\n",
-                   ratio, gain, none);
-      ok = false;
-    }
+    auto cost = [&results](size_t i) { return bench::CostQuanta(results, i); };
+    bool ok = bench::CheckGainThroughput(results);
     if (!(cost(3) < cost(2))) {
       std::fprintf(stderr,
                    "BENCH CHECK FAILED: Gain's cost per dataflow %.2fq is "
@@ -75,18 +61,13 @@ int main() {
                    cost(3), cost(2));
       ok = false;
     }
-    if (!(cost(1) > cost(0) && cost(1) > cost(2) && cost(1) > cost(3))) {
-      std::fprintf(stderr,
-                   "BENCH CHECK FAILED: Random's cost per dataflow %.2fq is "
-                   "not the highest\n",
-                   cost(1));
-      ok = false;
-    }
+    ok = bench::CheckRandomCostliest(results) && ok;
     if (!ok) return 1;
     std::printf("\nbench check ok: Gain %.3fx No Index dataflows; cost per "
                 "dataflow Gain %.2fq < no-delete %.2fq; Random highest at "
                 "%.2fq\n",
-                ratio, cost(3), cost(2), cost(1));
+                bench::GainThroughputRatio(results),
+                cost(3), cost(2), cost(1));
   }
   return 0;
 }

@@ -5,6 +5,7 @@
 // index-management policies on identical workload streams and prints the
 // Fig. 12/14 bars and the Table 7 operator counts.
 
+#include <algorithm>
 #include <cstdio>
 #include <functional>
 #include <memory>
@@ -78,6 +79,49 @@ inline void PrintFinishedAndCost(const std::vector<PolicyResult>& results) {
                 r.metrics.AvgTimeQuantaPerDataflow());
   }
 }
+
+/// Cost per dataflow of `results[i]`, in quanta.
+inline double CostQuanta(const std::vector<PolicyResult>& results, size_t i) {
+  return results[i].metrics.AvgCostQuantaPerDataflow(PricingModel{});
+}
+
+/// \name Paper-shape gates (DFIM_BENCH_CHECK=1) over RunAllPolicies' order:
+/// No Index, Random, Gain (no delete), Gain. Each prints why it failed to
+/// stderr and returns false.
+/// @{
+
+/// Gain's dataflows finished over No Index's.
+inline double GainThroughputRatio(const std::vector<PolicyResult>& results) {
+  return static_cast<double>(results[3].metrics.dataflows_finished) /
+         std::max(1, results[0].metrics.dataflows_finished);
+}
+
+/// Gain finishes more than 1.5x No Index's dataflows.
+inline bool CheckGainThroughput(const std::vector<PolicyResult>& results) {
+  double ratio = GainThroughputRatio(results);
+  if (ratio > 1.5) return true;
+  std::fprintf(stderr,
+               "BENCH CHECK FAILED: Gain finished %.3fx No Index's "
+               "dataflows (%d vs %d; must be > 1.5x)\n",
+               ratio, results[3].metrics.dataflows_finished,
+               results[0].metrics.dataflows_finished);
+  return false;
+}
+
+/// Random costs the most per dataflow.
+inline bool CheckRandomCostliest(const std::vector<PolicyResult>& results) {
+  double random = CostQuanta(results, 1);
+  if (random > CostQuanta(results, 0) && random > CostQuanta(results, 2) &&
+      random > CostQuanta(results, 3)) {
+    return true;
+  }
+  std::fprintf(stderr,
+               "BENCH CHECK FAILED: Random's cost per dataflow %.2fq is not "
+               "the highest\n",
+               random);
+  return false;
+}
+/// @}
 
 /// Table 7: operators executed and killed.
 inline void PrintOperatorCounts(const std::vector<PolicyResult>& results) {

@@ -16,7 +16,8 @@ using namespace dfim;
 
 namespace {
 
-ServiceMetrics RunWith(const PricingModel& pricing, const char* label) {
+ServiceMetrics RunWith(const PricingModel& pricing, Seconds quantum,
+                       const char* label) {
   Catalog catalog;
   FileDatabaseOptions fdo;
   fdo.montage_files = 5;
@@ -30,9 +31,9 @@ ServiceMetrics RunWith(const PricingModel& pricing, const char* label) {
 
   ServiceOptions so;
   so.policy = IndexPolicy::kGain;
-  so.total_time = 100.0 * pricing.quantum;
+  so.total_time = 100.0 * quantum;
   so.tuner.pricing = pricing;
-  so.tuner.sched.quantum = pricing.quantum;
+  so.tuner.sched.quantum = quantum;
   so.tuner.sched.max_containers = 16;
   so.tuner.sched.skyline_cap = 3;
   so.sim.time_error = 0.1;
@@ -46,7 +47,7 @@ ServiceMetrics RunWith(const PricingModel& pricing, const char* label) {
   std::printf(
       "%-24s quantum=%4.0fs  Mst=%.0e  -> %3d dataflows, %4d index parts "
       "built, %3d deletions, storage bill $%.4f\n",
-      label, pricing.quantum, pricing.storage_price_per_mb_per_quantum,
+      label, quantum, pricing.storage_price_per_mb_per_quantum,
       m->dataflows_finished, m->index_partitions_built, m->indexes_deleted,
       m->storage_cost);
   return *m;
@@ -57,21 +58,21 @@ ServiceMetrics RunWith(const PricingModel& pricing, const char* label) {
 int main() {
   std::printf("Same Cybershake stream under three pricing models:\n\n");
 
-  // The paper's Table 3 pricing.
+  // The paper's Table 3 pricing and quantum.
+  const Seconds paper_quantum = SchedulerOptions{}.quantum;
   PricingModel paper;
-  RunWith(paper, "paper (EC2-like)");
+  RunWith(paper, paper_quantum, "paper (EC2-like)");
 
   // Coarser quanta: more paid tail per container, so more room for builds.
   PricingModel coarse;
-  coarse.quantum = 300.0;
   coarse.vm_price_per_quantum = 0.5;  // same $/hour
-  RunWith(coarse, "coarse quanta (5 min)");
+  RunWith(coarse, 300.0, "coarse quanta (5 min)");
 
   // Storage 50x more expensive: indexes must earn their keep; the tuner
   // builds fewer and deletes sooner.
   PricingModel pricey_storage;
   pricey_storage.storage_price_per_mb_per_quantum = 5e-3;
-  RunWith(pricey_storage, "expensive storage");
+  RunWith(pricey_storage, paper_quantum, "expensive storage");
 
   std::printf(
       "\nExpected: coarser quanta -> more idle-slot room (more builds); "

@@ -68,7 +68,7 @@ int main() {
               g.num_ops() - build_ops->size(), build_ops->size());
 
   // 4. Schedule with LP interleaving: dataflow first, then pack idle slots.
-  SchedulerOptions so;  // 60 s quanta, $0.1/quantum, 1 Gbps
+  SchedulerOptions so;  // 60 s quanta, 1 Gbps
   std::vector<Seconds> durations;
   std::vector<SimOpCost> costs;
   BuildDataflowCosts(g, df, catalog, so.net_mb_per_sec, &durations, &costs);
@@ -87,7 +87,7 @@ int main() {
               plan.ToAscii(so.quantum, 80).c_str());
 
   // 5. Execute on the simulated cloud and register completed partitions.
-  ExecSimulator sim(SimOptions{});
+  ExecSimulator sim(so, /*seed=*/1);
   auto exec = sim.Run(g, plan, costs);
   if (!exec.ok()) return 1;
   for (const auto& b : exec->builds) {

@@ -4,8 +4,12 @@
 
 namespace dfim {
 
-Cluster::Cluster(ContainerSpec spec, PricingModel pricing, int max_containers)
-    : spec_(spec), pricing_(pricing), max_containers_(max_containers) {}
+Cluster::Cluster(ContainerSpec spec, PricingModel pricing, Seconds quantum,
+                 int max_containers)
+    : spec_(spec),
+      pricing_(pricing),
+      quantum_(quantum),
+      max_containers_(max_containers) {}
 
 void Cluster::SetFaultModel(const FaultModel* model,
                             int64_t preempt_max_quanta) {
@@ -15,12 +19,12 @@ void Cluster::SetFaultModel(const FaultModel* model,
 }
 
 Container* Cluster::AllocateFresh(Seconds now) {
-  auto c = std::make_unique<Container>(next_id_++, spec_, pricing_, now);
+  auto c = std::make_unique<Container>(next_id_++, spec_, quantum_, now);
   if (faults_ != nullptr) {
     Seconds boot = faults_->BootDelay(static_cast<uint64_t>(c->id()));
     if (boot > 0) c->set_usable_at(now + boot);
     Seconds reclaim = faults_->PreemptOnset(static_cast<uint64_t>(c->id()),
-                                            pricing_.quantum,
+                                            quantum_,
                                             preempt_max_quanta_);
     if (reclaim < kNeverFails) c->set_preempt_at(now + reclaim);
   }

@@ -80,7 +80,9 @@ struct AcquireOutcome {
 /// monotone fresh ids).
 class Cluster {
  public:
-  Cluster(ContainerSpec spec, PricingModel pricing, int max_containers);
+  /// Containers lease `quantum`-second quanta billed at `pricing`.
+  Cluster(ContainerSpec spec, PricingModel pricing, Seconds quantum,
+          int max_containers);
 
   /// \brief Attaches the provider fault source for fresh allocations.
   ///
@@ -171,8 +173,6 @@ class Cluster {
 
   const FleetLedger& ledger() const { return ledger_; }
   int max_containers() const { return max_containers_; }
-  const PricingModel& pricing() const { return pricing_; }
-  const ContainerSpec& spec() const { return spec_; }
 
   /// \name Journaled recovery (DESIGN.md §15)
   /// The fleet is control-plane state: a crash loses the lease map and the
@@ -200,6 +200,7 @@ class Cluster {
 
   ContainerSpec spec_;
   PricingModel pricing_;
+  Seconds quantum_;
   int max_containers_;
   int next_id_ = 0;
   int64_t total_quanta_ = 0;

@@ -6,7 +6,6 @@
 #include <memory>
 
 #include "cloud/lru_cache.h"
-#include "cloud/pricing.h"
 #include "common/units.h"
 
 namespace dfim {
@@ -15,27 +14,26 @@ namespace dfim {
 ///
 /// The paper assumes homogeneous containers: 1 CPU, one local disk of
 /// 100 GB at 250 MB/s (typical SSD), and 1 Gbps network (= 125 MB/s). The
-/// simulator models the disk's capacity (the local cache) and the network
-/// rate; CPU and disk speed are folded into the operator cost model.
+/// container models the disk's capacity (the local cache); the network
+/// rate is `SchedulerOptions::net_mb_per_sec`, and CPU and disk speed are
+/// folded into the operator cost model.
 struct ContainerSpec {
   MegaBytes disk = 100.0 * 1024.0;
-  double net_mb_per_sec = 125.0;
 };
 
 /// \brief A leased VM with quantum accounting and a local-disk LRU cache.
 ///
-/// Lease time is pre-paid in whole quanta starting at `lease_start`. The
-/// container is alive until the end of the last charged quantum; extending
-/// the lease past that boundary charges further quanta. When a container is
-/// deleted, its local disk (cache) is lost (paper §3: files on local disk
-/// cannot be recovered).
+/// Lease time is pre-paid in whole `quantum`-second quanta starting at
+/// `lease_start`. The container is alive until the end of the last charged
+/// quantum; extending the lease past that boundary charges further quanta.
+/// When a container is deleted, its local disk (cache) is lost (paper §3:
+/// files on local disk cannot be recovered).
 class Container {
  public:
-  Container(int id, const ContainerSpec& spec, const PricingModel& pricing,
+  Container(int id, const ContainerSpec& spec, Seconds quantum,
             Seconds lease_start);
 
   int id() const { return id_; }
-  const ContainerSpec& spec() const { return spec_; }
 
   Seconds lease_start() const { return lease_start_; }
   /// End of the last charged quantum.
@@ -75,15 +73,9 @@ class Container {
   LruCache& cache() { return cache_; }
   const LruCache& cache() const { return cache_; }
 
-  /// Seconds to pull `size` MB from the storage service over the network.
-  Seconds TransferTime(MegaBytes size) const {
-    return size / spec_.net_mb_per_sec;
-  }
-
  private:
   int id_;
-  ContainerSpec spec_;
-  PricingModel pricing_;
+  Seconds quantum_;
   Seconds lease_start_;
   int64_t quanta_charged_ = 0;
   Seconds usable_at_ = 0;

@@ -6,7 +6,6 @@ PricingModel PricingModel::FromMonthlyStoragePrice(Dollars per_gb_per_month,
                                                    Seconds quantum,
                                                    Dollars vm_price_per_quantum) {
   PricingModel m;
-  m.quantum = quantum;
   m.vm_price_per_quantum = vm_price_per_quantum;
   // Paper: Mst = (MC * 12 * Q) / (365.25 * 24 * 60), Q in minutes, MC per GB.
   double q_minutes = quantum / 60.0;

@@ -13,16 +13,17 @@ namespace dfim {
 /// quantum; storage is charged per MB per quantum at `Mst`. The paper plugs
 /// the pricing model into the scheduler, so everything that needs prices
 /// takes a PricingModel value — swap it to model a different provider.
+/// The quantum itself is `SchedulerOptions::quantum`, the one quantum the
+/// skyline plans, the fleet leases and the storage service bills against.
 struct PricingModel {
-  /// Quantum size `TQ` in seconds (default 60 s, Table 3).
-  Seconds quantum = 60.0;
   /// VM price `Mc` per quantum in dollars (default $0.1, Table 3).
   Dollars vm_price_per_quantum = 0.1;
   /// Storage price `Mst` per MB per quantum (default $1e-4, Table 3).
   Dollars storage_price_per_mb_per_quantum = 1e-4;
 
   /// \brief Derives `Mst` from a per-GB-per-month price, per the paper:
-  /// `Mst = (MC * 12 * Q) / (365.25 * 24 * 60)` with Q in minutes.
+  /// `Mst = (MC * 12 * Q) / (365.25 * 24 * 60)` with Q in minutes, for the
+  /// quantum `quantum` the scheduler plans with.
   static PricingModel FromMonthlyStoragePrice(Dollars per_gb_per_month,
                                               Seconds quantum,
                                               Dollars vm_price_per_quantum);
@@ -36,12 +37,6 @@ struct PricingModel {
   Dollars StorageCost(MegaBytes size, double quanta) const {
     return storage_price_per_mb_per_quantum * size * quanta;
   }
-
-  /// Whole quanta needed to cover `span` seconds.
-  int64_t QuantaFor(Seconds span) const { return QuantaCeil(span, quantum); }
-
-  /// Converts seconds to (fractional) quanta.
-  double ToQuanta(Seconds s) const { return s / quantum; }
 };
 
 }  // namespace dfim

@@ -14,7 +14,7 @@ void StorageService::Settle(Seconds now) {
   if (now <= last_billed_) {
     if (now < last_billed_) ++clock_clamps_;
   } else {
-    double quanta = (now - last_billed_) / pricing_.quantum;
+    double quanta = (now - last_billed_) / quantum_;
     accrued_mb_quanta_ += used_ * quanta;
     accrued_cost_ += pricing_.StorageCost(used_, quanta);
     last_billed_ = now;

@@ -98,7 +98,9 @@ struct StoredObject {
 /// arithmetic is bit-identical to the pre-integrity store.
 class StorageService {
  public:
-  explicit StorageService(PricingModel pricing) : pricing_(pricing) {}
+  /// Bills `pricing`'s `Mst` per MB per `quantum`-second quantum.
+  StorageService(PricingModel pricing, Seconds quantum)
+      : pricing_(pricing), quantum_(quantum) {}
 
   /// Stores (or replaces) an object of the given size at simulated `now`,
   /// applying the integrity stamp. Returns the object's generation: bumped
@@ -233,6 +235,7 @@ class StorageService {
   void RealizeRotUpTo(Seconds now);
 
   PricingModel pricing_;
+  Seconds quantum_;
   std::map<std::string, StoredObject> objects_;
   /// Last generation of each deleted path, so a re-created object continues
   /// the count: its rot draw is fresh, and a rot event pending for the

@@ -90,7 +90,6 @@ class GainModel {
                       MegaBytes size_mb, double fade_d_override = 0) const;
 
   const GainOptions& options() const { return opts_; }
-  const PricingModel& pricing() const { return pricing_; }
 
  private:
   GainOptions opts_;

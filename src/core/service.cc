@@ -60,16 +60,11 @@ std::string_view IndexPolicyToString(IndexPolicy policy) {
 QaasService::QaasService(Catalog* catalog, ServiceOptions options)
     : catalog_(catalog),
       opts_(options),
-      tuner_(catalog, [&options] {
-        TunerOptions t = options.tuner;
-        if (options.policy == IndexPolicy::kGainNoDelete) {
-          t.delete_nonbeneficial = false;
-        }
-        return t;
-      }()),
-      storage_(options.tuner.pricing),
+      tuner_(catalog, options.tuner),
+      storage_(options.tuner.pricing, options.tuner.sched.quantum),
       faults_(options.faults),
       fleet_(options.container, options.tuner.pricing,
+             options.tuner.sched.quantum,
              options.autoscaler.enabled ? options.autoscaler.max_containers
                                         : std::numeric_limits<int>::max()),
       admission_(options.admission, options.brownout),
@@ -564,6 +559,8 @@ Result<TunerDecision> QaasService::Decide(const Dataflow& df, Seconds start,
             df, state_.history, start,
             opts_.resumable_builds ? &state_.build_progress : nullptr,
             build_fraction, fleet_bound));
+    // "Gain (no delete)" keeps every index the tuner flags.
+    if (opts_.policy == IndexPolicy::kGainNoDelete) decision.to_delete.clear();
   } else {
     DFIM_ASSIGN_OR_RETURN(decision, BaselineDecision(df, fleet_bound));
   }
@@ -860,18 +857,16 @@ Result<ExecResult> QaasService::RunAttempt(const TunerDecision& d, int df_id,
   }
   hosts->clear();
   for (const Container* c : containers) hosts->push_back(c->id());
-  SimOptions sim = opts_.sim;
-  sim.quantum = opts_.tuner.sched.quantum;
-  sim.net_mb_per_sec = opts_.tuner.sched.net_mb_per_sec;
-  sim.seed = opts_.seed ^ (static_cast<uint64_t>(df_id) * 0x9e3779b9ULL) ^
-             (static_cast<uint64_t>(attempt) * 0x517cc1b727220a95ULL);
+  const Seconds quantum = opts_.tuner.sched.quantum;
+  const uint64_t seed =
+      opts_.seed ^ (static_cast<uint64_t>(df_id) * 0x9e3779b9ULL) ^
+      (static_cast<uint64_t>(attempt) * 0x517cc1b727220a95ULL);
   // The fault model rides every attempt: at zero rates its draws are the
   // identity and the simulator's result is the fault-free one.
   FaultInjection fi;
   fi.model = &faults_;
   fi.run_key = RunKey(df_id, attempt);
-  fi.trace =
-      faults_.DrawTrace(fi.run_key, nc, d.chosen.TotalSpan(), sim.quantum);
+  fi.trace = faults_.DrawTrace(fi.run_key, nc, d.chosen.TotalSpan(), quantum);
   // Translate each acquired container's absolute provider-reclaim instant
   // into the schedule-relative trace: the simulator drains the doomed
   // container through its notice window and charges nothing past the
@@ -890,12 +885,11 @@ Result<ExecResult> QaasService::RunAttempt(const TunerDecision& d, int df_id,
   // Breaker coordination: a hedge is an extra storage request, and piling
   // duplicates onto a store that already tripped the breaker would
   // double-trip it — suppress hedging while the breaker is open.
-  if (fi.spec.hedge_reads && state_.breaker.OpenAt(t0)) {
-    fi.spec.suppress_hedges = true;
-  }
+  fi.suppress_hedges = fi.spec.hedge_reads && state_.breaker.OpenAt(t0);
   DFIM_ASSIGN_OR_RETURN(
       ExecResult exec,
-      ExecSimulator(sim).Run(d.combined, d.chosen, d.costs, &containers, &fi));
+      ExecSimulator(opts_.tuner.sched, seed, opts_.sim)
+          .Run(d.combined, d.chosen, d.costs, &containers, &fi));
 
   // Lease bookkeeping: extend each container through its realized end
   // (Timeline::last_end() is the per-container high-water mark).
@@ -921,7 +915,7 @@ Result<ExecResult> QaasService::RunAttempt(const TunerDecision& d, int df_id,
   metrics->ops_speculated += exec.ops_speculated;
   metrics->spec_wins += exec.spec_wins;
   metrics->spec_cancelled += exec.spec_cancelled;
-  metrics->spec_cancelled_quanta += exec.spec_cancelled_seconds / sim.quantum;
+  metrics->spec_cancelled_quanta += exec.spec_cancelled_seconds / quantum;
   metrics->hedged_reads += exec.hedged_reads;
   metrics->hedge_wins += exec.hedge_wins;
   metrics->verified_reads += exec.verified_reads;
@@ -1272,12 +1266,7 @@ Result<ServiceMetrics> QaasService::Run(WorkloadClient* client) {
   DFIM_RETURN_NOT_OK(ValidateIntegrityOptions(opts_.integrity));
   DFIM_RETURN_NOT_OK(ValidateAutoscalerOptions(opts_.autoscaler));
   DFIM_RETURN_NOT_OK(ValidateBatchOptions(opts_.batch));
-  if (opts_.tuner.pricing.quantum != opts_.tuner.sched.quantum) {
-    return Status::InvalidArgument(
-        "tuner.pricing.quantum must equal tuner.sched.quantum: the fleet and "
-        "storage bill at the one while the skyline and the knapsack plan at "
-        "the other, so a build is no longer free");
-  }
+  DFIM_RETURN_NOT_OK(ValidateSchedulerOptions(opts_.tuner.sched));
   if (opts_.faults.ctl_enabled() && !opts_.journal.enabled) {
     return Status::InvalidArgument(
         "control-plane crash injection (ctl_crash_rate / crash_at_boundary) "

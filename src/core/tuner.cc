@@ -212,12 +212,10 @@ Result<TunerDecision> OnlineIndexTuner::OnDataflow(
   }
 
   // Lines 13-19: flag non-beneficial available indexes for deletion.
-  if (opts_.delete_nonbeneficial) {
-    for (const auto& idx : available) {
-      auto it = d.gains.find(idx);
-      if (it != d.gains.end() && it->second.deletable) {
-        d.to_delete.push_back(idx);
-      }
+  for (const auto& idx : available) {
+    auto it = d.gains.find(idx);
+    if (it != d.gains.end() && it->second.deletable) {
+      d.to_delete.push_back(idx);
     }
   }
   return d;

@@ -21,13 +21,9 @@ namespace dfim {
 struct TunerOptions {
   GainOptions gain;
   SchedulerOptions sched;
-  /// Provider prices; `pricing.quantum` must equal `sched.quantum`
-  /// (`QaasService::Run` rejects a mismatch).
+  /// Provider prices per `sched.quantum`.
   PricingModel pricing;
   InterleaveMode mode = InterleaveMode::kLp;
-  /// When false, non-beneficial indexes are kept (the paper's
-  /// "Gain (no delete)" arm of Fig. 12/14).
-  bool delete_nonbeneficial = true;
 };
 
 /// \brief Output of one tuning step (Algorithm 1's return values).
@@ -92,7 +88,6 @@ class OnlineIndexTuner {
   bool IsBuilt(const std::string& index_id) const;
 
   const TunerOptions& options() const { return opts_; }
-  const GainModel& gain_model() const { return gain_model_; }
 
  private:
   /// ti(idx): the index's total build time in quanta — a constant of the

@@ -77,9 +77,10 @@ struct Lease {
 /// and the per-container plan and fault record every pass reads.
 class Replay {
  public:
-  Replay(const SimOptions& opts, const Dag& dag, const Schedule& plan,
+  Replay(const SchedulerOptions& sched, const SimOptions& errors,
+         uint64_t seed, const Dag& dag, const Schedule& plan,
          const std::vector<SimOpCost>& costs, const FaultInjection& fi)
-      : opts_(opts),
+      : sched_(sched),
         dag_(dag),
         costs_(costs),
         fi_(fi),
@@ -89,7 +90,7 @@ class Replay {
         sorted_(plan.SortedByContainer()),
         nc_(static_cast<size_t>(plan.num_containers())) {
     // Actual values are drawn once, in op-id order (deterministic).
-    Rng rng(opts_.seed);
+    Rng rng(seed);
     auto perturb = [&rng](double v, double err) {
       if (err <= 0) return v;
       return v * rng.Uniform(1.0 - err, 1.0 + err);
@@ -97,15 +98,15 @@ class Replay {
     cpu_.resize(dag.num_ops());
     input_.resize(dag.num_ops());
     for (size_t i = 0; i < dag.num_ops(); ++i) {
-      cpu_[i] = perturb(costs[i].cpu_time, opts.time_error);
-      input_[i] = perturb(costs[i].input_mb, opts.data_error);
+      cpu_[i] = perturb(costs[i].cpu_time, errors.time_error);
+      input_[i] = perturb(costs[i].input_mb, errors.data_error);
     }
     // A winning clone ships its output back to the planned container, so
     // consumers read it where the plan expects: pre-sum it per producer.
     flow_.resize(dag.num_flows());
     out_flow_mb_.assign(dag.num_ops(), 0);
     for (size_t i = 0; i < dag.num_flows(); ++i) {
-      flow_[i] = perturb(dag.flows()[i].size, opts.data_error);
+      flow_[i] = perturb(dag.flows()[i].size, errors.data_error);
       out_flow_mb_[static_cast<size_t>(dag.flows()[i].from)] += flow_[i];
     }
     seq_.resize(nc_);
@@ -232,7 +233,7 @@ class Replay {
     const Seconds crash_at = faults_[c].crash_at;
     const bool crashed = st.saw_crash[c] != 0 || crash_at < span - 1e-9;
     const Seconds lease_span = crashed ? std::min(span, crash_at) : span;
-    return Lease{std::max<int64_t>(1, QuantaCeil(lease_span, opts_.quantum)),
+    return Lease{std::max<int64_t>(1, QuantaCeil(lease_span, sched_.quantum)),
                  crashed};
   }
 
@@ -324,7 +325,7 @@ class Replay {
           std::find(staged->begin(), staged->end(), from) != staged->end()) {
         continue;
       }
-      t += flow_[static_cast<size_t>(fid)] / opts_.net_mb_per_sec;
+      t += flow_[static_cast<size_t>(fid)] / sched_.net_mb_per_sec;
       staged->push_back(from);
     }
     return t;
@@ -349,7 +350,7 @@ class Replay {
         cache->Touch(cost.cache_key)) {
       return in;
     }
-    in.base_read = input_[id] / opts_.net_mb_per_sec;
+    in.base_read = input_[id] / sched_.net_mb_per_sec;
     // Transient read faults delay the fetch, they do not kill the op; a hedge
     // re-draws under a salted key (the duplicate's fault is independent of
     // the primary's) and the op proceeds with whichever response lands first.
@@ -371,7 +372,7 @@ class Replay {
     if (cost.corrupt_read) {
       // Failed verify: one extra storage read fetches the base-scan input (it
       // matches no cache key, so it bypasses the cache).
-      in.transfer += cost.fallback_input_mb / opts_.net_mb_per_sec;
+      in.transfer += cost.fallback_input_mb / sched_.net_mb_per_sec;
       ++out->corrupt_reads;
       ++out->storage_reads;
     }
@@ -415,12 +416,12 @@ class Replay {
         fi_.model->StorageOpFaults(
             fi_.run_key, static_cast<uint64_t>(a.op_id) | kCloneAttemptBit);
     const Seconds clone_read =
-        fetches ? input_[id] / opts_.net_mb_per_sec +
+        fetches ? input_[id] / sched_.net_mb_per_sec +
                       (clone_fault ? fault_latency_ : 0) + in.verify_charge
                 : 0;
     const Assignment cl =
         FindClone(a, start + watermark, end, clone_read,
-                  out_flow_mb_[id] / opts_.net_mb_per_sec, floor, st);
+                  out_flow_mb_[id] / sched_.net_mb_per_sec, floor, st);
     if (cl.container < 0) return end;
     ++out->ops_speculated;
     if (fetches) {
@@ -471,7 +472,7 @@ class Replay {
       // Cost guard: the clone (run to completion) must fit inside quanta the
       // shadow pass already charged, on a host that survives it and has not
       // been given notice — marginal-cost-zero, like index builds.
-      const Seconds paid = static_cast<double>(floor[hi]) * opts_.quantum;
+      const Seconds paid = static_cast<double>(floor[hi]) * sched_.quantum;
       const Seconds bound = std::min(std::min(paid, f.crash_at), f.notice_at);
       const auto slot = st->tl[hi].FindSlotBounded(t_detect, dur, bound);
       if (!slot.has_value() || *slot >= end - 1e-9) continue;
@@ -482,7 +483,7 @@ class Replay {
     return best;
   }
 
-  const SimOptions& opts_;
+  const SchedulerOptions& sched_;
   const Dag& dag_;
   const std::vector<SimOpCost>& costs_;
   const FaultInjection& fi_;
@@ -563,7 +564,7 @@ Result<ExecResult> ExecSimulator::Run(const Dag& dag, const Schedule& plan,
   static const FaultInjection kIdentity;
   const FaultInjection& fi = faults != nullptr ? *faults : kIdentity;
   DFIM_RETURN_NOT_OK(ValidateRun(dag, plan, costs, containers, fi));
-  const Replay replay(opts_, dag, plan, costs, fi);
+  const Replay replay(sched_, errors_, seed_, dag, plan, costs, fi);
   const auto nc = static_cast<size_t>(plan.num_containers());
   std::vector<LruCache*> caches(nc, nullptr);
   for (size_t c = 0; containers != nullptr && c < nc; ++c) {
@@ -576,7 +577,7 @@ Result<ExecResult> ExecSimulator::Run(const Dag& dag, const Schedule& plan,
   // have charged anyway, the paid quanta clones may use and the floor the
   // real pass is billed at. Without the overlay the floor is zero.
   const bool spec = fi.spec.speculate && nc > 1;
-  const bool hedge = fi.spec.hedge_reads && !fi.spec.suppress_hedges;
+  const bool hedge = fi.spec.hedge_reads && !fi.suppress_hedges;
   std::vector<int64_t> floor(nc, 0);
   if (spec || hedge) {
     std::vector<std::optional<LruCache>> store(nc);
@@ -615,7 +616,7 @@ Result<ExecResult> ExecSimulator::Run(const Dag& dag, const Schedule& plan,
           static_cast<int>(c), f.crash_at,
           f.reclaimed() && f.reclaim_at <= f.crash_at});
     }
-    const Seconds lease_end = static_cast<double>(quanta) * opts_.quantum;
+    const Seconds lease_end = static_cast<double>(quanta) * sched_.quantum;
     replay.BuildPass(c, lease,
                      std::min(lease.crashed ? f.crash_at : lease_end,
                               f.notice_at),
@@ -628,7 +629,7 @@ Result<ExecResult> ExecSimulator::Run(const Dag& dag, const Schedule& plan,
     busy += tl.BusySeconds();
   }
   result.total_idle =
-      static_cast<double>(result.leased_quanta) * opts_.quantum - busy;
+      static_cast<double>(result.leased_quanta) * sched_.quantum - busy;
   result.complete =
       std::none_of(result.lost_ops.begin(), result.lost_ops.end(),
                    [](const LostOp& l) { return !l.optional; });

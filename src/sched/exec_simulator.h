@@ -9,6 +9,7 @@
 #include "common/result.h"
 #include "common/rng.h"
 #include "dataflow/dag.h"
+#include "sched/partial_state.h"
 #include "sched/schedule.h"
 
 namespace dfim {
@@ -48,15 +49,12 @@ struct SimOpCost {
   /// @}
 };
 
-/// \brief Execution-simulator knobs.
+/// \brief Execution-simulator estimation errors.
 struct SimOptions {
-  Seconds quantum = 60.0;
-  double net_mb_per_sec = 125.0;
   /// Runtime estimation error e: actual = estimate * U(1-e, 1+e) (Fig. 6).
   double time_error = 0.0;
   /// Data-size estimation error, same convention.
   double data_error = 0.0;
-  uint64_t seed = 1;
 };
 
 /// \brief Tail-tolerance knobs (speculative re-execution + hedged reads).
@@ -77,10 +75,6 @@ struct SpeculationOptions {
   /// `hedge_after`; first response wins.
   bool hedge_reads = false;
   Seconds hedge_after = 15.0;
-  /// Set by the service while the storage circuit breaker is open: a hedge
-  /// is an *extra* request, and piling duplicates onto a store that is
-  /// already tripping the breaker would double-trip it.
-  bool suppress_hedges = false;
 };
 
 /// Rejects `spec_slowdown_threshold <= 1` (speculation on) and
@@ -99,6 +93,10 @@ struct FaultInjection {
   FaultTrace trace;
   uint64_t run_key = 0;
   SpeculationOptions spec;
+  /// Set by the service while the storage circuit breaker is open: a hedge
+  /// is an *extra* request, and piling duplicates onto a store that is
+  /// already tripping the breaker would double-trip it.
+  bool suppress_hedges = false;
 };
 
 /// \brief One completed index-build operator.
@@ -221,7 +219,11 @@ struct ExecResult {
 /// speculation (DESIGN.md §9).
 class ExecSimulator {
  public:
-  explicit ExecSimulator(SimOptions options) : opts_(options) {}
+  /// Replays plans made under `sched` (its quantum and network rate), with
+  /// the actual runtimes and data sizes drawn from `seed` within `errors`.
+  ExecSimulator(const SchedulerOptions& sched, uint64_t seed,
+                SimOptions errors = {})
+      : sched_(sched), errors_(errors), seed_(seed) {}
 
   /// \brief Executes `plan` for `dag`.
   ///
@@ -237,7 +239,9 @@ class ExecSimulator {
                          const FaultInjection* faults = nullptr);
 
  private:
-  SimOptions opts_;
+  SchedulerOptions sched_;
+  SimOptions errors_;
+  uint64_t seed_;
 };
 
 }  // namespace dfim

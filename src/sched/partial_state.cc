@@ -1,8 +1,23 @@
 #include "sched/partial_state.h"
 
 #include <algorithm>
+#include <cmath>
 
 namespace dfim {
+
+Status ValidateSchedulerOptions(const SchedulerOptions& opts) {
+  if (!(std::isfinite(opts.quantum) && opts.quantum > 0)) {
+    return Status::InvalidArgument("quantum must be finite and positive");
+  }
+  if (!(std::isfinite(opts.net_mb_per_sec) && opts.net_mb_per_sec > 0)) {
+    return Status::InvalidArgument(
+        "net_mb_per_sec must be finite and positive");
+  }
+  if (opts.max_containers < 1) {
+    return Status::InvalidArgument("max_containers must be >= 1");
+  }
+  return Status::OK();
+}
 
 int ContainerArena::Clone(int src) {
   int id;

@@ -9,6 +9,7 @@
 #include <utility>
 #include <vector>
 
+#include "common/status.h"
 #include "common/units.h"
 #include "dataflow/dag.h"
 #include "sched/schedule.h"
@@ -16,7 +17,8 @@
 namespace dfim {
 
 /// \brief Options plugged into the schedulers (paper: "a pricing model is
-/// plugged to the scheduler").
+/// plugged to the scheduler"). The service leases, bills and simulates at
+/// this `quantum` and `net_mb_per_sec` too; no other copy exists.
 struct SchedulerOptions {
   /// Maximum containers a schedule may use (Table 3: 100).
   int max_containers = 100;
@@ -30,6 +32,10 @@ struct SchedulerOptions {
   /// evenly-spaced representatives along the time axis.
   int skyline_cap = 8;
 };
+
+/// Rejects a quantum or network rate that is not finite and positive, and a
+/// max_containers below 1.
+Status ValidateSchedulerOptions(const SchedulerOptions& opts);
 
 /// `opts` planned within a fleet of `bound` containers: a positive bound
 /// narrows max_containers to it when smaller; 0 keeps the configured cap.

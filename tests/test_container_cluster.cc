@@ -7,10 +7,10 @@
 namespace dfim {
 namespace {
 
-PricingModel Pricing() { return PricingModel{}; }
+constexpr Seconds kQuantum = 60;
 
 TEST(ContainerTest, FreshContainerChargedOneQuantum) {
-  Container c(0, ContainerSpec{}, Pricing(), 0);
+  Container c(0, ContainerSpec{}, kQuantum, 0);
   EXPECT_EQ(c.quanta_charged(), 1);
   EXPECT_DOUBLE_EQ(c.lease_end(), 60.0);
   EXPECT_TRUE(c.AliveAt(30));
@@ -19,7 +19,7 @@ TEST(ContainerTest, FreshContainerChargedOneQuantum) {
 }
 
 TEST(ContainerTest, ExtendLeaseChargesWholeQuanta) {
-  Container c(0, ContainerSpec{}, Pricing(), 0);
+  Container c(0, ContainerSpec{}, kQuantum, 0);
   EXPECT_EQ(c.ExtendLeaseTo(30), 0);   // within first quantum
   EXPECT_EQ(c.ExtendLeaseTo(61), 1);   // needs a second
   EXPECT_EQ(c.quanta_charged(), 2);
@@ -29,29 +29,22 @@ TEST(ContainerTest, ExtendLeaseChargesWholeQuanta) {
 }
 
 TEST(ContainerTest, LeaseStartOffset) {
-  Container c(0, ContainerSpec{}, Pricing(), 120);
+  Container c(0, ContainerSpec{}, kQuantum, 120);
   EXPECT_DOUBLE_EQ(c.lease_end(), 180);
   EXPECT_TRUE(c.AliveAt(150));
   EXPECT_FALSE(c.AliveAt(180));
 }
 
 TEST(ContainerTest, QuantumEndAt) {
-  Container c(0, ContainerSpec{}, Pricing(), 0);
+  Container c(0, ContainerSpec{}, kQuantum, 0);
   EXPECT_DOUBLE_EQ(c.QuantumEndAt(0), 60);
   EXPECT_DOUBLE_EQ(c.QuantumEndAt(59), 60);
   EXPECT_DOUBLE_EQ(c.QuantumEndAt(60), 120);  // boundary starts next quantum
   EXPECT_DOUBLE_EQ(c.QuantumEndAt(61), 120);
 }
 
-TEST(ContainerTest, TransferTimeUsesNetSpeed) {
-  ContainerSpec spec;
-  spec.net_mb_per_sec = 125;
-  Container c(0, spec, Pricing(), 0);
-  EXPECT_DOUBLE_EQ(c.TransferTime(1250), 10.0);
-}
-
 TEST(ClusterTest, AcquireAllocatesAndReuses) {
-  Cluster cl(ContainerSpec{}, Pricing(), 10);
+  Cluster cl(ContainerSpec{}, PricingModel{}, kQuantum, 10);
   auto r1 = cl.Acquire(3, 0);
   ASSERT_TRUE(r1.ok());
   EXPECT_EQ(r1->size(), 3u);
@@ -64,7 +57,7 @@ TEST(ClusterTest, AcquireAllocatesAndReuses) {
 }
 
 TEST(ClusterTest, ExpiredContainersReplaced) {
-  Cluster cl(ContainerSpec{}, Pricing(), 10);
+  Cluster cl(ContainerSpec{}, PricingModel{}, kQuantum, 10);
   auto r1 = cl.Acquire(2, 0);
   ASSERT_TRUE(r1.ok());
   // After their quantum, the containers are gone; new ones allocated.
@@ -75,19 +68,19 @@ TEST(ClusterTest, ExpiredContainersReplaced) {
 }
 
 TEST(ClusterTest, RespectsMaxContainers) {
-  Cluster cl(ContainerSpec{}, Pricing(), 2);
+  Cluster cl(ContainerSpec{}, PricingModel{}, kQuantum, 2);
   EXPECT_TRUE(cl.Acquire(2, 0).ok());
   auto r = cl.Acquire(3, 10);
   EXPECT_TRUE(r.status().IsResourceExhausted());
 }
 
 TEST(ClusterTest, RejectsNonPositive) {
-  Cluster cl(ContainerSpec{}, Pricing(), 2);
+  Cluster cl(ContainerSpec{}, PricingModel{}, kQuantum, 2);
   EXPECT_TRUE(cl.Acquire(0, 0).status().IsInvalidArgument());
 }
 
 TEST(ClusterTest, ChargeThroughAccrues) {
-  Cluster cl(ContainerSpec{}, Pricing(), 4);
+  Cluster cl(ContainerSpec{}, PricingModel{}, kQuantum, 4);
   auto r = cl.Acquire(1, 0);
   ASSERT_TRUE(r.ok());
   cl.ChargeThrough((*r)[0], 250);
@@ -96,7 +89,7 @@ TEST(ClusterTest, ChargeThroughAccrues) {
 }
 
 TEST(ClusterTest, AliveCountAndReap) {
-  Cluster cl(ContainerSpec{}, Pricing(), 4);
+  Cluster cl(ContainerSpec{}, PricingModel{}, kQuantum, 4);
   ASSERT_TRUE(cl.Acquire(3, 0).ok());
   EXPECT_EQ(cl.AliveCount(30), 3);
   EXPECT_EQ(cl.ReapExpired(60), 3);
@@ -109,7 +102,7 @@ TEST(ClusterTest, AcquireReuseKeepsStableOrderAndMonotoneIds) {
   // maps to the same VM, so its cache is the one warmed by slot i), and
   // fresh containers always get new, monotone ids — an id is never recycled
   // even after its container was reaped.
-  Cluster cl(ContainerSpec{}, Pricing(), 10);
+  Cluster cl(ContainerSpec{}, PricingModel{}, kQuantum, 10);
   auto r1 = cl.Acquire(3, 0);
   ASSERT_TRUE(r1.ok());
   EXPECT_EQ((*r1)[0]->id(), 0);
@@ -129,7 +122,7 @@ TEST(ClusterTest, ReapExpiredLosesCaches) {
   // Paper §3: an idle VM is deleted when its leased quantum expires, and
   // its local disk (the LRU cache) is gone. A later acquisition gets a
   // fresh, cold container.
-  Cluster cl(ContainerSpec{}, Pricing(), 4);
+  Cluster cl(ContainerSpec{}, PricingModel{}, kQuantum, 4);
   auto r1 = cl.Acquire(1, 0);
   ASSERT_TRUE(r1.ok());
   (*r1)[0]->cache().Put("table/p0", 100.0);
@@ -145,7 +138,7 @@ TEST(ClusterTest, ChargeThroughMatchesContainerLeaseEnd) {
   // Billing identity: the cluster's aggregate bill equals the sum of each
   // container's own quanta_charged, and every lease_end is exactly
   // lease_start + quanta_charged * quantum.
-  Cluster cl(ContainerSpec{}, Pricing(), 4);
+  Cluster cl(ContainerSpec{}, PricingModel{}, kQuantum, 4);
   auto r = cl.Acquire(2, 0);
   ASSERT_TRUE(r.ok());
   cl.ChargeThrough((*r)[0], 250);   // 5 quanta
@@ -163,7 +156,7 @@ TEST(ClusterTest, ChargeThroughMatchesContainerLeaseEnd) {
 TEST(ClusterTest, LegacyAcquireLedgerBalances) {
   // Even the strict pre-elastic path keeps the zero-slack ledger: every
   // fresh allocation is a request, every reaped lease is released_idle.
-  Cluster cl(ContainerSpec{}, Pricing(), 2);
+  Cluster cl(ContainerSpec{}, PricingModel{}, kQuantum, 2);
   ASSERT_TRUE(cl.Acquire(2, 0).ok());
   EXPECT_TRUE(cl.Acquire(3, 10).status().IsResourceExhausted());
   ASSERT_TRUE(cl.Acquire(1, 120).ok());  // both expired; one fresh

@@ -59,8 +59,7 @@ TEST(DeterminismTest, SimulatorSameSeedSameResult) {
   SimOptions so;
   so.time_error = 0.3;
   so.data_error = 0.3;
-  so.seed = 77;
-  ExecSimulator sim(so);
+  ExecSimulator sim(SchedulerOptions{}, /*seed=*/77, so);
   auto r1 = sim.Run(g, skyline->front(), costs);
   auto r2 = sim.Run(g, skyline->front(), costs);
   ASSERT_TRUE(r1.ok());
@@ -68,8 +67,7 @@ TEST(DeterminismTest, SimulatorSameSeedSameResult) {
   EXPECT_DOUBLE_EQ(r1->makespan, r2->makespan);
   EXPECT_EQ(r1->leased_quanta, r2->leased_quanta);
   // A different seed produces a different perturbation.
-  so.seed = 78;
-  ExecSimulator sim2(so);
+  ExecSimulator sim2(SchedulerOptions{}, /*seed=*/78, so);
   auto r3 = sim2.Run(g, skyline->front(), costs);
   ASSERT_TRUE(r3.ok());
   EXPECT_NE(r1->makespan, r3->makespan);

@@ -24,10 +24,9 @@ TEST(EdgeCaseTest, TinyContainerCacheEvictsBetweenReads) {
 
   ContainerSpec spec;
   spec.disk = 9000;  // fits one 7500 MB input, not two
-  PricingModel pricing;
-  Container cont(0, spec, pricing, 0);
+  Container cont(0, spec, /*quantum=*/60, 0);
   std::vector<Container*> containers{&cont};
-  ExecSimulator sim(SimOptions{});
+  ExecSimulator sim(SchedulerOptions{}, /*seed=*/1);
   auto r = sim.Run(g, plan, costs, &containers);
   ASSERT_TRUE(r.ok());
   // op0: 60+1; op1: evicts A, 60+1; op2: A gone again, 60+1.
@@ -44,10 +43,9 @@ TEST(EdgeCaseTest, WarmCacheSkipsThirdRead) {
   std::vector<SimOpCost> costs{{1, 7500, "A"}, {1, 7500, "B"}, {1, 7500, "A"}};
   ContainerSpec spec;
   spec.disk = 20000;
-  PricingModel pricing;
-  Container cont(0, spec, pricing, 0);
+  Container cont(0, spec, /*quantum=*/60, 0);
   std::vector<Container*> containers{&cont};
-  ExecSimulator sim(SimOptions{});
+  ExecSimulator sim(SchedulerOptions{}, /*seed=*/1);
   auto r = sim.Run(g, plan, costs, &containers);
   ASSERT_TRUE(r.ok());
   EXPECT_NEAR(r->makespan, 61 + 61 + 1, 1e-9);
@@ -60,8 +58,7 @@ TEST(EdgeCaseTest, DataErrorPerturbsTransfers) {
   std::vector<SimOpCost> costs{{1, 12500, "k"}};  // 100 s transfer
   SimOptions so;
   so.data_error = 0.5;
-  so.seed = 3;
-  ExecSimulator sim(so);
+  ExecSimulator sim(SchedulerOptions{}, /*seed=*/3, so);
   auto r = sim.Run(g, plan, costs);
   ASSERT_TRUE(r.ok());
   EXPECT_NE(r->makespan, 101.0);
@@ -111,7 +108,7 @@ TEST(EdgeCaseTest, SimulatorRejectsOpIdOutsideDag) {
   plan.Add(Assignment{0, 0, 0, 10, false});
   plan.Add(Assignment{5, 0, 10, 20, false});  // no op 5 in the dag
   std::vector<SimOpCost> costs(g.num_ops());
-  ExecSimulator sim(SimOptions{});
+  ExecSimulator sim(SchedulerOptions{}, /*seed=*/1);
   EXPECT_TRUE(sim.Run(g, plan, costs).status().IsInvalidArgument());
 }
 
@@ -120,7 +117,7 @@ TEST(EdgeCaseTest, SimulatorRejectsNegativeContainer) {
   Schedule plan;
   plan.Add(Assignment{0, -1, 0, 10, false});
   std::vector<SimOpCost> costs(g.num_ops());
-  ExecSimulator sim(SimOptions{});
+  ExecSimulator sim(SchedulerOptions{}, /*seed=*/1);
   EXPECT_TRUE(sim.Run(g, plan, costs).status().IsInvalidArgument());
 }
 
@@ -128,7 +125,7 @@ TEST(EdgeCaseTest, SimulatorRejectsNegativeCosts) {
   Dag g = testutil::Independent(1, 10);
   Schedule plan;
   plan.Add(Assignment{0, 0, 0, 10, false});
-  ExecSimulator sim(SimOptions{});
+  ExecSimulator sim(SchedulerOptions{}, /*seed=*/1);
   std::vector<SimOpCost> bad_cpu{SimOpCost{-1.0, 0, ""}};
   EXPECT_TRUE(sim.Run(g, plan, bad_cpu).status().IsInvalidArgument());
   std::vector<SimOpCost> bad_input{SimOpCost{1.0, -5.0, ""}};
@@ -143,10 +140,9 @@ TEST(EdgeCaseTest, SimulatorRejectsShortContainerVector) {
   plan.Add(Assignment{1, 1, 0, 10, false});
   std::vector<SimOpCost> costs(g.num_ops());
   ContainerSpec spec;
-  PricingModel pricing;
-  Container cont(0, spec, pricing, 0);
+  Container cont(0, spec, /*quantum=*/60, 0);
   std::vector<Container*> containers{&cont};
-  ExecSimulator sim(SimOptions{});
+  ExecSimulator sim(SchedulerOptions{}, /*seed=*/1);
   EXPECT_TRUE(
       sim.Run(g, plan, costs, &containers).status().IsInvalidArgument());
 }

@@ -13,15 +13,6 @@ using testutil::IdentityFaults;
 using testutil::Independent;
 using testutil::OpTimes;
 
-SimOptions NoError() {
-  SimOptions o;
-  o.quantum = 60;
-  o.net_mb_per_sec = 125;
-  o.time_error = 0;
-  o.data_error = 0;
-  return o;
-}
-
 std::vector<SimOpCost> CostsFromTimes(const Dag& g) {
   std::vector<SimOpCost> costs(g.num_ops());
   for (const auto& op : g.ops()) {
@@ -41,7 +32,7 @@ TEST(ExecSimulatorTest, ExactReplayWithoutErrors) {
   Dag g = Chain(4, 15);
   SchedulerOptions so;
   Schedule plan = PlanOf(g, so);
-  ExecSimulator sim(NoError());
+  ExecSimulator sim(so, /*seed=*/1);
   auto r = sim.Run(g, plan, CostsFromTimes(g));
   ASSERT_TRUE(r.ok());
   EXPECT_NEAR(r->makespan, plan.makespan(), 1e-9);
@@ -54,17 +45,16 @@ TEST(ExecSimulatorTest, ExactReplayWithoutErrors) {
 TEST(ExecSimulatorTest, CostSizeMismatchRejected) {
   Dag g = Chain(2, 10);
   Schedule plan = PlanOf(g, SchedulerOptions{});
-  ExecSimulator sim(NoError());
+  ExecSimulator sim(SchedulerOptions{}, /*seed=*/1);
   EXPECT_TRUE(sim.Run(g, plan, {}).status().IsInvalidArgument());
 }
 
 TEST(ExecSimulatorTest, TimeErrorPerturbsMakespan) {
   Dag g = Chain(10, 20);
   Schedule plan = PlanOf(g, SchedulerOptions{});
-  SimOptions o = NoError();
+  SimOptions o;
   o.time_error = 0.5;
-  o.seed = 7;
-  ExecSimulator sim(o);
+  ExecSimulator sim(SchedulerOptions{}, /*seed=*/7, o);
   auto r = sim.Run(g, plan, CostsFromTimes(g));
   ASSERT_TRUE(r.ok());
   EXPECT_NE(r->makespan, plan.makespan());
@@ -84,7 +74,7 @@ TEST(ExecSimulatorTest, BuildOpInTailCompletes) {
   Schedule plan = skyline->front();
   ASSERT_EQ(plan.size(), 2u);  // build op interleaved in the 60 s quantum
 
-  ExecSimulator sim(NoError());
+  ExecSimulator sim(SchedulerOptions{}, /*seed=*/1);
   auto r = sim.Run(g, plan, CostsFromTimes(g));
   ASSERT_TRUE(r.ok());
   ASSERT_EQ(r->builds.size(), 1u);
@@ -117,7 +107,7 @@ TEST(ExecSimulatorTest, BuildOpKilledByDataflowArrival) {
 
   // Force op0 to overrun via a longer actual cpu time.
   std::vector<SimOpCost> costs{{35, 0, ""}, {20, 0, ""}, {19, 0, ""}};
-  ExecSimulator sim(NoError());
+  ExecSimulator sim(SchedulerOptions{}, /*seed=*/1);
   auto r = sim.Run(g, plan, costs);
   ASSERT_TRUE(r.ok());
   // op0 ends at 35; op1 starts at 35 (dep satisfied, build preempted).
@@ -145,7 +135,7 @@ TEST(ExecSimulatorTest, BuildOpKilledAtLeaseEnd) {
   plan.Add(Assignment{1, 0, 30, 75, true});
   // The plan itself leases 2 quanta (planned end 75) — the build op may run
   // through 120... but the plan says 75, so lease covers ceil(75/60)=2.
-  ExecSimulator sim(NoError());
+  ExecSimulator sim(SchedulerOptions{}, /*seed=*/1);
   auto r = sim.Run(g, plan, CostsFromTimes(g));
   ASSERT_TRUE(r.ok());
   // 30 + 45 = 75 <= 120 (2 leased quanta): completes.
@@ -176,10 +166,9 @@ TEST(ExecSimulatorTest, CacheAbsorbsRepeatReads) {
   plan.Add(Assignment{0, 0, 0, 110, false});
   std::vector<SimOpCost> costs{{10, 12500, "file:a|v1"}};  // 100 s transfer
 
-  PricingModel pricing;
-  Container cont(0, ContainerSpec{}, pricing, 0);
+  Container cont(0, ContainerSpec{}, /*quantum=*/60, 0);
   std::vector<Container*> containers{&cont};
-  ExecSimulator sim(NoError());
+  ExecSimulator sim(SchedulerOptions{}, /*seed=*/1);
   auto first = sim.Run(g, plan, costs, &containers);
   ASSERT_TRUE(first.ok());
   EXPECT_NEAR(first->makespan, 110, 1e-9);  // 100 transfer + 10 cpu
@@ -193,7 +182,7 @@ TEST(ExecSimulatorTest, CrossContainerFlowPaysTransfer) {
   Schedule plan;
   plan.Add(Assignment{0, 0, 0, 10, false});
   plan.Add(Assignment{1, 1, 20, 30, false});
-  ExecSimulator sim(NoError());
+  ExecSimulator sim(SchedulerOptions{}, /*seed=*/1);
   auto r = sim.Run(g, plan, CostsFromTimes(g));
   ASSERT_TRUE(r.ok());
   EXPECT_NEAR(r->makespan, 30, 1e-9);  // 10 + 10 transfer + 10
@@ -211,7 +200,7 @@ TEST(ExecSimulatorTest, FragmentationReported) {
   Dag g = Independent(1, 30);
   Schedule plan;
   plan.Add(Assignment{0, 0, 0, 30, false});
-  ExecSimulator sim(NoError());
+  ExecSimulator sim(SchedulerOptions{}, /*seed=*/1);
   auto r = sim.Run(g, plan, CostsFromTimes(g));
   ASSERT_TRUE(r.ok());
   EXPECT_EQ(r->leased_quanta, 1);
@@ -254,7 +243,7 @@ struct ReclaimScenario {
 
 TEST(ExecSimReclaimTest, NoticeDrainsContainerAndStopsRunningBuild) {
   ReclaimScenario sc;
-  ExecSimulator sim(NoError());
+  ExecSimulator sim(SchedulerOptions{}, /*seed=*/1);
   auto r = sim.Run(sc.g, sc.plan, CostsFromTimes(sc.g), nullptr, &sc.fi);
   ASSERT_TRUE(r.ok());
   // Nothing is dispatched at or after a notice, and nothing runs past a
@@ -297,7 +286,7 @@ TEST(ExecSimReclaimTest, NoticeDrainsContainerAndStopsRunningBuild) {
 TEST(ExecSimReclaimTest, ZeroNoticeLosesRunningBuildLikeACrash) {
   ReclaimScenario sc;
   sc.fi.trace.containers[0].notice_at = 45;  // no window to stage anything
-  ExecSimulator sim(NoError());
+  ExecSimulator sim(SchedulerOptions{}, /*seed=*/1);
   auto r = sim.Run(sc.g, sc.plan, CostsFromTimes(sc.g), nullptr, &sc.fi);
   ASSERT_TRUE(r.ok());
   EXPECT_TRUE(r->kills.empty());
@@ -338,7 +327,7 @@ TEST(ExecSimReclaimTest, NoCloneRunsPastTheHostsNotice) {
   fi.trace.containers[0].slowdown = 5;
   fi.spec.speculate = true;
   fi.spec.spec_slowdown_threshold = 1.5;
-  ExecSimulator sim(NoError());
+  ExecSimulator sim(SchedulerOptions{}, /*seed=*/1);
   auto free_host = sim.Run(g, plan, CostsFromTimes(g), nullptr, &fi);
   ASSERT_TRUE(free_host.ok());
   ASSERT_EQ(free_host->spec_wins, 1);

@@ -63,7 +63,7 @@ TEST_F(ResumableBuildTest, SimulatorReportsPartialProgress) {
   plan.Add(Assignment{0, 0, 0, 30, false});
   plan.Add(Assignment{1, 0, 30, 59, true});
   std::vector<SimOpCost> costs{{30, 0, ""}, {100, 0, ""}};
-  ExecSimulator sim(SimOptions{});
+  ExecSimulator sim(SchedulerOptions{}, /*seed=*/1);
   auto r = sim.Run(g, plan, costs);
   ASSERT_TRUE(r.ok());
   ASSERT_EQ(r->kills.size(), 1u);

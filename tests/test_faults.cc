@@ -160,8 +160,7 @@ TEST(FaultOptionsValidationTest, SimulatorRejectsBadModelOptions) {
   FaultInjection fi;
   fi.trace.containers.resize(static_cast<size_t>(plan.num_containers()));
   fi.model = &model;
-  SimOptions so;
-  ExecSimulator sim(so);
+  ExecSimulator sim(SchedulerOptions{}, /*seed=*/1);
   auto r = sim.Run(g, plan, costs, nullptr, &fi);
   EXPECT_FALSE(r.ok());
   EXPECT_TRUE(r.status().IsInvalidArgument());
@@ -220,13 +219,6 @@ TEST(FaultOptionsValidationTest, ServiceRejectsBadKnobsAtEntry) {
 
 // ---- ExecSimulator under injected faults -----------------------------------
 
-SimOptions NoError() {
-  SimOptions o;
-  o.quantum = 60;
-  o.net_mb_per_sec = 125;
-  return o;
-}
-
 std::vector<SimOpCost> CostsFromTimes(const Dag& g) {
   std::vector<SimOpCost> costs(g.num_ops());
   for (const auto& op : g.ops()) {
@@ -245,10 +237,9 @@ Schedule PlanOf(const Dag& g) {
 TEST(ExecSimFaultTest, IdentityTraceBitIdenticalToNoInjection) {
   Dag g = Chain(6, 25);
   Schedule plan = PlanOf(g);
-  SimOptions o = NoError();
+  SimOptions o;
   o.time_error = 0.3;
-  o.seed = 17;
-  ExecSimulator sim(o);
+  ExecSimulator sim(SchedulerOptions{}, /*seed=*/17, o);
   auto base = sim.Run(g, plan, CostsFromTimes(g));
   ASSERT_TRUE(base.ok());
   FaultInjection fi = IdentityFaults(plan.num_containers());
@@ -344,29 +335,27 @@ TEST(ExecSimFaultTest, ZeroRateModelBitIdenticalToNoInjection) {
   const Schedule& plan = skyline->front();
   const int nc = plan.num_containers();
 
-  SimOptions o = NoError();
+  SimOptions o;
   o.time_error = 0.3;
   o.data_error = 0.2;
-  o.seed = 29;
   const FaultModel zero{FaultOptions{}};
   ASSERT_FALSE(zero.enabled());
   FaultInjection fi;
   fi.model = &zero;
   fi.run_key = 0x9e3779b9ULL;
-  fi.trace = zero.DrawTrace(fi.run_key, nc, plan.TotalSpan(), o.quantum);
+  fi.trace = zero.DrawTrace(fi.run_key, nc, plan.TotalSpan(), so.quantum);
 
   // Two runs on one fresh fleet: the first fills the caches, the second
   // reads through them.
   auto run_twice = [&](const FaultInjection* faults) {
-    PricingModel pricing;
     std::vector<std::unique_ptr<Container>> owned;
     std::vector<Container*> containers;
     for (int c = 0; c < nc; ++c) {
       owned.push_back(
-          std::make_unique<Container>(c, ContainerSpec{}, pricing, 0));
+          std::make_unique<Container>(c, ContainerSpec{}, so.quantum, 0));
       containers.push_back(owned.back().get());
     }
-    ExecSimulator sim(o);
+    ExecSimulator sim(so, /*seed=*/29, o);
     std::vector<ExecResult> out;
     for (int rep = 0; rep < 2; ++rep) {
       auto r = sim.Run(g, plan, costs, &containers, faults);
@@ -394,7 +383,7 @@ TEST(ExecSimFaultTest, CrashLosesUnfinishedOpsAndCascades) {
   Dag g = Chain(4, 15);
   Schedule plan = PlanOf(g);
   ASSERT_EQ(plan.num_containers(), 1);
-  ExecSimulator sim(NoError());
+  ExecSimulator sim(SchedulerOptions{}, /*seed=*/1);
   FaultInjection fi = IdentityFaults(1);
   fi.trace.containers[0].crash_at = 40.0;
   auto r = sim.Run(g, plan, CostsFromTimes(g), nullptr, &fi);
@@ -416,7 +405,7 @@ TEST(ExecSimFaultTest, CrashLosesUnfinishedOpsAndCascades) {
 TEST(ExecSimFaultTest, CrashBeforeAnyWorkLosesWholeDataflow) {
   Dag g = Chain(3, 20);
   Schedule plan = PlanOf(g);
-  ExecSimulator sim(NoError());
+  ExecSimulator sim(SchedulerOptions{}, /*seed=*/1);
   FaultInjection fi = IdentityFaults(plan.num_containers());
   for (auto& c : fi.trace.containers) c.crash_at = 0.0;
   auto r = sim.Run(g, plan, CostsFromTimes(g), nullptr, &fi);
@@ -430,7 +419,7 @@ TEST(ExecSimFaultTest, StragglerStretchesMakespan) {
   Dag g = Chain(4, 15);
   Schedule plan = PlanOf(g);
   ASSERT_EQ(plan.num_containers(), 1);
-  ExecSimulator sim(NoError());
+  ExecSimulator sim(SchedulerOptions{}, /*seed=*/1);
   FaultInjection fi = IdentityFaults(1);
   fi.trace.containers[0].slowdown = 2.0;
   auto r = sim.Run(g, plan, CostsFromTimes(g), nullptr, &fi);
@@ -457,7 +446,7 @@ TEST(ExecSimFaultTest, StorageReadFaultAddsLatency) {
   FaultInjection fi = IdentityFaults(plan.num_containers());
   fi.model = &model;
   fi.run_key = 1;
-  ExecSimulator sim(NoError());
+  ExecSimulator sim(SchedulerOptions{}, /*seed=*/1);
   auto r = sim.Run(g, plan, costs, nullptr, &fi);
   ASSERT_TRUE(r.ok());
   EXPECT_EQ(r->storage_faults, 1);
@@ -478,7 +467,7 @@ TEST(ExecSimFaultTest, CrashKilledBuildLeavesNoResumableProgress) {
   Schedule plan = skyline->front();
   ASSERT_EQ(plan.size(), 2u);
 
-  ExecSimulator sim(NoError());
+  ExecSimulator sim(SchedulerOptions{}, /*seed=*/1);
   FaultInjection fi = IdentityFaults(plan.num_containers());
   fi.trace.containers[0].crash_at = 40.0;  // dataflow op done at 30, build cut
   auto r = sim.Run(g, plan, CostsFromTimes(g), nullptr, &fi);

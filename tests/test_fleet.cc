@@ -68,7 +68,7 @@ TEST(ClusterElasticTest, BootingContainersCountAsCoverage) {
   fo.boot_delay_max = 50.0;
   fo.seed = 3;
   FaultModel fm(fo);
-  Cluster cl(ContainerSpec{}, Pricing(), 8);
+  Cluster cl(ContainerSpec{}, Pricing(), /*quantum=*/60, 8);
   cl.SetFaultModel(&fm, 100);
   AcquireOutcome out = cl.AcquireUsable(4, 0);
   // Every request was granted; booted ones are usable, the rest in flight.
@@ -93,7 +93,7 @@ TEST(ClusterElasticTest, QuotaThrottleExemptsTheFirstVm) {
   fo.acquire_fail_rate = 1.0;  // the provider denies everything it can
   fo.seed = 7;
   FaultModel fm(fo);
-  Cluster cl(ContainerSpec{}, Pricing(), 8);
+  Cluster cl(ContainerSpec{}, Pricing(), /*quantum=*/60, 8);
   cl.SetFaultModel(&fm, 100);
   AcquireOutcome out = cl.AcquireUsable(3, 0);
   // The first VM of an empty fleet is exempt; the other two are throttled.
@@ -111,7 +111,7 @@ TEST(ClusterElasticTest, QuotaThrottleExemptsTheFirstVm) {
 }
 
 TEST(ClusterElasticTest, CapacityDenialsAreCounted) {
-  Cluster cl(ContainerSpec{}, Pricing(), 2);
+  Cluster cl(ContainerSpec{}, Pricing(), /*quantum=*/60, 2);
   AcquireOutcome out = cl.AcquireUsable(5, 0);
   EXPECT_EQ(out.usable.size(), 2u);
   EXPECT_EQ(out.denied_capacity, 3);
@@ -123,7 +123,7 @@ TEST(ClusterElasticTest, CapacityDenialsAreCounted) {
 }
 
 TEST(ClusterElasticTest, DrainReleasesEarliestLeaseEndFirst) {
-  Cluster cl(ContainerSpec{}, Pricing(), 8);
+  Cluster cl(ContainerSpec{}, Pricing(), /*quantum=*/60, 8);
   auto r = cl.Acquire(3, 0);
   ASSERT_TRUE(r.ok());
   cl.ChargeThrough((*r)[0], 150);  // lease_end 180
@@ -140,7 +140,7 @@ TEST(ClusterElasticTest, DrainReleasesEarliestLeaseEndFirst) {
 }
 
 TEST(ClusterElasticTest, ReapClassifiesPreemptionSeparately) {
-  Cluster cl(ContainerSpec{}, Pricing(), 4);
+  Cluster cl(ContainerSpec{}, Pricing(), /*quantum=*/60, 4);
   auto r = cl.Acquire(2, 0);
   ASSERT_TRUE(r.ok());
   // The provider reclaims container 0 mid-lease.
@@ -156,7 +156,7 @@ TEST(ClusterElasticTest, ReapClassifiesPreemptionSeparately) {
 }
 
 TEST(ClusterElasticTest, RemoveFailedClassifiesCrashVsPreempt) {
-  Cluster cl(ContainerSpec{}, Pricing(), 4);
+  Cluster cl(ContainerSpec{}, Pricing(), /*quantum=*/60, 4);
   auto r = cl.Acquire(2, 0);
   ASSERT_TRUE(r.ok());
   cl.RemoveFailed((*r)[0], /*preempted=*/true);
@@ -171,7 +171,7 @@ TEST(ClusterElasticTest, NextUsableAtSkipsDoomedBoots) {
   FaultOptions fo;  // zero rates: attach only to set the notice window
   fo.preempt_notice = 10.0;
   FaultModel fm(fo);
-  Cluster cl(ContainerSpec{}, Pricing(), 4);
+  Cluster cl(ContainerSpec{}, Pricing(), /*quantum=*/60, 4);
   cl.SetFaultModel(&fm, 100);
   AcquireOutcome out = cl.AcquireUsable(2, 0);
   ASSERT_EQ(out.usable.size(), 2u);

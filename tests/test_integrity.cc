@@ -31,7 +31,7 @@ namespace {
 // ---- StorageService: stamps, generations, tokens, rot ----------------------
 
 TEST(StorageIntegrityTest, GenerationBumpsAndTokenReplayIsNoOp) {
-  StorageService s{PricingModel{}};
+  StorageService s{PricingModel{}, /*quantum=*/60};
   EXPECT_EQ(s.Generation("a"), 0);  // absent
   EXPECT_EQ(s.Put("a", 10, 0.0), 1);
   EXPECT_EQ(s.Put("a", 10, 1.0), 2);  // overwrite bumps
@@ -48,7 +48,7 @@ TEST(StorageIntegrityTest, GenerationBumpsAndTokenReplayIsNoOp) {
 }
 
 TEST(StorageIntegrityTest, TornWriteDetectedExactlyOnce) {
-  StorageService s{PricingModel{}};
+  StorageService s{PricingModel{}, /*quantum=*/60};
   PutStamp torn;
   torn.torn = true;
   s.Put("idx/p.0", 64, 0.0, torn);
@@ -65,7 +65,7 @@ TEST(StorageIntegrityTest, TornWriteDetectedExactlyOnce) {
 }
 
 TEST(StorageIntegrityTest, RotRealizesAtItsOnsetInstant) {
-  StorageService s{PricingModel{}};
+  StorageService s{PricingModel{}, /*quantum=*/60};
   PutStamp rot;
   rot.rot_at = 100.0;
   s.Put("a", 10, 0.0, rot);
@@ -79,7 +79,7 @@ TEST(StorageIntegrityTest, RotRealizesAtItsOnsetInstant) {
 }
 
 TEST(StorageIntegrityTest, OverwriteInvalidatesPendingRot) {
-  StorageService s{PricingModel{}};
+  StorageService s{PricingModel{}, /*quantum=*/60};
   PutStamp rot;
   rot.rot_at = 100.0;
   s.Put("a", 10, 0.0, rot);
@@ -93,7 +93,7 @@ TEST(StorageIntegrityTest, OverwriteInvalidatesPendingRot) {
 }
 
 TEST(StorageIntegrityTest, DeleteThenPutContinuesTheGeneration) {
-  StorageService s{PricingModel{}};
+  StorageService s{PricingModel{}, /*quantum=*/60};
   PutStamp rot;
   rot.rot_at = 100.0;
   EXPECT_EQ(s.NextGeneration("a"), 1);
@@ -111,7 +111,7 @@ TEST(StorageIntegrityTest, DeleteThenPutContinuesTheGeneration) {
 }
 
 TEST(StorageIntegrityTest, UndetectedCorruptionDiesOnOverwriteOrDelete) {
-  StorageService s{PricingModel{}};
+  StorageService s{PricingModel{}, /*quantum=*/60};
   PutStamp torn;
   torn.torn = true;
   s.Put("a", 10, 0.0, torn);

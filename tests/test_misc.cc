@@ -43,7 +43,7 @@ TEST(FlowStagingTest, SecondConsumerOnSameContainerReadsLocally) {
   plan.Add(Assignment{1, 1, 10, 25, false});
   plan.Add(Assignment{2, 1, 25, 30, false});
   std::vector<SimOpCost> costs{{10, 0, ""}, {5, 0, ""}, {5, 0, ""}};
-  ExecSimulator sim(SimOptions{});
+  ExecSimulator sim(SchedulerOptions{}, /*seed=*/1);
   auto r = sim.Run(g, plan, costs);
   ASSERT_TRUE(r.ok());
   // op1: starts 10, +10 transfer +5 cpu = 25. op2: transfer already staged,

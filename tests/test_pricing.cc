@@ -7,7 +7,6 @@ namespace {
 
 TEST(PricingTest, PaperDefaults) {
   PricingModel p;
-  EXPECT_DOUBLE_EQ(p.quantum, 60.0);
   EXPECT_DOUBLE_EQ(p.vm_price_per_quantum, 0.1);
   EXPECT_DOUBLE_EQ(p.storage_price_per_mb_per_quantum, 1e-4);
 }
@@ -24,13 +23,6 @@ TEST(PricingTest, StorageCost) {
   EXPECT_NEAR(p.StorageCost(100, 10), 0.1, 1e-12);
 }
 
-TEST(PricingTest, QuantaConversions) {
-  PricingModel p;
-  EXPECT_EQ(p.QuantaFor(0), 0);
-  EXPECT_EQ(p.QuantaFor(61), 2);
-  EXPECT_DOUBLE_EQ(p.ToQuanta(90), 1.5);
-}
-
 TEST(PricingTest, FromMonthlyStoragePriceFollowsPaperFormula) {
   // Paper: Mst = (MC * 12 * Q) / (365.25 * 24 * 60), Q in minutes, per GB.
   PricingModel p = PricingModel::FromMonthlyStoragePrice(
@@ -38,7 +30,6 @@ TEST(PricingTest, FromMonthlyStoragePriceFollowsPaperFormula) {
   double expected_per_gb = 10.0 * 12.0 * 1.0 / (365.25 * 24.0 * 60.0);
   EXPECT_NEAR(p.storage_price_per_mb_per_quantum, expected_per_gb / 1024.0,
               1e-15);
-  EXPECT_DOUBLE_EQ(p.quantum, 60.0);
   EXPECT_DOUBLE_EQ(p.vm_price_per_quantum, 0.1);
 }
 

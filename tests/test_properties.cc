@@ -98,7 +98,7 @@ TEST_P(RandomDagProperty, ExactReplayMatchesPlan) {
   SkylineScheduler sched(so);
   auto skyline = sched.ScheduleDag(g, durations, /*place_optional=*/false);
   ASSERT_TRUE(skyline.ok());
-  ExecSimulator sim(SimOptions{});  // zero error
+  ExecSimulator sim(SchedulerOptions{}, /*seed=*/1);  // zero error
   for (const auto& plan : *skyline) {
     auto r = sim.Run(g, plan, CostsOf(g));
     ASSERT_TRUE(r.ok());

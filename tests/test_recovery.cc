@@ -312,7 +312,7 @@ TEST(RecoveryTest, StorageTokenDedupesAcrossReconstructedConsumer) {
   // The store outlives the control plane. A persist landed with a token
   // before the crash must dedupe when a recovered (reconstructed) service
   // replays it: same generation, no re-billing, stamps ignored.
-  StorageService store((PricingModel()));
+  StorageService store(PricingModel{}, /*quantum=*/60);
   PutStamp stamp;
   stamp.token = 0x9001;
   int64_t gen = store.Put("idx/p0", 100.0, 60.0, stamp);

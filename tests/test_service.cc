@@ -2,6 +2,8 @@
 
 #include <gtest/gtest.h>
 
+#include <cmath>
+#include <optional>
 #include <string>
 #include <tuple>
 #include <vector>
@@ -149,18 +151,174 @@ TEST(ServiceTest, ClosedLoopArrivalAtTheHorizonIsShed) {
   EXPECT_TRUE(m->timeline.empty());
 }
 
-TEST(ServiceTest, RunRejectsPricingQuantumUnlikeSchedulerQuantum) {
-  // The scheduler plans 5-minute quanta while the default pricing bills
-  // 1-minute ones: builds packed into planned idle time would be billed.
+/// The status of a Montage run whose scheduler options `tweak` changed.
+Status RunWithScheduler(void (*tweak)(SchedulerOptions*)) {
   ServiceFixture f(IndexPolicy::kGain);
   ServiceOptions so;
-  so.total_time = 50.0 * 60.0;
-  so.tuner.sched.quantum = 300;
+  so.total_time = 20.0 * 60.0;
+  tweak(&so.tuner.sched);
   QaasService service(&f.catalog, so);
   PhaseWorkloadClient client(f.gen.get(), 60.0, {{AppType::kMontage, 1e9}},
                              5);
-  auto m = service.Run(&client);
-  EXPECT_TRUE(m.status().IsInvalidArgument()) << m.status().ToString();
+  return service.Run(&client).status();
+}
+
+bool Names(const Status& status, const std::string& what) {
+  return status.IsInvalidArgument() &&
+         status.message().find(what) != std::string::npos;
+}
+
+TEST(ServiceTest, RunRejectsAQuantumThatIsNotFiniteAndPositive) {
+  // Zero and negative quanta used to hang the run; NaN was rejected only as
+  // a billing mismatch.
+  for (auto tweak : {+[](SchedulerOptions* o) { o->quantum = 0; },
+                     +[](SchedulerOptions* o) { o->quantum = -60; },
+                     +[](SchedulerOptions* o) { o->quantum = std::nan(""); },
+                     +[](SchedulerOptions* o) { o->quantum = 1.0 / 0.0; }}) {
+    const Status st = RunWithScheduler(tweak);
+    EXPECT_TRUE(Names(st, "quantum must be finite and positive"))
+        << st.ToString();
+  }
+}
+
+TEST(ServiceTest, RunRejectsANetworkRateThatIsNotFiniteAndPositive) {
+  // A zero rate used to finish nothing and bill NaN for storage.
+  for (auto tweak :
+       {+[](SchedulerOptions* o) { o->net_mb_per_sec = 0; },
+        +[](SchedulerOptions* o) { o->net_mb_per_sec = -125; },
+        +[](SchedulerOptions* o) { o->net_mb_per_sec = std::nan(""); }}) {
+    const Status st = RunWithScheduler(tweak);
+    EXPECT_TRUE(Names(st, "net_mb_per_sec must be finite and positive"))
+        << st.ToString();
+  }
+}
+
+TEST(ServiceTest, RunRejectsAFleetCapBelowOne) {
+  // A cap of 0 or -1 used to finish dataflows on zero VM quanta.
+  for (auto tweak : {+[](SchedulerOptions* o) { o->max_containers = 0; },
+                     +[](SchedulerOptions* o) { o->max_containers = -1; }}) {
+    const Status st = RunWithScheduler(tweak);
+    EXPECT_TRUE(Names(st, "max_containers must be >= 1")) << st.ToString();
+  }
+}
+
+/// Passes `inner` through, recording at each arrival how the service's
+/// fleet and storage count quanta.
+class QuantumProbeClient : public WorkloadClient {
+ public:
+  QuantumProbeClient(WorkloadClient* inner, const QaasService* service)
+      : inner_(inner), service_(service) {}
+
+  std::optional<Dataflow> Next(Seconds not_before, Seconds horizon) override {
+    for (const Container& c : service_->fleet().SaveState().containers) {
+      lease_seconds_per_quantum.push_back(
+          (c.lease_end() - c.lease_start()) /
+          static_cast<double>(c.quanta_charged()));
+    }
+    StorageService storage = service_->storage();
+    if (storage.used() > 0) {
+      // Billing one more quantum's worth of seconds accrues exactly one
+      // quantum of the stored megabytes.
+      const double before = storage.accrued_mb_quanta();
+      storage.AdvanceTo(storage.last_billed() + kProbeQuantum);
+      storage_quanta_per_probe.push_back(
+          (storage.accrued_mb_quanta() - before) / storage.used());
+    }
+    return inner_->Next(not_before, horizon);
+  }
+
+  static constexpr Seconds kProbeQuantum = 300;
+  std::vector<double> lease_seconds_per_quantum;
+  std::vector<double> storage_quanta_per_probe;
+
+ private:
+  WorkloadClient* inner_;
+  const QaasService* service_;
+};
+
+TEST(ServiceTest, SchedulerQuantumIsTheOneQuantumEveryLayerCounts) {
+  // The skyline plans, the fleet leases, the store bills and the simulator
+  // charges the scheduler's 300 s quanta. Dataflows arrive 10 quanta apart,
+  // so each runs on a fresh fleet and, with exact estimates, the quanta the
+  // simulator charges are the quanta the fleet bills.
+  const Seconds q = QuantumProbeClient::kProbeQuantum;
+  ServiceFixture f(IndexPolicy::kGain);
+  ServiceOptions so;
+  so.total_time = 40.0 * q;
+  so.tuner.sched.quantum = q;
+  so.tuner.sched.max_containers = 12;
+  so.tuner.sched.skyline_cap = 3;
+  QaasService service(&f.catalog, so);
+  std::vector<Dataflow> stream;
+  for (int i = 0; i < 3; ++i) {
+    stream.push_back(f.gen->Generate(AppType::kMontage, i, 10.0 * q * i));
+  }
+  ReplayWorkloadClient replay(std::move(stream));
+  QuantumProbeClient probe(&replay, &service);
+  auto m = service.Run(&probe);
+  ASSERT_TRUE(m.ok()) << m.status().ToString();
+  ASSERT_EQ(m->dataflows_finished, 3);
+  ASSERT_GT(m->index_partitions_built, 0);
+
+  ASSERT_FALSE(probe.lease_seconds_per_quantum.empty());
+  for (double s : probe.lease_seconds_per_quantum) EXPECT_DOUBLE_EQ(s, q);
+  ASSERT_FALSE(probe.storage_quanta_per_probe.empty());
+  for (double n : probe.storage_quanta_per_probe) EXPECT_NEAR(n, 1.0, 1e-9);
+  EXPECT_EQ(m->total_vm_quanta, m->fleet_quanta_charged);
+}
+
+/// Passes `inner` through, counting at each arrival the indexes a tuner
+/// with the service's options flags for deletion.
+class FlagCountingClient : public WorkloadClient {
+ public:
+  FlagCountingClient(WorkloadClient* inner, Catalog* catalog,
+                     const QaasService* service, TunerOptions opts)
+      : inner_(inner), tuner_(catalog, opts), service_(service) {}
+
+  std::optional<Dataflow> Next(Seconds not_before, Seconds horizon) override {
+    std::optional<Dataflow> df = inner_->Next(not_before, horizon);
+    if (df.has_value()) {
+      auto d = tuner_.OnDataflow(*df, service_->history(), df->issued_at);
+      if (d.ok()) flagged += static_cast<int>(d->to_delete.size());
+    }
+    return df;
+  }
+
+  int flagged = 0;
+
+ private:
+  WorkloadClient* inner_;
+  OnlineIndexTuner tuner_;
+  const QaasService* service_;
+};
+
+TEST(ServiceTest, GainNoDeleteKeepsEveryIndexTheTunerFlags) {
+  // A Montage phase, then LIGO: the Montage indexes stop earning and the
+  // tuner flags them. With no grace period Gain deletes them; Gain (no
+  // delete) runs the same tuner and keeps them all.
+  auto run = [](IndexPolicy policy, int* flagged) {
+    ServiceFixture f(policy, 5, /*horizon=*/60.0 * 60.0);
+    ServiceOptions so;
+    so.policy = policy;
+    so.total_time = 60.0 * 60.0;
+    so.deletion_grace_quanta = 0;
+    so.tuner.sched.max_containers = 12;
+    so.tuner.sched.skyline_cap = 3;
+    QaasService service(&f.catalog, so);
+    PhaseWorkloadClient phases(
+        f.gen.get(), 60.0,
+        {{AppType::kMontage, 20.0 * 60.0}, {AppType::kLigo, 1e9}}, 5);
+    FlagCountingClient client(&phases, &f.catalog, &service, so.tuner);
+    auto m = service.Run(&client);
+    EXPECT_TRUE(m.ok()) << m.status().ToString();
+    *flagged = client.flagged;
+    return m.ok() ? m->indexes_deleted : -1;
+  };
+  int gain_flagged = 0;
+  int keep_flagged = 0;
+  EXPECT_GT(run(IndexPolicy::kGain, &gain_flagged), 0);
+  EXPECT_EQ(run(IndexPolicy::kGainNoDelete, &keep_flagged), 0);
+  EXPECT_GT(keep_flagged, 0);
 }
 
 TEST(ServiceTest, CheckInvariantsNamesTheLedgerThatSlips) {

@@ -35,13 +35,6 @@ using testutil::IdentityFaults;
 // faults and the duplicate does not.
 constexpr uint64_t kHedgeAttemptBit = uint64_t{1} << 62;
 
-SimOptions NoError() {
-  SimOptions o;
-  o.quantum = 60;
-  o.net_mb_per_sec = 125;
-  return o;
-}
-
 std::vector<SimOpCost> CpuOnlyCosts(const Dag& g) {
   std::vector<SimOpCost> costs(g.num_ops());
   for (const auto& op : g.ops()) {
@@ -83,7 +76,7 @@ TEST(SpeculationTest, CloneWinsInPaidIdleSlotWithoutExtraQuanta) {
   // the clone lands on drained, healthy c1 at t=15, finishes at 25 — inside
   // c1's single already-paid quantum — and beats the original (50 s).
   TwoContainerScenario sc(10.0);
-  ExecSimulator sim(NoError());
+  ExecSimulator sim(SchedulerOptions{}, /*seed=*/1);
 
   FaultInjection off = IdentityFaults(2);
   off.trace.containers[0].slowdown = 5.0;
@@ -125,7 +118,7 @@ TEST(SpeculationTest, WinningCloneIsBilledAtTheShadowLease) {
   // realized span into its first quantum; the billing floor still charges
   // the shadow lease, so speculation never changes the bill.
   TwoContainerScenario sc(10.0);
-  ExecSimulator sim(NoError());
+  ExecSimulator sim(SchedulerOptions{}, /*seed=*/1);
   FaultInjection off = IdentityFaults(2);
   off.trace.containers[0].slowdown = 7.0;
   auto base = sim.Run(sc.g, sc.plan, sc.costs, nullptr, &off);
@@ -148,7 +141,7 @@ TEST(SpeculationTest, LosingCloneCancelledWithSlotTimeReturned) {
   // (finish 50) and loses to the original (40). It is cancelled at 40, and
   // the 10 reserved seconds it never used are reported back.
   TwoContainerScenario sc(20.0);
-  ExecSimulator sim(NoError());
+  ExecSimulator sim(SchedulerOptions{}, /*seed=*/1);
   FaultInjection fi = IdentityFaults(2);
   fi.trace.containers[0].slowdown = 2.0;
   fi.spec.speculate = true;
@@ -172,7 +165,7 @@ TEST(SpeculationTest, TieGoesToTheOriginalDeterministically) {
   // (watermark 15 + 10 s clone == 25 s == 10 s at 2.5x): the original wins
   // the tie, every time.
   TwoContainerScenario sc(10.0);
-  ExecSimulator sim(NoError());
+  ExecSimulator sim(SchedulerOptions{}, /*seed=*/1);
   FaultInjection fi = IdentityFaults(2);
   fi.trace.containers[0].slowdown = 2.5;
   fi.spec.speculate = true;
@@ -203,7 +196,7 @@ TEST(SpeculationTest, EqualCandidatesBreakTiesByLowestContainer) {
   plan.Add(Assignment{1, 1, 0.0, 5.0, false});
   plan.Add(Assignment{2, 2, 0.0, 5.0, false});
   plan.Add(Assignment{0, 0, 10.0, 20.0, false});
-  ExecSimulator sim(NoError());
+  ExecSimulator sim(SchedulerOptions{}, /*seed=*/1);
   FaultInjection fi = IdentityFaults(3);
   fi.trace.containers[0].slowdown = 5.0;
   fi.spec.speculate = true;
@@ -220,7 +213,7 @@ TEST(SpeculationTest, NoHealthyDrainedHostMeansNoClone) {
   // detected but never cloned (speculating onto another straggler would
   // waste the slot).
   TwoContainerScenario sc(10.0);
-  ExecSimulator sim(NoError());
+  ExecSimulator sim(SchedulerOptions{}, /*seed=*/1);
   FaultInjection fi = IdentityFaults(2);
   fi.trace.containers[0].slowdown = 5.0;
   fi.trace.containers[1].slowdown = 2.0;
@@ -237,7 +230,7 @@ TEST(SpeculationTest, CloneRefusedWhenItWouldNeedNewQuanta) {
   // would extend the lease, so the cost guard refuses and the straggler
   // just runs its course.
   TwoContainerScenario sc(30.0);
-  ExecSimulator sim(NoError());
+  ExecSimulator sim(SchedulerOptions{}, /*seed=*/1);
   FaultInjection fi = IdentityFaults(2);
   fi.trace.containers[0].slowdown = 5.0;
   fi.spec.speculate = true;
@@ -258,11 +251,10 @@ TEST(SpeculationTest, SpecOnWithHealthyTraceBitIdenticalToSpecOff) {
   auto skyline = sched.ScheduleDag(g, testutil::OpTimes(g));
   ASSERT_TRUE(skyline.ok());
   Schedule plan = skyline->front();
-  SimOptions o = NoError();
+  SimOptions o;
   o.time_error = 0.2;
   o.data_error = 0.2;
-  o.seed = 23;
-  ExecSimulator sim(o);
+  ExecSimulator sim(SchedulerOptions{}, /*seed=*/23, o);
 
   FaultInjection off = IdentityFaults(plan.num_containers());
   auto base = sim.Run(g, plan, CpuOnlyCosts(g), nullptr, &off);
@@ -318,7 +310,7 @@ TEST(HedgeTest, HedgeRescuesFaultedReadWithoutExtraQuanta) {
   Schedule plan;
   plan.Add(Assignment{0, 0, 0.0, 11.0, false});
   std::vector<SimOpCost> costs{SimOpCost{10.0, 125.0, "t/p0"}};
-  ExecSimulator sim(NoError());
+  ExecSimulator sim(SchedulerOptions{}, /*seed=*/1);
 
   FaultInjection fi = IdentityFaults(1);
   fi.model = &model;
@@ -356,7 +348,7 @@ TEST(HedgeTest, LosingHedgeLeavesLatencyUnchanged) {
   Schedule plan;
   plan.Add(Assignment{0, 0, 0.0, 11.0, false});
   std::vector<SimOpCost> costs{SimOpCost{10.0, 125.0, "t/p0"}};
-  ExecSimulator sim(NoError());
+  ExecSimulator sim(SchedulerOptions{}, /*seed=*/1);
   FaultInjection fi = IdentityFaults(1);
   fi.model = &model;
   fi.run_key = 1;
@@ -383,14 +375,14 @@ TEST(HedgeTest, SuppressedHedgingBitIdenticalToNoHedging) {
   Schedule plan;
   plan.Add(Assignment{0, 0, 0.0, 11.0, false});
   std::vector<SimOpCost> costs{SimOpCost{10.0, 125.0, "t/p0"}};
-  ExecSimulator sim(NoError());
+  ExecSimulator sim(SchedulerOptions{}, /*seed=*/1);
   FaultInjection fi = IdentityFaults(1);
   fi.model = &model;
   fi.run_key = 2;
   auto base = sim.Run(g, plan, costs, nullptr, &fi);
   fi.spec.hedge_reads = true;
   fi.spec.hedge_after = 5.0;
-  fi.spec.suppress_hedges = true;  // what the open breaker does
+  fi.suppress_hedges = true;  // what the open breaker does
   auto sup = sim.Run(g, plan, costs, nullptr, &fi);
   ASSERT_TRUE(base.ok() && sup.ok());
   EXPECT_EQ(base->makespan, sup->makespan);  // bit-identical

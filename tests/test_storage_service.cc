@@ -5,10 +5,11 @@
 namespace dfim {
 namespace {
 
-PricingModel Pricing() { return PricingModel{}; }  // 60s, $0.1, 1e-4
+PricingModel Pricing() { return PricingModel{}; }  // $0.1, 1e-4
+constexpr Seconds kQuantum = 60;
 
 TEST(StorageServiceTest, PutDeleteExists) {
-  StorageService s(Pricing());
+  StorageService s(Pricing(), kQuantum);
   s.Put("x", 100, 0);
   EXPECT_TRUE(s.Exists("x"));
   EXPECT_DOUBLE_EQ(s.SizeOf("x"), 100);
@@ -20,7 +21,7 @@ TEST(StorageServiceTest, PutDeleteExists) {
 }
 
 TEST(StorageServiceTest, ReplaceAdjustsUsage) {
-  StorageService s(Pricing());
+  StorageService s(Pricing(), kQuantum);
   s.Put("x", 100, 0);
   s.Put("x", 40, 0);
   EXPECT_DOUBLE_EQ(s.used(), 40);
@@ -28,7 +29,7 @@ TEST(StorageServiceTest, ReplaceAdjustsUsage) {
 }
 
 TEST(StorageServiceTest, BillingIntegratesMbQuanta) {
-  StorageService s(Pricing());
+  StorageService s(Pricing(), kQuantum);
   s.Put("x", 100, 0);
   s.AdvanceTo(600);  // 10 quanta at 100 MB
   EXPECT_NEAR(s.accrued_mb_quanta(), 1000.0, 1e-9);
@@ -36,7 +37,7 @@ TEST(StorageServiceTest, BillingIntegratesMbQuanta) {
 }
 
 TEST(StorageServiceTest, MidWindowChangesProrated) {
-  StorageService s(Pricing());
+  StorageService s(Pricing(), kQuantum);
   s.Put("x", 100, 0);
   s.Put("y", 100, 300);  // x alone for 5 quanta, then 200 MB for 5
   s.AdvanceTo(600);
@@ -44,7 +45,7 @@ TEST(StorageServiceTest, MidWindowChangesProrated) {
 }
 
 TEST(StorageServiceTest, DeleteStopsBilling) {
-  StorageService s(Pricing());
+  StorageService s(Pricing(), kQuantum);
   s.Put("x", 100, 0);
   s.Delete("x", 300);
   s.AdvanceTo(6000);
@@ -52,13 +53,13 @@ TEST(StorageServiceTest, DeleteStopsBilling) {
 }
 
 TEST(StorageServiceTest, EmptyStoreAccruesNothing) {
-  StorageService s(Pricing());
+  StorageService s(Pricing(), kQuantum);
   s.AdvanceTo(6000);
   EXPECT_DOUBLE_EQ(s.accrued_cost(), 0);
 }
 
 TEST(StorageServiceTest, ForwardAdvanceAccrues) {
-  StorageService s(Pricing());
+  StorageService s(Pricing(), kQuantum);
   s.Put("x", 100, 0);
   s.AdvanceTo(60);
   double after_one = s.accrued_mb_quanta();
@@ -72,7 +73,7 @@ TEST(StorageServiceTest, BackwardAdvanceClampsWithoutCorruption) {
   // AdvanceTo's precondition is non-decreasing time. A regression must be
   // clamped (logged, ignored): billed state and the clock stay untouched,
   // and later forward advances bill from the high-water mark only.
-  StorageService s(Pricing());
+  StorageService s(Pricing(), kQuantum);
   s.Put("x", 100, 0);
   s.AdvanceTo(120);
   double accrued = s.accrued_mb_quanta();
@@ -82,7 +83,7 @@ TEST(StorageServiceTest, BackwardAdvanceClampsWithoutCorruption) {
   EXPECT_DOUBLE_EQ(s.accrued_cost(), cost);
   EXPECT_DOUBLE_EQ(s.last_billed(), 120);
   s.AdvanceTo(180);  // forward again: exactly one more window billed
-  StorageService ref(Pricing());
+  StorageService ref(Pricing(), kQuantum);
   ref.Put("x", 100, 0);
   ref.AdvanceTo(180);
   EXPECT_DOUBLE_EQ(s.accrued_mb_quanta(), ref.accrued_mb_quanta());
@@ -92,7 +93,7 @@ TEST(StorageServiceTest, BackwardAdvanceClampsWithoutCorruption) {
 TEST(StorageServiceTest, ClockClampsAreCountedNotSilent) {
   // Regressions used to be absorbed silently; they are now surfaced as a
   // counter so callers that settle storage out of order can be detected.
-  StorageService s(Pricing());
+  StorageService s(Pricing(), kQuantum);
   s.Put("x", 100, 0);
   s.AdvanceTo(120);
   EXPECT_EQ(s.clock_clamps(), 0);

@@ -172,23 +172,6 @@ TEST_F(TunerTest, NonBeneficialBuiltIndexesFlaggedForDeletion) {
             kept->to_delete.end());
 }
 
-TEST_F(TunerTest, NoDeleteOptionKeepsIndexes) {
-  TunerOptions opts = opts_;
-  opts.delete_nonbeneficial = false;
-  OnlineIndexTuner keeper(&catalog_, opts);
-  Dataflow df = gen_->Generate(AppType::kMontage, 0, 0);
-  const std::string idx = df.candidate_indexes[0];
-  auto def = catalog_.GetIndexDef(idx);
-  auto table = catalog_.GetTable((*def)->table);
-  for (const auto& p : (*table)->partitions()) {
-    ASSERT_TRUE(catalog_.MarkIndexPartitionBuilt(idx, p.id, 0).ok());
-  }
-  Dataflow unrelated = gen_->Generate(AppType::kLigo, 1, 0);
-  auto decision = keeper.OnDataflow(unrelated, {}, 6000.0);
-  ASSERT_TRUE(decision.ok());
-  EXPECT_TRUE(decision->to_delete.empty());
-}
-
 TEST_F(TunerTest, BuildDataflowCostsMarksCacheKeys) {
   Dataflow df = gen_->Generate(AppType::kLigo, 0, 0);
   std::vector<Seconds> durations;

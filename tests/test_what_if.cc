@@ -117,12 +117,10 @@ void CompareWithOracle(const Dataflow& df, Catalog* catalog,
   // The decision deletes exactly the built indexes the oracle marks
   // deletable, in catalog order.
   std::vector<std::string> deletable;
-  if (opts.delete_nonbeneficial) {
-    for (const std::string& idx : catalog->IndexIds()) {
-      if (old.IsBuilt(idx) &&
-          old.EvaluateIndex(idx, history, &df, now).deletable) {
-        deletable.push_back(idx);
-      }
+  for (const std::string& idx : catalog->IndexIds()) {
+    if (old.IsBuilt(idx) &&
+        old.EvaluateIndex(idx, history, &df, now).deletable) {
+      deletable.push_back(idx);
     }
   }
   EXPECT_EQ(d->to_delete, deletable) << at;
@@ -166,14 +164,8 @@ TEST(WhatIfTest, GoldenConfigurationsMatchTheOracleAtEveryArrival) {
                                 const QaasService& service,
                                 const ServiceOptions& so)
       -> std::unique_ptr<WorkloadClient> {
-    TunerOptions opts = so.tuner;
-    // The service's own tuner keeps non-beneficial indexes under this
-    // policy.
-    if (so.policy == IndexPolicy::kGainNoDelete) {
-      opts.delete_nonbeneficial = false;
-    }
-    return std::make_unique<ComparingClient>(inner, catalog, service, opts,
-                                             &coverage);
+    return std::make_unique<ComparingClient>(inner, catalog, service,
+                                             so.tuner, &coverage);
   };
   const std::map<std::string, ServiceMetrics> outcomes = golden::RunAll(hook);
 
@@ -315,7 +307,6 @@ TEST_F(RandomizedWhatIfTest, RandomStatesMatchTheOracle) {
     TunerOptions opts;
     opts.sched.max_containers = 4;
     opts.gain.adaptive_fading = trial % 2 == 1;
-    opts.delete_nonbeneficial = trial % 3 != 0;
     std::deque<DataflowRecord> history;
     const int records = static_cast<int>(rng.UniformInt(0, 6));
     for (int r = 0; r < records; ++r) {
